@@ -48,7 +48,7 @@ pub fn generate(compiled: &CompiledModel, config: &FuzzOnlyConfig) -> Generation
     let mut generation: Generation = outcome.into();
     generation.notes = format!(
         "code-level feedback over {} of {} branches",
-        compiled.map().code_level_mask().iter().filter(|&&v| v).count(),
+        compiled.map().code_level_mask().count(),
         compiled.map().branch_count()
     );
     generation

@@ -48,7 +48,7 @@
 //! * **Inline branch stores** — a recorder exposing dense
 //!   [`branch_flags`](Recorder::branch_flags) (the fuzz loop's branch
 //!   bitmap does) has branch probes lowered to a single byte store
-//!   `flags[id] = true`, no call at all. The run entry validates the
+//!   `flags[id] = 1`, no call at all. The run entry validates the
 //!   flags length against the program's branch-id bound once, so the
 //!   generated stores need no per-probe bounds checks.
 //!
@@ -178,7 +178,7 @@ pub(crate) struct JitCtx {
     vt: *const RecorderVt, // 0x28
     /// Dense branch-hit byte array ([`Recorder::branch_flags`]), or null
     /// to deliver branch events through the vtable.
-    branch_flags: *mut bool, // 0x30
+    branch_flags: *mut u8, // 0x30
 }
 
 const CTX_RECORDER: i32 = 0x20;

@@ -21,11 +21,7 @@ fn main() {
     for case in &g.suite {
         cftcg_codegen::replay_case(&compiled, case, &mut tracker);
     }
-    println!(
-        "covered {}/{}",
-        tracker.branch_hits().iter().filter(|&&h| h).count(),
-        compiled.map().branch_count()
-    );
+    println!("covered {}/{}", tracker.branch_hits().count(), compiled.map().branch_count());
     for (i, b) in compiled.map().branches().iter().enumerate() {
         if !tracker.branch_hit(i) {
             println!("  MISS {}", b.label);

@@ -749,6 +749,17 @@ mod tests {
     }
 
     #[test]
+    fn seeds_beyond_f64_precision_round_trip() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let artifact = CampaignArtifact { seed, ..sample_artifact() };
+            let json = artifact.to_json();
+            let parsed = CampaignArtifact::from_json(&json).expect("round trip parses");
+            assert_eq!(parsed.seed, seed);
+            assert_eq!(parsed.to_json(), json);
+        }
+    }
+
+    #[test]
     fn malformed_documents_are_rejected_with_field_names() {
         assert!(CampaignArtifact::from_json("not json").is_err());
         let err = CampaignArtifact::from_json("{\"model\":\"m\"}").unwrap_err();

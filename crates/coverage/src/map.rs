@@ -187,7 +187,7 @@ impl InstrumentationMap {
     /// Per-branch visibility to a *code-level* fuzzer: `false` for outcomes
     /// of branchless decisions (see [`DecisionInfo::code_level`]). This is
     /// the feedback mask of the paper's "Fuzz Only" baseline.
-    pub fn code_level_mask(&self) -> Vec<bool> {
+    pub fn code_level_mask(&self) -> crate::BranchBitmap {
         self.branches.iter().map(|b| self.decisions[b.decision.index()].code_level).collect()
     }
 }

@@ -49,14 +49,14 @@ pub trait Recorder {
     /// Dense branch-flags seam for native back-ends.
     ///
     /// A recorder whose [`Recorder::branch`] is observationally identical
-    /// to `flags[id.index()] = true` over a dense `bool` array may expose
+    /// to `flags[id.index()] = 1` over a dense array of 0/1 bytes may expose
     /// that array here; the JIT then records branch probes as direct byte
     /// stores into it instead of calling back. The exposed buffer must
     /// stay valid and un-moved across any interleaving of this recorder's
     /// other event methods for the duration of a run, and must span every
     /// branch id of the executing program (callers fall back to
     /// [`Recorder::branch`] when it is too short). Default: no fast path.
-    fn branch_flags(&mut self) -> Option<&mut [bool]> {
+    fn branch_flags(&mut self) -> Option<&mut [u8]> {
         None
     }
 
@@ -103,45 +103,73 @@ impl Recorder for NullRecorder {
 /// The per-iteration branch bitmap of the paper's Algorithm 1
 /// (`g_CurrCov`): one flag per branch probe, cleared before every model
 /// iteration by the fuzz driver.
+///
+/// Each flag is a 0/1 byte, so a native back-end records a hit as a plain
+/// byte store (see [`Recorder::branch_flags`]). The bytes are zero-padded
+/// to whole 8-byte words and every whole-bitmap operation runs a `u64`
+/// word at a time: with every byte 0 or 1, `count_ones` of a word counts
+/// its set flags. The padding is never visible — [`len`](Self::len),
+/// [`as_slice`](Self::as_slice), [`set_indices`](Self::set_indices) and
+/// the flags seam cover the real slots only, and padding bytes stay zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchBitmap {
-    bits: Vec<bool>,
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+/// Bytes per bookkeeping word.
+const WORD: usize = 8;
+
+/// Loads one 8-byte chunk as a word (byte `i` lands in bits `8i..8i+8`).
+#[inline]
+fn word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
 }
 
 impl BranchBitmap {
     /// Creates a cleared bitmap with `branch_count` slots.
     pub fn new(branch_count: usize) -> Self {
-        BranchBitmap { bits: vec![false; branch_count] }
+        BranchBitmap { bytes: vec![0; branch_count.div_ceil(WORD) * WORD], len: branch_count }
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.len
     }
 
     /// `true` when the bitmap has no slots.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.len == 0
     }
 
     /// Clears all flags (start of a model iteration, Algorithm 1 line 11).
     pub fn clear(&mut self) {
-        self.bits.iter_mut().for_each(|b| *b = false);
+        self.bytes.fill(0);
     }
 
     /// Whether branch `i` was hit this iteration.
     pub fn get(&self, i: usize) -> bool {
-        self.bits[i]
+        self.as_slice()[i] != 0
     }
 
-    /// Raw slice access for bulk operations.
-    pub fn as_slice(&self) -> &[bool] {
-        &self.bits
+    /// The flags as 0/1 bytes, one per slot.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    /// The padded buffer as words.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.bytes.chunks_exact(WORD).map(word)
+    }
+
+    /// Panics unless `other` has as many slots as `self`.
+    fn check_len(&self, other: &BranchBitmap) {
+        assert_eq!(self.len, other.len, "bitmap length mismatch");
     }
 
     /// Number of branches hit this iteration.
     pub fn count(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.words().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of positions where `self` and `other` differ — the
@@ -152,8 +180,8 @@ impl BranchBitmap {
     ///
     /// Panics when the bitmaps have different lengths.
     pub fn diff_count(&self, other: &BranchBitmap) -> usize {
-        assert_eq!(self.bits.len(), other.bits.len(), "bitmap length mismatch");
-        self.bits.iter().zip(&other.bits).filter(|(a, b)| a != b).count()
+        self.check_len(other);
+        self.words().zip(other.words()).map(|(a, b)| (a ^ b).count_ones() as usize).sum()
     }
 
     /// ORs this iteration's hits into `total`, returning how many branches
@@ -163,13 +191,12 @@ impl BranchBitmap {
     ///
     /// Panics when the bitmaps have different lengths.
     pub fn merge_into(&self, total: &mut BranchBitmap) -> usize {
-        assert_eq!(self.bits.len(), total.bits.len(), "bitmap length mismatch");
+        self.check_len(total);
         let mut new_hits = 0;
-        for (curr, tot) in self.bits.iter().zip(&mut total.bits) {
-            if *curr && !*tot {
-                *tot = true;
-                new_hits += 1;
-            }
+        for (c, t) in self.bytes.chunks_exact(WORD).zip(total.bytes.chunks_exact_mut(WORD)) {
+            let (c, old) = (word(c), word(t));
+            new_hits += (c & !old).count_ones() as usize;
+            t.copy_from_slice(&(old | c).to_le_bytes());
         }
         new_hits
     }
@@ -181,8 +208,8 @@ impl BranchBitmap {
     ///
     /// Panics when the bitmaps have different lengths.
     pub fn copy_from(&mut self, other: &BranchBitmap) {
-        assert_eq!(self.bits.len(), other.bits.len(), "bitmap length mismatch");
-        self.bits.copy_from_slice(&other.bits);
+        other.check_len(self);
+        self.bytes.copy_from_slice(&other.bytes);
     }
 
     /// ORs `other`'s flags into this bitmap, returning how many were newly
@@ -204,26 +231,44 @@ impl BranchBitmap {
     ///
     /// Panics when the bitmaps have different lengths.
     pub fn new_vs(&self, baseline: &BranchBitmap) -> usize {
-        assert_eq!(self.bits.len(), baseline.bits.len(), "bitmap length mismatch");
-        self.bits.iter().zip(&baseline.bits).filter(|(s, b)| **s && !**b).count()
+        self.check_len(baseline);
+        self.words().zip(baseline.words()).map(|(s, b)| (s & !b).count_ones() as usize).sum()
     }
 
     /// Indices of the set branches, ascending.
     pub fn set_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().filter_map(|(i, &b)| b.then_some(i))
+        self.words().enumerate().flat_map(|(w, mut bits)| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = w * WORD + bits.trailing_zeros() as usize / 8;
+                    bits &= bits - 1;
+                    i
+                })
+            })
+        })
     }
 
-    /// Clears every flag whose `mask` slot is `false` (code-level feedback
-    /// mode restricts coverage to non-model-level probes).
+    /// Clears every flag not set in `mask` (code-level feedback mode
+    /// restricts coverage to non-model-level probes).
     ///
     /// # Panics
     ///
     /// Panics when `mask` has a different length.
-    pub fn retain_mask(&mut self, mask: &[bool]) {
-        assert_eq!(self.bits.len(), mask.len(), "bitmap length mismatch");
-        for (bit, &keep) in self.bits.iter_mut().zip(mask) {
-            *bit &= keep;
+    pub fn retain_mask(&mut self, mask: &BranchBitmap) {
+        self.check_len(mask);
+        for (t, m) in self.bytes.chunks_exact_mut(WORD).zip(mask.bytes.chunks_exact(WORD)) {
+            t.copy_from_slice(&(word(t) & word(m)).to_le_bytes());
         }
+    }
+}
+
+/// Collects one slot per flag, set where the flag is `true`.
+impl FromIterator<bool> for BranchBitmap {
+    fn from_iter<I: IntoIterator<Item = bool>>(flags: I) -> Self {
+        let mut bytes: Vec<u8> = flags.into_iter().map(u8::from).collect();
+        let len = bytes.len();
+        bytes.resize(len.div_ceil(WORD) * WORD, 0);
+        BranchBitmap { bytes, len }
     }
 }
 
@@ -235,11 +280,11 @@ impl Recorder for BranchBitmap {
     const OBSERVES_ASSERTIONS: bool = false;
 
     fn branch(&mut self, id: BranchId) {
-        self.bits[id.index()] = true;
+        self.bytes[..self.len][id.index()] = 1;
     }
 
-    fn branch_flags(&mut self) -> Option<&mut [bool]> {
-        Some(&mut self.bits)
+    fn branch_flags(&mut self) -> Option<&mut [u8]> {
+        Some(&mut self.bytes[..self.len])
     }
 }
 
@@ -252,7 +297,7 @@ const MAX_VECTORS_PER_DECISION: usize = 1024;
 /// Condition, and MCDC coverage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FullTracker {
-    branch_hits: Vec<bool>,
+    branch_hits: BranchBitmap,
     /// `[false-seen, true-seen]` per condition.
     condition_values: Vec<[bool; 2]>,
     /// Distinct `(vector, outcome)` evaluations per decision.
@@ -265,7 +310,7 @@ impl FullTracker {
     /// Creates an empty tracker sized for `map`.
     pub fn new(map: &InstrumentationMap) -> Self {
         FullTracker {
-            branch_hits: vec![false; map.branch_count()],
+            branch_hits: BranchBitmap::new(map.branch_count()),
             condition_values: vec![[false; 2]; map.condition_count()],
             decision_vectors: vec![HashSet::new(); map.decision_count()],
             assertion_failures: vec![0; map.assertion_count()],
@@ -279,11 +324,11 @@ impl FullTracker {
 
     /// Whether branch `i` has ever been hit.
     pub fn branch_hit(&self, i: usize) -> bool {
-        self.branch_hits[i]
+        self.branch_hits.get(i)
     }
 
-    /// Slice of per-branch hit flags.
-    pub fn branch_hits(&self) -> &[bool] {
+    /// The per-branch hit flags.
+    pub fn branch_hits(&self) -> &BranchBitmap {
         &self.branch_hits
     }
 
@@ -318,9 +363,7 @@ impl FullTracker {
         for (a, b) in self.assertion_failures.iter_mut().zip(&other.assertion_failures) {
             *a += b;
         }
-        for (a, b) in self.branch_hits.iter_mut().zip(&other.branch_hits) {
-            *a |= b;
-        }
+        self.branch_hits.merge_from(&other.branch_hits);
         for (a, b) in self.condition_values.iter_mut().zip(&other.condition_values) {
             a[0] |= b[0];
             a[1] |= b[1];
@@ -338,11 +381,11 @@ impl Recorder for FullTracker {
     const OBSERVES_COMPARES: bool = false;
 
     fn branch(&mut self, id: BranchId) {
-        self.branch_hits[id.index()] = true;
+        self.branch_hits.branch(id);
     }
 
-    fn branch_flags(&mut self) -> Option<&mut [bool]> {
-        Some(&mut self.branch_hits)
+    fn branch_flags(&mut self) -> Option<&mut [u8]> {
+        self.branch_hits.branch_flags()
     }
 
     fn condition(&mut self, id: ConditionId, value: bool) {
@@ -428,7 +471,7 @@ mod tests {
         bm.branch(BranchId(0));
         bm.branch(BranchId(1));
         bm.branch(BranchId(3));
-        bm.retain_mask(&[true, false, true, false]);
+        bm.retain_mask(&[true, false, true, false].into_iter().collect());
         assert_eq!(bm.set_indices().collect::<Vec<_>>(), vec![0]);
     }
 

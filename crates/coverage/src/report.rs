@@ -59,8 +59,7 @@ impl CoverageReport {
     pub fn score(map: &InstrumentationMap, tracker: &FullTracker) -> Self {
         assert_eq!(tracker.branch_hits().len(), map.branch_count(), "tracker does not match map");
         // Decision Coverage: every branch probe is one decision outcome.
-        let decision =
-            Ratio::new(tracker.branch_hits().iter().filter(|&&h| h).count(), map.branch_count());
+        let decision = Ratio::new(tracker.branch_hits().count(), map.branch_count());
 
         // Condition Coverage: each condition must be seen false and true.
         let mut cond_covered = 0;

@@ -30,10 +30,15 @@ use crate::plateau::PlateauDetector;
 /// The table is a ring: once full, admitting a new pair evicts the oldest
 /// one (round-robin), so the dictionary keeps tracking the operands of the
 /// *current* frontier instead of freezing on whatever the first 512 were.
+///
+/// Every admissible compare a model executes probes the dedup set, so it
+/// is a small fixed-size table ([`PairSet`]) rather than a general hashed
+/// collection — like LibFuzzer's own table of recent compares.
 #[derive(Debug, Clone)]
 pub(crate) struct Torc {
     pub(crate) pairs: Vec<(f64, f64)>,
-    seen: std::collections::HashSet<(u64, u64)>,
+    /// The bit patterns of exactly the pairs in `pairs`.
+    seen: PairSet,
     /// Ring cursor: the slot the next eviction replaces (oldest entry).
     next_evict: usize,
     /// When set, newly admitted pairs are also copied to `fresh` for the
@@ -53,7 +58,7 @@ impl Torc {
     pub(crate) fn new() -> Self {
         Torc {
             pairs: Vec::new(),
-            seen: std::collections::HashSet::new(),
+            seen: PairSet::new(),
             next_evict: 0,
             track_fresh: false,
             fresh: Vec::new(),
@@ -61,23 +66,20 @@ impl Torc {
         }
     }
 
+    /// The admission filter. Equal operands carry no information;
+    /// non-finite values cannot be injected meaningfully; trivial pairs
+    /// (both tiny) are already in the interesting-constant table.
+    pub(crate) fn admissible(lhs: f64, rhs: f64) -> bool {
+        lhs.is_finite() && rhs.is_finite() && lhs != rhs && !(lhs.abs() <= 1.0 && rhs.abs() <= 1.0)
+    }
+
     pub(crate) fn push(&mut self, lhs: f64, rhs: f64) {
-        // Equal operands carry no information; non-finite values cannot be
-        // injected meaningfully; trivial pairs (both tiny) are already in
-        // the interesting-constant table.
-        if !lhs.is_finite()
-            || !rhs.is_finite()
-            || lhs == rhs
-            || (lhs.abs() <= 1.0 && rhs.abs() <= 1.0)
-        {
-            return;
-        }
-        if !self.seen.insert((lhs.to_bits(), rhs.to_bits())) {
+        if !Self::admissible(lhs, rhs) || !self.seen.insert(PairSet::key(lhs, rhs)) {
             return;
         }
         if self.pairs.len() >= Self::CAPACITY {
             let (old_l, old_r) = self.pairs[self.next_evict];
-            self.seen.remove(&(old_l.to_bits(), old_r.to_bits()));
+            self.seen.remove(PairSet::key(old_l, old_r));
             self.pairs[self.next_evict] = (lhs, rhs);
             self.next_evict = (self.next_evict + 1) % Self::CAPACITY;
         } else {
@@ -112,6 +114,85 @@ impl Torc {
     }
 }
 
+/// The TORC ring's exact dedup set: a fixed open-addressed table of
+/// `(lhs.to_bits(), rhs.to_bits())` keys with a multiply-shift hash,
+/// linear probing and backward-shift deletion (no tombstones, so probe
+/// runs never grow with eviction churn). It holds at most
+/// `Torc::CAPACITY + 1` keys (a push inserts before it evicts), so the load
+/// stays at or below one half. The key `(0, 0)` — the pair `(0.0, 0.0)` —
+/// marks an empty slot: the admission filter rejects it (equal operands).
+#[derive(Debug, Clone)]
+struct PairSet {
+    slots: Vec<(u64, u64)>,
+}
+
+// Probe runs end at an empty slot, so the table must never fill.
+const _: () = assert!(2 * Torc::CAPACITY <= PairSet::MASK + 1);
+
+impl PairSet {
+    const SLOT_BITS: u32 = 10;
+    const MASK: usize = (1 << Self::SLOT_BITS) - 1;
+    const EMPTY: (u64, u64) = (0, 0);
+
+    fn new() -> Self {
+        PairSet { slots: vec![Self::EMPTY; Self::MASK + 1] }
+    }
+
+    fn key(lhs: f64, rhs: f64) -> (u64, u64) {
+        (lhs.to_bits(), rhs.to_bits())
+    }
+
+    /// The home slot of `key`: the top bits of a two-round multiply mix.
+    fn home(key: (u64, u64)) -> usize {
+        let mixed =
+            (key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ key.1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        (mixed >> (64 - Self::SLOT_BITS)) as usize
+    }
+
+    /// The slot holding `key`, or the empty slot ending its probe run.
+    fn find(&self, key: (u64, u64)) -> usize {
+        let mut i = Self::home(key);
+        while self.slots[i] != key && self.slots[i] != Self::EMPTY {
+            i = (i + 1) & Self::MASK;
+        }
+        i
+    }
+
+    /// Inserts `key`; `false` when it was already present.
+    fn insert(&mut self, key: (u64, u64)) -> bool {
+        debug_assert_ne!(key, Self::EMPTY, "the empty marker is not a key");
+        let i = self.find(key);
+        if self.slots[i] == key {
+            return false;
+        }
+        self.slots[i] = key;
+        true
+    }
+
+    /// Removes `key`, which must be present, then shifts later members of
+    /// its probe run back so every key stays reachable from its home slot.
+    fn remove(&mut self, key: (u64, u64)) {
+        let mut hole = self.find(key);
+        debug_assert_eq!(self.slots[hole], key, "removing an absent key");
+        let mut j = hole;
+        loop {
+            j = (j + 1) & Self::MASK;
+            let next = self.slots[j];
+            if next == Self::EMPTY {
+                break;
+            }
+            // `next` may fill the hole when the hole lies on its probe path,
+            // i.e. no further from `j` than its home slot is.
+            let from_home = j.wrapping_sub(Self::home(next)) & Self::MASK;
+            if from_home >= (j.wrapping_sub(hole) & Self::MASK) {
+                self.slots[hole] = next;
+                hole = j;
+            }
+        }
+        self.slots[hole] = Self::EMPTY;
+    }
+}
+
 /// The fuzz loop's in-execution recorder: Algorithm 1's branch bitmap plus
 /// the TORC ring and assertion-violation flags.
 struct LoopRecorder<'a> {
@@ -131,7 +212,7 @@ impl cftcg_coverage::Recorder for LoopRecorder<'_> {
     }
 
     #[inline]
-    fn branch_flags(&mut self) -> Option<&mut [bool]> {
+    fn branch_flags(&mut self) -> Option<&mut [u8]> {
         self.bitmap.branch_flags()
     }
 
@@ -462,8 +543,9 @@ pub struct Fuzzer<'c> {
     total: BranchBitmap,
     curr: BranchBitmap,
     last: BranchBitmap,
-    /// Feedback visibility mask (all-true for model-level feedback).
-    mask: Vec<bool>,
+    /// Feedback visibility mask; `None` under model-level feedback, where
+    /// every probe is visible.
+    mask: Option<BranchBitmap>,
     /// Table of recent compares (LibFuzzer value-profile dictionary).
     torc: Torc,
     /// Per-assertion violation flags for the current execution.
@@ -625,14 +707,9 @@ impl LaneRecorder for BatchLoopRecorder<'_> {
     fn compare(&mut self, lane: usize, lhs: f64, rhs: f64) {
         // Pre-filter with `Torc::push`'s own rejection rules: pairs that
         // cannot change the dictionary need not be buffered or replayed.
-        if !lhs.is_finite()
-            || !rhs.is_finite()
-            || lhs == rhs
-            || (lhs.abs() <= 1.0 && rhs.abs() <= 1.0)
-        {
-            return;
+        if Torc::admissible(lhs, rhs) {
+            self.torc[lane].push((lhs, rhs));
         }
-        self.torc[lane].push((lhs, rhs));
     }
 
     fn assertion(&mut self, lane: usize, id: cftcg_coverage::AssertionId, passed: bool) {
@@ -654,8 +731,8 @@ impl<'c> Fuzzer<'c> {
         let mut corpus = Corpus::new(config.corpus_capacity);
         corpus.metric_weighted = config.metric_weighted_corpus;
         let mask = match config.feedback {
-            FeedbackMode::ModelLevel => vec![true; branch_count],
-            FeedbackMode::CodeLevelOnly => compiled.map().code_level_mask(),
+            FeedbackMode::ModelLevel => None,
+            FeedbackMode::CodeLevelOnly => Some(compiled.map().code_level_mask()),
         };
         let telemetry = config.telemetry.clone();
         if let Some(t) = &telemetry {
@@ -943,7 +1020,10 @@ impl<'c> Fuzzer<'c> {
                 (self.mutator.random_tuple(&mut self.rng), None, LineageOrigin::Bootstrap)
             }
         };
-        let other = self.corpus.pick_other(&mut self.rng).map(|e| (e.id, e.bytes.clone()));
+        // The crossover partner is borrowed from the corpus, which nothing
+        // below touches until the mutation chain is done.
+        let other = self.corpus.pick_other(&mut self.rng);
+        let other_id = other.map(|e| e.id);
         // LibFuzzer stacks several mutations per generated input, with the
         // TORC comparison operands as a value dictionary. The operators
         // applied are remembered in application order, both for coverage
@@ -952,30 +1032,19 @@ impl<'c> Fuzzer<'c> {
         let mut operator_mask = 0u8;
         let mut ops = Vec::with_capacity(rounds as usize);
         for _ in 0..rounds {
-            let dict = std::mem::take(&mut self.torc.pairs);
             let kind = self.mutator.mutate_with_dictionary(
                 &mut self.rng,
                 &mut data,
-                other.as_ref().map(|(_, bytes)| bytes.as_slice()),
-                &dict,
+                other.map(|e| e.bytes.as_slice()),
+                &self.torc.pairs,
             );
-            self.torc.pairs = dict;
             operator_mask |= 1 << kind.index();
             ops.push(kind);
         }
         if let Some(start) = mutation_start {
             self.note_span(SpanKind::Mutation, start);
         }
-        PreparedChild {
-            rng_before,
-            data,
-            parent,
-            origin,
-            other_id: other.map(|(id, _)| id),
-            ops,
-            operator_mask,
-            rounds,
-        }
+        PreparedChild { rng_before, data, parent, origin, other_id, ops, operator_mask, rounds }
     }
 
     /// The accounting half of [`Fuzzer::fuzz_one`], after `child` has been
@@ -1200,7 +1269,6 @@ impl<'c> Fuzzer<'c> {
         let mut metric = 0;
         self.last.clear();
         self.failed_assertions.iter_mut().for_each(|f| *f = false);
-        let masked = !matches!(self.config.feedback, FeedbackMode::ModelLevel);
         for tuple in self.layout.split(data).take(self.config.max_iterations_per_input) {
             self.curr.clear(); // line 11
             let mut recorder = LoopRecorder {
@@ -1209,13 +1277,15 @@ impl<'c> Fuzzer<'c> {
                 failed_assertions: &mut self.failed_assertions,
             };
             self.exec.step_tuple(tuple, &mut recorder); // line 12
-            if masked {
+            if let Some(mask) = &self.mask {
                 // Clear probe hits the configured feedback cannot observe.
-                self.curr.retain_mask(&self.mask);
+                self.curr.retain_mask(mask);
             }
             new_branches += self.curr.merge_into(&mut self.total); // lines 13–16
             metric += self.curr.diff_count(&self.last); // lines 17–18
-            self.last.copy_from(&self.curr); // line 19
+                                                        // Line 19 (`lastCov = g_CurrCov`) as a swap: the stale flags
+                                                        // left in `curr` are cleared by the next tick's line 11.
+            std::mem::swap(&mut self.last, &mut self.curr);
             self.iterations += 1;
             self.stats.iterations += 1;
         }
@@ -1287,7 +1357,6 @@ impl<'c> Fuzzer<'c> {
         let mut scratch = self.batch_scratch.take().expect("scratch built above");
         scratch.reset();
         let exec_start = if self.time_spans { Some(Instant::now()) } else { None };
-        let masked = !matches!(self.config.feedback, FeedbackMode::ModelLevel);
         let tuple = self.layout.tuple_size().max(1);
         // Per-lane tick budget: same truncation as the scalar loop's
         // `layout.split(data).take(max_iterations_per_input)`.
@@ -1327,12 +1396,12 @@ impl<'c> Fuzzer<'c> {
                 }
                 scratch.curr.clear();
                 scratch.bits.extract_lane(l, &mut scratch.curr);
-                if masked {
-                    scratch.curr.retain_mask(&self.mask);
+                if let Some(mask) = &self.mask {
+                    scratch.curr.retain_mask(mask);
                 }
                 scratch.curr.merge_into(&mut scratch.acc[l]);
                 scratch.metrics[l] += scratch.curr.diff_count(&scratch.last[l]);
-                scratch.last[l].copy_from(&scratch.curr);
+                std::mem::swap(&mut scratch.last[l], &mut scratch.curr);
             }
         }
         let exec_span = exec_start.map(|start| (start, Instant::now()));
@@ -1778,5 +1847,163 @@ mod tests {
         let mut fuzzer = Fuzzer::new(&compiled, FuzzConfig { seed: 0, ..Default::default() });
         let outcome = fuzzer.run_executions(50);
         assert_eq!(outcome.executions, 50);
+    }
+}
+
+/// Exactness of the TORC ring against a reference model built on
+/// `std::collections::HashSet`: the same operation stream must leave the
+/// same `pairs`, `fresh` and `generation`, with the same admission result
+/// for every push.
+#[cfg(test)]
+mod torc_properties {
+    use std::collections::HashSet;
+
+    use proptest::prelude::*;
+
+    use super::Torc;
+
+    /// The ring as first written: a hashed dedup set beside the pairs.
+    #[derive(Default)]
+    struct Reference {
+        pairs: Vec<(f64, f64)>,
+        seen: HashSet<(u64, u64)>,
+        next_evict: usize,
+        track_fresh: bool,
+        fresh: Vec<(f64, f64)>,
+        generation: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, lhs: f64, rhs: f64) {
+            let trivial = lhs.abs() <= 1.0 && rhs.abs() <= 1.0;
+            if !lhs.is_finite() || !rhs.is_finite() || lhs == rhs || trivial {
+                return;
+            }
+            if !self.seen.insert((lhs.to_bits(), rhs.to_bits())) {
+                return;
+            }
+            if self.pairs.len() == Torc::CAPACITY {
+                let (l, r) = self.pairs[self.next_evict];
+                self.seen.remove(&(l.to_bits(), r.to_bits()));
+                self.pairs[self.next_evict] = (lhs, rhs);
+                self.next_evict = (self.next_evict + 1) % Torc::CAPACITY;
+            } else {
+                self.pairs.push((lhs, rhs));
+            }
+            if self.track_fresh {
+                self.fresh.push((lhs, rhs));
+            }
+            self.generation += 1;
+        }
+
+        fn absorb(&mut self, pairs: &[(f64, f64)]) {
+            let tracking = std::mem::replace(&mut self.track_fresh, false);
+            for &(lhs, rhs) in pairs {
+                self.push(lhs, rhs);
+            }
+            self.track_fresh = tracking;
+        }
+    }
+
+    /// Operand values every stream mixes in: signed zeros, non-finite
+    /// values, subnormals, the trivial-pair boundary and extremes.
+    const SPECIALS: [f64; 16] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 4.0,
+        1.0,
+        -1.0,
+        0.5,
+        1.0 + f64::EPSILON,
+        2.0,
+        -7.25,
+        f64::MAX,
+        f64::MIN,
+    ];
+
+    /// One operand: a special value for one draw in five, otherwise one of
+    /// `spread` integers (a small spread duplicates heavily, a large one
+    /// churns the ring).
+    fn operand(x: u64, spread: u64) -> f64 {
+        if x.is_multiple_of(5) {
+            SPECIALS[(x / 5) as usize % SPECIALS.len()]
+        } else {
+            ((x / 5) % spread) as f64 - (spread / 2) as f64
+        }
+    }
+
+    fn bits(pairs: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        pairs.iter().map(|&(l, r)| (l.to_bits(), r.to_bits())).collect()
+    }
+
+    /// Runs `ops` (selector, lhs draw, rhs draw) through both tables,
+    /// checking them after every step; returns the admissions made.
+    fn replay(ops: &[(u8, u64, u64)], spread: u64) -> Result<u64, TestCaseError> {
+        let mut torc = Torc::new();
+        let mut reference = Reference::default();
+        for &(op, a, b) in ops {
+            let (lhs, rhs) = (operand(a, spread), operand(b, spread));
+            match op {
+                0..=11 => {
+                    let before = torc.generation;
+                    torc.push(lhs, rhs);
+                    let reference_before = reference.generation;
+                    reference.push(lhs, rhs);
+                    prop_assert_eq!(
+                        torc.generation - before,
+                        reference.generation - reference_before,
+                        "admission of ({:?}, {:?})",
+                        lhs,
+                        rhs
+                    );
+                }
+                12 | 13 => {
+                    let batch = [(lhs, rhs), (rhs, lhs), (lhs, operand(a ^ b, spread))];
+                    torc.absorb(&batch);
+                    reference.absorb(&batch);
+                }
+                14 => {
+                    torc.enable_tracking();
+                    reference.track_fresh = true;
+                }
+                _ => {
+                    let fresh = torc.take_fresh();
+                    prop_assert_eq!(bits(&fresh), bits(&std::mem::take(&mut reference.fresh)));
+                }
+            }
+            prop_assert_eq!(torc.generation, reference.generation);
+        }
+        prop_assert_eq!(bits(&torc.pairs), bits(&reference.pairs));
+        prop_assert_eq!(bits(&torc.take_fresh()), bits(&reference.fresh));
+        Ok(reference.generation)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Few distinct operands: nearly every push is a duplicate.
+        #[test]
+        fn torc_matches_reference_under_duplication(
+            ops in prop::collection::vec((0u8..16, any::<u64>(), any::<u64>()), 1..1500),
+            spread in 2u64..40,
+        ) {
+            replay(&ops, spread)?;
+        }
+
+        /// Far more distinct pairs than the ring and the table hold: the
+        /// ring evicts continuously and deletions shift probe runs back.
+        #[test]
+        fn torc_matches_reference_under_eviction_churn(
+            ops in prop::collection::vec((0u8..16, any::<u64>(), any::<u64>()), 2500..5000),
+            spread in 200u64..100_000,
+        ) {
+            let admitted = replay(&ops, spread)?;
+            prop_assert!(admitted > 1024, "only {} admissions", admitted);
+        }
     }
 }

@@ -26,7 +26,7 @@ fn coverage_of(compiled: &CompiledModel, case: &TestCase) -> BranchBitmap {
 
 /// `true` when every branch set in `needed` is also set in `have`.
 fn covers(have: &BranchBitmap, needed: &BranchBitmap) -> bool {
-    needed.as_slice().iter().zip(have.as_slice()).all(|(&n, &h)| !n || h)
+    needed.new_vs(have) == 0
 }
 
 /// Shrinks one test case by removing tuple blocks (halves, then quarters,

@@ -262,18 +262,17 @@ struct GlobalCoverage<'c> {
     layout: TupleLayout,
     total: BranchBitmap,
     curr: BranchBitmap,
-    mask: Vec<bool>,
-    masked: bool,
+    /// Feedback visibility mask; `None` under model-level feedback.
+    mask: Option<BranchBitmap>,
     max_iterations: usize,
 }
 
 impl<'c> GlobalCoverage<'c> {
     fn new(compiled: &'c CompiledModel, config: &FuzzConfig) -> Self {
         let branch_count = compiled.map().branch_count();
-        let masked = !matches!(config.feedback, FeedbackMode::ModelLevel);
         let mask = match config.feedback {
-            FeedbackMode::ModelLevel => vec![true; branch_count],
-            FeedbackMode::CodeLevelOnly => compiled.map().code_level_mask(),
+            FeedbackMode::ModelLevel => None,
+            FeedbackMode::CodeLevelOnly => Some(compiled.map().code_level_mask()),
         };
         let exec = Executor::with_engine(compiled, config.resolved_engine());
         GlobalCoverage {
@@ -283,7 +282,6 @@ impl<'c> GlobalCoverage<'c> {
             total: BranchBitmap::new(branch_count),
             curr: BranchBitmap::new(branch_count),
             mask,
-            masked,
             max_iterations: config.max_iterations_per_input,
         }
     }
@@ -301,8 +299,8 @@ impl<'c> GlobalCoverage<'c> {
             self.curr.clear();
             let mut recorder = ForensicRecorder { bitmap: &mut self.curr, tracker: &mut tracker };
             self.exec.step_tuple(tuple, &mut recorder);
-            if self.masked {
-                self.curr.retain_mask(&self.mask);
+            if let Some(mask) = &self.mask {
+                self.curr.retain_mask(mask);
             }
             new_branches += self.curr.merge_into(&mut self.total);
         }

@@ -3,9 +3,9 @@
 //! renderer and the JSONL round-trip tests.
 //!
 //! Hand-rolled because the workspace builds offline (no serde) and the event
-//! schema is tiny; the parser accepts all of RFC 8259 except that numbers
-//! are read as `f64` (every value the sinks emit fits losslessly — counters
-//! are only rendered up to 2^53).
+//! schema is tiny; the parser accepts all of RFC 8259. Non-negative integer
+//! literals that fit a `u64` are kept exact (RNG seeds use all 64 bits);
+//! every other number is read as `f64`.
 
 use std::fmt;
 
@@ -17,7 +17,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as `f64`).
+    /// A non-negative integer literal that fits a `u64`, kept exact.
+    UInt(u64),
+    /// Any other number (parsed as `f64`).
     Num(f64),
     /// A string.
     Str(String),
@@ -52,14 +54,17 @@ impl Json {
     /// The value as a float, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::UInt(n) => Some(*n as f64),
             Json::Num(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The value as an unsigned integer, if numeric and whole.
+    /// The value as an unsigned integer, if numeric and whole. Integer
+    /// literals come back exactly, whatever their size.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::UInt(n) => Some(*n),
             Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
                 Some(*v as u64)
             }
@@ -285,6 +290,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.error("invalid number"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::UInt(n));
+        }
         text.parse::<f64>().map(Json::Num).map_err(|_| self.error("invalid number"))
     }
 }
@@ -377,5 +385,20 @@ mod tests {
         assert_eq!(Json::Num(3.0).as_u64(), Some(3));
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn integer_literals_stay_exact_beyond_f64_precision() {
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let parsed = Json::parse(&n.to_string()).unwrap();
+            assert_eq!(parsed, Json::UInt(n));
+            assert_eq!(parsed.as_u64(), Some(n));
+            assert_eq!(parsed.as_f64(), Some(n as f64));
+        }
+        // Literals a `u64` cannot hold fall back to floats.
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_f64(), Some(2f64.powi(64)));
+        assert_eq!(Json::parse("-3").unwrap(), Json::Num(-3.0));
+        assert_eq!(Json::parse("3.0").unwrap().as_u64(), Some(3));
+        assert_eq!(Json::parse("1e3").unwrap().as_u64(), Some(1_000));
     }
 }
