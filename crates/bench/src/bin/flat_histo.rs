@@ -5,30 +5,17 @@
 //!
 //! ```sh
 //! cargo run --release -p cftcg-bench --bin flat_histo [--program N] [model ...]
-//! cargo run --release -p cftcg-bench --bin flat_histo -- --divergence [--width N] [model ...]
 //! ```
 //!
 //! `--program 0` selects the instrumented flat program (the default),
-//! `--program 1` the probe-stripped variant run under `NullRecorder`,
-//! `--program 2` the batch tier's variant (branch/assert probes kept).
+//! `--program 1` the probe-stripped variant run under `NullRecorder`.
 //! An out-of-range index is reported per model instead of panicking.
-//!
-//! `--divergence` switches to the batch-tier divergence profile instead:
-//! per model, the *static* guarded-region sizes of the batch program's
-//! conditional jumps (how much straight-line code a mixed jump verdict
-//! parks behind a mask) and the *dynamic* per-lane divergence rate of a
-//! `BatchExecutor` fed random corpus batches (`--width`, default 8) —
-//! the fraction of per-lane op executions that fell off the converged
-//! row path onto the masked scalar path.
 
-use cftcg_codegen::{BatchExecutor, Engine};
-use cftcg_coverage::NullLaneRecorder;
+use cftcg_codegen::Engine;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut program: usize = 0;
-    let mut divergence = false;
-    let mut width: usize = 8;
     let mut requested: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -36,19 +23,7 @@ fn main() {
             match args.get(i + 1).and_then(|v| v.parse().ok()) {
                 Some(n) => program = n,
                 None => {
-                    eprintln!("--program needs a numeric index (0=probed, 1=noprobe, 2=batch)");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--divergence" {
-            divergence = true;
-            i += 1;
-        } else if args[i] == "--width" {
-            match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => width = n,
-                _ => {
-                    eprintln!("--width needs a lane count >= 1");
+                    eprintln!("--program needs a numeric index (0=probed, 1=noprobe)");
                     std::process::exit(2);
                 }
             }
@@ -57,11 +32,6 @@ fn main() {
             requested.push(args[i].clone());
             i += 1;
         }
-    }
-
-    if divergence {
-        divergence_profile(width, &requested);
-        return;
     }
 
     println!(
@@ -104,105 +74,5 @@ fn main() {
             ),
             None => println!("  jit: unavailable (feature disabled or unsupported host)"),
         }
-    }
-}
-
-/// Deterministic splitmix64 stream — enough randomness for corpus-shaped
-/// input bytes without pulling `rand` into the bin's dependency set.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Corpus-shaped byte: biased towards the branch-flipping extremes the
-    /// fuzzer's mutators favour (zeros, 0xFF, small values), so the
-    /// dynamic divergence rate reflects fuzzing batches rather than white
-    /// noise.
-    fn byte(&mut self) -> u8 {
-        match self.next() % 4 {
-            0 => 0,
-            1 => 0xFF,
-            2 => (self.next() % 4) as u8,
-            _ => (self.next() & 0xFF) as u8,
-        }
-    }
-}
-
-/// The `--divergence` mode: static guarded-region sizes of the batch
-/// program's conditional jumps plus the measured per-lane divergence rate
-/// of a random-batch run, per benchmark model.
-fn divergence_profile(width: usize, requested: &[String]) {
-    const BATCH_PROGRAM: usize = 2;
-    const ROUNDS: usize = 24;
-    const TICKS: usize = 32;
-
-    println!(
-        "Batch-tier divergence profile (width {width}, {ROUNDS} random batches x {TICKS} ticks):"
-    );
-    for model in cftcg_benchmarks::all() {
-        let name = model.name().to_string();
-        if !requested.is_empty() && !requested.iter().any(|m| m == &name) {
-            continue;
-        }
-        let compiled = cftcg_codegen::compile(&model).unwrap();
-        let mut regions =
-            compiled.flat_guard_regions(BATCH_PROGRAM).expect("batch program always exists");
-        let ops = compiled.flat_lens().1.max(1);
-        let guards = regions.len();
-        regions.sort_unstable();
-        let guarded: usize = regions.iter().sum();
-        println!("{name}:");
-        if guards == 0 {
-            println!("  static : no conditional jumps — lanes cannot diverge");
-        } else {
-            println!(
-                "  static : {guards} conditional guards, region sizes min {} / median {} / \
-                 max {} ops ({guarded} guarded op-slots, nested regions counted per guard, \
-                 vs {ops} flat ops)",
-                regions[0],
-                regions[guards / 2],
-                regions[guards - 1],
-            );
-        }
-
-        // Dynamic: random corpus-shaped batches through the real executor.
-        let tuple = compiled.layout().tuple_size().max(1);
-        let mut vm = BatchExecutor::new(&compiled, width);
-        let mut rng = SplitMix(0xC0FF_EE00 ^ name.len() as u64);
-        let mut bytes = vec![0u8; tuple];
-        for _ in 0..ROUNDS {
-            // Fresh cases each round: begin() resets state like the fuzz
-            // loop does between batches.
-            vm.begin();
-            for _ in 0..TICKS {
-                for lane in 0..width {
-                    for b in bytes.iter_mut() {
-                        *b = rng.byte();
-                    }
-                    vm.load_tuple(lane, &bytes);
-                }
-                vm.step_tick(&mut NullLaneRecorder);
-            }
-        }
-        let stats = vm.stats();
-        let per_tick = stats.divergences as f64 / (stats.ticks.max(1)) as f64;
-        let masked_total = stats.masked_dispatches + stats.skipped_dispatches;
-        let masked_share = if masked_total == 0 {
-            0.0
-        } else {
-            100.0 * stats.masked_dispatches as f64 / masked_total as f64
-        };
-        println!(
-            "  dynamic: {:.2}% of per-lane op executions on the masked scalar path \
-             ({:.2} divergences/tick; masked dispatch occupancy {masked_share:.0}%)",
-            100.0 * stats.scalar_lane_fraction(width),
-            per_tick,
-        );
     }
 }

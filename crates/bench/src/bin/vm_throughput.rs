@@ -16,13 +16,6 @@
 //! additionally be at least as fast as the flat VM on every model and at
 //! least 2× on SolarPV. On hosts without the JIT (non-x86-64, or a
 //! `--no-default-features` build) the JIT gates are skipped gracefully.
-//! The batched SoA tier is always measured (8 distinct cases per pass,
-//! fuzz-shaped lane bitmaps) and gated inside its design envelope: on
-//! convergent batches (measured scalar-lane fraction ≤ 10%) it must beat
-//! the single-case flat VM, and by ≥ 1.5× on SolarPV. The single-case JIT
-//! is *not* the batch baseline — native code has no dispatch for the SoA
-//! transpose to amortize, and measured jit-vs-batch ratios (recorded per
-//! run in the JSON) show the JIT ahead on every bundled model.
 //!
 //! Besides the flat `results/BENCH_vm.json` snapshot (clobbered per run),
 //! every run appends a timestamped record to `results/history/vm.jsonl`;
@@ -32,11 +25,8 @@
 
 use std::time::{Duration, Instant};
 
-use cftcg_codegen::{compile, BatchExecutor, CompiledModel, Engine, Executor, TestCase};
-use cftcg_coverage::{BranchBitmap, LaneBitmap, NullLaneRecorder, NullRecorder};
-
-/// Lanes measured for the batch tier — the fuzz loop's default width.
-const BATCH_WIDTH: usize = cftcg_codegen::DEFAULT_BATCH_WIDTH;
+use cftcg_codegen::{compile, CompiledModel, Engine, Executor, TestCase};
+use cftcg_coverage::{BranchBitmap, NullRecorder};
 
 /// Ticks per measured case: long enough that per-case reset cost is noise.
 const CASE_TICKS: usize = 64;
@@ -79,56 +69,13 @@ fn slice_rate<R: cftcg_coverage::Recorder>(
     cases as f64 / started.elapsed().as_secs_f64()
 }
 
-/// Cases/s of the batch tier over `width` distinct cases per pass, with the
-/// per-batch bitmap clear the fuzz loop pays billed inside the loop.
-fn batch_slice_rate(
-    batch: &mut BatchExecutor<'_>,
-    cases: &[&[u8]],
-    lanes: &mut LaneBitmap,
-    slice: Duration,
-) -> f64 {
-    let started = Instant::now();
-    let mut n = 0u64;
-    while started.elapsed() < slice {
-        lanes.clear();
-        batch.run_cases(cases, usize::MAX, lanes);
-        n += cases.len() as u64;
-    }
-    n as f64 / started.elapsed().as_secs_f64()
-}
-
-/// Cases/s of the batch tier with all probes discarded (replay-shaped).
-fn batch_noprobe_slice_rate(
-    batch: &mut BatchExecutor<'_>,
-    cases: &[&[u8]],
-    slice: Duration,
-) -> f64 {
-    let started = Instant::now();
-    let mut n = 0u64;
-    while started.elapsed() < slice {
-        batch.run_cases(cases, usize::MAX, &mut NullLaneRecorder);
-        n += cases.len() as u64;
-    }
-    n as f64 / started.elapsed().as_secs_f64()
-}
-
 struct Row {
     model: &'static str,
     reference: f64,
     flat: f64,
     /// Best JIT slice, or `None` when the tier is unavailable on this build.
     jit: Option<f64>,
-    batch: f64,
-    /// Measured per-lane scalar (masked-path) fraction of the batch run —
-    /// deterministic for the fixed case seeds, so gate classification by
-    /// divergence is stable across runs.
-    batch_scalar: f64,
 }
-
-/// Scalar-lane fraction above which a model counts as divergence-heavy and
-/// leaves the batch tier's design envelope (convergent batches): the gate
-/// does not require batch >= flat there, only the JSON records it.
-const BATCH_CONVERGENT_SCALAR_MAX: f64 = 0.10;
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
@@ -150,13 +97,6 @@ fn main() {
         // `new_jit` silently falls back to the flat VM when the tier is
         // unavailable; measure it only when native code actually runs.
         let jit_live = jit.engine() == Engine::Jit;
-        // The batch tier runs `BATCH_WIDTH` *distinct* cases per pass —
-        // identical lanes would never diverge and flatter the measurement.
-        let mut batch = BatchExecutor::new(&compiled, BATCH_WIDTH);
-        let batch_cases: Vec<TestCase> =
-            (0..BATCH_WIDTH as u64).map(|i| case_for(&compiled, 0x5EED_CF7C ^ (i << 32))).collect();
-        let lane_cases: Vec<&[u8]> = batch_cases.iter().map(|c| c.bytes.as_slice()).collect();
-        let mut lane_bitmap = LaneBitmap::new(branches, BATCH_WIDTH);
         // Warm-up passes so lazily-faulted pages don't bill the first slice.
         reference.run_case(&case, &mut BranchBitmap::new(branches));
         flat.run_case(&case, &mut BranchBitmap::new(branches));
@@ -165,12 +105,10 @@ fn main() {
             jit.run_case(&case, &mut BranchBitmap::new(branches));
             jit_noprobe.run_case(&case, &mut NullRecorder);
         }
-        batch.run_cases(&lane_cases, usize::MAX, &mut lane_bitmap);
 
         let slice = budget / ROUNDS;
         let (mut ref_rate, mut flat_rate, mut noprobe_rate) = (0.0f64, 0.0f64, 0.0f64);
         let (mut jit_rate, mut jit_noprobe_rate) = (0.0f64, 0.0f64);
-        let (mut batch_rate, mut batch_noprobe_rate) = (0.0f64, 0.0f64);
         for _ in 0..ROUNDS {
             ref_rate = ref_rate.max(slice_rate(
                 &mut reference,
@@ -200,12 +138,7 @@ fn main() {
                     slice,
                 ));
             }
-            batch_rate =
-                batch_rate.max(batch_slice_rate(&mut batch, &lane_cases, &mut lane_bitmap, slice));
-            batch_noprobe_rate =
-                batch_noprobe_rate.max(batch_noprobe_slice_rate(&mut batch, &lane_cases, slice));
         }
-        let batch_stats = batch.stats();
 
         let stats = compiled.opt_stats();
         let (flat_ops, noprobe_ops) = compiled.flat_lens();
@@ -215,14 +148,8 @@ fn main() {
         } else {
             String::new()
         };
-        let batch_base = if jit_live { jit_rate } else { flat_rate };
-        let batch_col = format!(
-            " -> batch {batch_rate:>9.0} (x{:.2}, {:.1}% scalar)",
-            batch_rate / batch_base,
-            100.0 * batch_stats.scalar_lane_fraction(BATCH_WIDTH),
-        );
         println!(
-            "  {name:>8}: {ref_rate:>9.0} -> {flat_rate:>9.0} cases/s (x{:.2}){jit_col}{batch_col}, \
+            "  {name:>8}: {ref_rate:>9.0} -> {flat_rate:>9.0} cases/s (x{:.2}){jit_col}, \
              noprobe {noprobe_rate:>9.0}; instrs {} -> {} (lvn {}, dce -{}), regs {} -> {}",
             flat_rate / ref_rate,
             stats.instrs_before,
@@ -244,19 +171,10 @@ fn main() {
              \"jit_speedup\": null, "
                 .to_string()
         };
-        let batch_fields = format!(
-            "\"batch_cases_per_sec\": {batch_rate:.1}, \
-             \"batch_noprobe_cases_per_sec\": {batch_noprobe_rate:.1}, \
-             \"batch_speedup\": {:.3}, \"batch_width\": {BATCH_WIDTH}, \
-             \"batch_scalar_fraction\": {:.4}, \"batch_divergences\": {}, ",
-            batch_rate / batch_base,
-            batch_stats.scalar_lane_fraction(BATCH_WIDTH),
-            batch_stats.divergences,
-        );
         entries.push(format!(
             "    {{\"model\": \"{name}\", \"reference_cases_per_sec\": {ref_rate:.1}, \
              \"flat_cases_per_sec\": {flat_rate:.1}, \"noprobe_cases_per_sec\": {noprobe_rate:.1}, \
-             {jit_fields}{batch_fields}\
+             {jit_fields}\
              \"speedup\": {:.3}, \"case_ticks\": {CASE_TICKS}, \
              \"opt\": {{\"instrs_before\": {}, \"instrs_after_lvn\": {}, \
              \"instrs_after_dce\": {}, \"instrs_removed\": {}, \"consts_folded\": {}, \
@@ -281,8 +199,6 @@ fn main() {
             reference: ref_rate,
             flat: flat_rate,
             jit: jit_live.then_some(jit_rate),
-            batch: batch_rate,
-            batch_scalar: batch_stats.scalar_lane_fraction(BATCH_WIDTH),
         });
     }
 
@@ -313,7 +229,6 @@ fn main() {
         if let Some(jit) = row.jit {
             throughput.push((format!("{}/jit", row.model), jit));
         }
-        throughput.push((format!("{}/batch", row.model), row.batch));
     }
     let record = cftcg_compare::HistoryRecord {
         t_unix: cftcg_bench::unix_now(),
@@ -373,39 +288,6 @@ fn main() {
                  skipping the jit >= flat gates"
             );
         }
-        // Batch gates. The batch tier amortizes *interpreter* dispatch
-        // over the lanes; the single-case JIT has no dispatch to amortize,
-        // so native code stays ahead of the interpreted batch on every
-        // bundled model (x0.3-1.0 measured on this host — the jit columns
-        // in BENCH_vm.json record it run by run). What the tier must
-        // deliver — and what these gates enforce — is its design envelope:
-        // convergent batches (measured scalar-lane fraction <= 10%, a
-        // deterministic property of the fixed case seeds) must beat the
-        // single-case flat VM on every model, and by >= 1.5x on SolarPV
-        // (fully convergent, the paper's throughput showcase). Divergent
-        // models fall back to measurement-only: the masked path keeps them
-        // correct, not fast, and the fuzz loop's default engine remains
-        // `Engine::best()` regardless.
-        for row in &rows {
-            if row.batch_scalar <= BATCH_CONVERGENT_SCALAR_MAX && row.batch < row.flat {
-                violations.push(format!(
-                    "{}: batch tier slower than the flat VM on a convergent batch \
-                     ({:.0} vs {:.0} cases/s, {:.1}% scalar lanes)",
-                    row.model,
-                    row.batch,
-                    row.flat,
-                    100.0 * row.batch_scalar
-                ));
-            }
-        }
-        if let Some(solar) = rows.iter().find(|r| r.model == "SolarPV") {
-            let speedup = solar.batch / solar.flat;
-            if speedup < 1.5 {
-                violations.push(format!(
-                    "SolarPV: batch tier only x{speedup:.2} over the flat VM (need >= 1.5)"
-                ));
-            }
-        }
         if !violations.is_empty() {
             eprintln!("vm_throughput --check FAILED:");
             for v in &violations {
@@ -415,15 +297,11 @@ fn main() {
         }
         if jit_checked {
             println!(
-                "vm_throughput --check passed: flat >= reference and jit >= flat \
-                 everywhere, batch >= flat on convergent batches; SolarPV >= 2x \
-                 (flat, jit) and batch >= 1.5x flat"
+                "vm_throughput --check passed: flat >= reference and jit >= flat everywhere, \
+                 SolarPV >= 2x on both tiers"
             );
         } else {
-            println!(
-                "vm_throughput --check passed: flat >= reference everywhere, batch >= \
-                 flat on convergent batches; SolarPV >= 2x (flat) and batch >= 1.5x flat"
-            );
+            println!("vm_throughput --check passed: flat >= reference everywhere, SolarPV >= 2x");
         }
     }
 }

@@ -40,6 +40,15 @@ pub enum CompileError {
         /// The evaluation failure.
         detail: String,
     },
+    /// The optimized program does not fit the flat encoding's 16-bit
+    /// operands (a register, constant-pool, state-slot, port, id or jump
+    /// index above 65 535).
+    Encoding {
+        /// Which operand overflowed, e.g. `"register operand"`.
+        what: &'static str,
+        /// The index that did not fit.
+        value: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -49,6 +58,9 @@ impl fmt::Display for CompileError {
             CompileError::ChartInit { block, detail } => {
                 write!(f, "cannot initialize chart `{block}`: {detail}")
             }
+            CompileError::Encoding { what, value } => {
+                write!(f, "{what} {value} exceeds the flat encoding's u16 width")
+            }
         }
     }
 }
@@ -57,7 +69,7 @@ impl Error for CompileError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CompileError::Model(e) => Some(e),
-            CompileError::ChartInit { .. } => None,
+            CompileError::ChartInit { .. } | CompileError::Encoding { .. } => None,
         }
     }
 }
@@ -115,11 +127,6 @@ pub struct CompiledModel {
     pub(crate) flat: FlatProgram,
     /// The probe-stripped flat variant for non-observing recorders.
     pub(crate) flat_noprobe: FlatProgram,
-    /// The batch tier's flat variant: condition/decision probes stripped,
-    /// branch/assert probes and relational compares kept (see
-    /// [`crate::opt::strip_decision_probes`]). Same compacted register
-    /// space as `flat`.
-    pub(crate) flat_batch: FlatProgram,
     /// Per-pass mid-end accounting.
     pub(crate) opt_stats: OptStats,
     pub(crate) map: InstrumentationMap,
@@ -194,11 +201,9 @@ impl CompiledModel {
 
     /// Like [`CompiledModel::flat_histogram`], but for an explicit program
     /// index: `0` is the instrumented program, `1` the probe-stripped one
-    /// executed under [`NullRecorder`](cftcg_coverage::NullRecorder), `2`
-    /// the batch tier's variant (branch/assert probes kept,
-    /// condition/decision probes stripped). Any other index returns `None`
-    /// — out-of-range selectors are a caller mistake worth reporting, not
-    /// panicking over.
+    /// executed under [`NullRecorder`](cftcg_coverage::NullRecorder). Any
+    /// other index returns `None` — out-of-range selectors are a caller
+    /// mistake worth reporting, not panicking over.
     pub fn flat_histogram_at(&self, program: usize) -> Option<Vec<(&'static str, usize)>> {
         use std::collections::HashMap;
         let ops = &self.flat_program_at(program)?.ops;
@@ -228,39 +233,10 @@ impl CompiledModel {
         Some(v)
     }
 
-    /// Static divergence profile of a flat program: the guarded-region
-    /// size (flat ops skipped when the guard takes) of every *conditional*
-    /// jump, in program order. Unconditional `Jump`s are excluded — every
-    /// lane of a batch takes them together, so they cannot diverge. The
-    /// `program` selector matches [`CompiledModel::flat_histogram_at`];
-    /// out-of-range returns `None`.
-    pub fn flat_guard_regions(&self, program: usize) -> Option<Vec<usize>> {
-        use crate::flatten::FlatOp;
-        let ops = &self.flat_program_at(program)?.ops;
-        let mut regions = Vec::new();
-        for op in ops {
-            match op {
-                FlatOp::CmpJump { skip, .. }
-                | FlatOp::JumpIfZero { skip, .. }
-                | FlatOp::JzLoad { skip, .. }
-                | FlatOp::LoadJz { skip, .. }
-                | FlatOp::DecisionSelJz { skip, .. }
-                | FlatOp::JumpIfNonZero { skip, .. } => regions.push(usize::from(*skip)),
-                FlatOp::JzJz { skip1, skip2, .. } => {
-                    regions.push(usize::from(*skip1));
-                    regions.push(usize::from(*skip2));
-                }
-                _ => {}
-            }
-        }
-        Some(regions)
-    }
-
     fn flat_program_at(&self, program: usize) -> Option<&crate::flatten::FlatProgram> {
         match program {
             0 => Some(&self.flat),
             1 => Some(&self.flat_noprobe),
-            2 => Some(&self.flat_batch),
             _ => None,
         }
     }
@@ -451,9 +427,10 @@ impl Ctx {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::Model`] when validation fails, or
+/// Returns [`CompileError::Model`] when validation fails,
 /// [`CompileError::ChartInit`] when a chart's initial entry action cannot be
-/// evaluated at compile time.
+/// evaluated at compile time, or [`CompileError::Encoding`] when the model
+/// is too large for the flat VM's 16-bit operand encoding.
 pub fn compile(model: &Model) -> Result<CompiledModel, CompileError> {
     model.validate()?;
     let mut ctx = Ctx::new();
@@ -493,11 +470,9 @@ pub fn compile(model: &Model) -> Result<CompiledModel, CompileError> {
     // the tracing layer's probe surface), so conditional constant hoisting
     // must leave them materialized in the body.
     let observed: std::collections::HashSet<_> = opt.signals.iter().map(|s| s.reg).collect();
-    let flat = flatten(&opt.program, &observed);
+    let flat = flatten(&opt.program, &observed)?;
     let noprobe = strip_probes(&opt.program, &opt.signals);
-    let flat_noprobe = flatten(&noprobe, &observed);
-    let batch = crate::opt::strip_decision_probes(&opt.program);
-    let flat_batch = flatten(&batch, &observed);
+    let flat_noprobe = flatten(&noprobe, &observed)?;
 
     Ok(CompiledModel {
         name: model.name().to_string(),
@@ -507,7 +482,6 @@ pub fn compile(model: &Model) -> Result<CompiledModel, CompileError> {
         reference_signals,
         flat,
         flat_noprobe,
-        flat_batch,
         opt_stats: opt.stats,
         map: ctx.map.finish(),
         layout: TupleLayout::for_model(model),

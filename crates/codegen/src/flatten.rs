@@ -17,8 +17,8 @@
 //!   selected once at lowering time via [`BinopCode::is_relational`]
 //!   instead of a per-execution `matches!` test;
 //! * every op is **12 bytes**: register operands, ids, and jump offsets
-//!   narrow to `u16` (checked at lowering time — a compacted register
-//!   file is far below 65 536 entries) and `f64` immediates move to a
+//!   narrow to `u16` (checked at lowering time: a model that outgrows it
+//!   is a [`CompileError::Encoding`]) and `f64` immediates move to a
 //!   deduplicated constant pool, so four ops share a cache line where the
 //!   structured tree fits barely one `Instr`;
 //! * the two instrumentation shapes every decision point emits are
@@ -54,6 +54,7 @@
 
 use cftcg_model::DataType;
 
+use crate::compile::CompileError;
 use crate::ir::{BinopCode, FuncCode, Instr, Reg, UnopCode};
 
 /// Maximum inline operand count — the IR's maximum call arity, reused for
@@ -345,32 +346,40 @@ impl FlatProgram {
 
     /// Interns `value` in the constant pool, deduplicating by bit pattern
     /// (NaN payloads included — the pool must reproduce folds bit-exactly).
-    fn intern(&mut self, value: f64) -> u16 {
+    fn intern(&mut self, value: f64) -> Result<u16, CompileError> {
         let bits = value.to_bits();
         if let Some(i) = self.const_pool.iter().position(|c| c.to_bits() == bits) {
-            return i as u16;
+            return Ok(i as u16);
         }
-        let idx = narrow(self.const_pool.len(), "constant pool index");
+        let idx = narrow(self.const_pool.len(), "constant pool index")?;
         self.const_pool.push(value);
-        idx
+        Ok(idx)
     }
 }
 
-/// Narrows an index to the flat encoding's 16-bit operand width, panicking
-/// with a named diagnostic if a model ever outgrows it (none remotely do:
-/// the check is a compile-time guard, not a runtime branch in the VM).
-fn narrow(x: usize, what: &str) -> u16 {
-    u16::try_from(x).unwrap_or_else(|_| panic!("{what} {x} exceeds the flat encoding's u16 width"))
+/// Narrows an index to the flat encoding's 16-bit operand width, failing
+/// with a named [`CompileError::Encoding`] if a model outgrows it (the
+/// check is a compile-time guard, not a runtime branch in the VM).
+fn narrow(value: usize, what: &'static str) -> Result<u16, CompileError> {
+    u16::try_from(value).map_err(|_| CompileError::Encoding { what, value })
 }
 
-fn r(x: Reg) -> RegW {
+fn r(x: Reg) -> Result<RegW, CompileError> {
     narrow(x as usize, "register operand")
 }
 
 /// Lowers a structured body into flat form. `observed` lists registers
 /// readable from outside the program between ticks (the signal-probe
 /// surface of [`crate::Executor::reg`]) — they constrain hoisting.
-pub(crate) fn flatten(body: &[Instr], observed: &std::collections::HashSet<Reg>) -> FlatProgram {
+///
+/// # Errors
+///
+/// [`CompileError::Encoding`] when a register, constant-pool, state-slot,
+/// port, id or jump operand does not fit the encoding's 16 bits.
+pub(crate) fn flatten(
+    body: &[Instr],
+    observed: &std::collections::HashSet<Reg>,
+) -> Result<FlatProgram, CompileError> {
     let mut p = FlatProgram::default();
     // Constant hoisting: a `Const` whose register has no other writer in
     // the whole program and whose every read is *dominated* by it (reads
@@ -398,11 +407,11 @@ pub(crate) fn flatten(body: &[Instr], observed: &std::collections::HashSet<Reg>)
         };
         if ok {
             hoisted.insert(dst);
-            p.reg_init.push((r(dst), value));
+            p.reg_init.push((r(dst)?, value));
         }
     }
-    flatten_into(body, &mut p, &hoisted);
-    p
+    flatten_into(body, &mut p, &hoisted)?;
+    Ok(p)
 }
 
 /// Collects every `Const` in the tree (register, value), any depth.
@@ -540,7 +549,11 @@ fn count_writes(body: &[Instr], counts: &mut std::collections::HashMap<Reg, u32>
     }
 }
 
-fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections::HashSet<Reg>) {
+fn flatten_into(
+    body: &[Instr],
+    p: &mut FlatProgram,
+    hoisted: &std::collections::HashSet<Reg>,
+) -> Result<(), CompileError> {
     let mut i = 0;
     // Ops at positions below `fence` may be jump targets of already-patched
     // inner lowerings; backward fusion must never pop them (a patched skip
@@ -557,18 +570,23 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                 if hoisted.contains(dst) {
                     continue;
                 }
-                let idx = p.intern(*value);
+                let idx = p.intern(*value)?;
                 // Un-hoistable constants cluster (multi-writer scratch
                 // registers at block boundaries); pair adjacent ones up.
                 if let Some(Instr::Const { dst: d2, value: v2 }) = body.get(i) {
                     if !hoisted.contains(d2) {
                         i += 1;
-                        let idx2 = p.intern(*v2);
-                        p.ops.push(FlatOp::Const2 { dst1: r(*dst), idx1: idx, dst2: r(*d2), idx2 });
+                        let idx2 = p.intern(*v2)?;
+                        p.ops.push(FlatOp::Const2 {
+                            dst1: r(*dst)?,
+                            idx1: idx,
+                            dst2: r(*d2)?,
+                            idx2,
+                        });
                         continue;
                     }
                 }
-                p.ops.push(FlatOp::Const { dst: r(*dst), idx });
+                p.ops.push(FlatOp::Const { dst: r(*dst)?, idx });
             }
             Instr::Copy { dst, src } => {
                 // A copy feeding straight into a saturating cast (block
@@ -577,24 +595,25 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                     if s2 == dst {
                         i += 1;
                         p.ops.push(FlatOp::CopyCastSat {
-                            dst: r(*dst),
-                            src: r(*src),
-                            dst2: r(*d2),
+                            dst: r(*dst)?,
+                            src: r(*src)?,
+                            dst2: r(*d2)?,
                             ty: *ty,
                         });
                         continue;
                     }
                 }
-                p.ops.push(FlatOp::Copy { dst: r(*dst), src: r(*src) });
+                p.ops.push(FlatOp::Copy { dst: r(*dst)?, src: r(*src)? });
             }
             Instr::Input { dst, index } => {
-                p.ops.push(FlatOp::Input { dst: r(*dst), index: narrow(*index, "input index") });
+                p.ops.push(FlatOp::Input { dst: r(*dst)?, index: narrow(*index, "input index")? });
             }
             Instr::Output { index, src } => {
-                p.ops.push(FlatOp::Output { index: narrow(*index, "output index"), src: r(*src) });
+                p.ops
+                    .push(FlatOp::Output { index: narrow(*index, "output index")?, src: r(*src)? });
             }
             Instr::Unop { dst, op, src } => {
-                p.ops.push(FlatOp::Unop { dst: r(*dst), op: *op, src: r(*src) });
+                p.ops.push(FlatOp::Unop { dst: r(*dst)?, op: *op, src: r(*src)? });
             }
             Instr::Binop { dst, op, lhs, rhs } => {
                 if op.is_relational() {
@@ -607,9 +626,9 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                         i += 3;
                         p.ops.push(FlatOp::CmpSel {
                             op: *op,
-                            dst: r(*dst),
-                            lhs: r(*lhs),
-                            rhs: r(*rhs),
+                            dst: r(*dst)?,
+                            lhs: r(*lhs)?,
+                            rhs: r(*rhs)?,
                             decision,
                             cond,
                             then_branch: t,
@@ -618,23 +637,28 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                         continue;
                     }
                     p.ops.push(FlatOp::BinopCmp {
-                        dst: r(*dst),
+                        dst: r(*dst)?,
                         op: *op,
-                        lhs: r(*lhs),
-                        rhs: r(*rhs),
+                        lhs: r(*lhs)?,
+                        rhs: r(*rhs)?,
                     });
                 } else {
-                    p.ops.push(FlatOp::Binop { dst: r(*dst), op: *op, lhs: r(*lhs), rhs: r(*rhs) });
+                    p.ops.push(FlatOp::Binop {
+                        dst: r(*dst)?,
+                        op: *op,
+                        lhs: r(*lhs)?,
+                        rhs: r(*rhs)?,
+                    });
                 }
             }
             Instr::Call { dst, func, args } => {
                 assert!(args.len() <= MAX_INLINE, "IR call arity exceeds inline operand space");
                 let mut inline = [0 as RegW; MAX_INLINE];
                 for (slot, a) in inline.iter_mut().zip(args) {
-                    *slot = r(*a);
+                    *slot = r(*a)?;
                 }
                 p.ops.push(FlatOp::Call {
-                    dst: r(*dst),
+                    dst: r(*dst)?,
                     func: *func,
                     argc: args.len() as u8,
                     args: inline,
@@ -647,18 +671,18 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                     if s2 == dst {
                         i += 1;
                         p.ops.push(FlatOp::CastSatCopy {
-                            dst: r(*dst),
-                            src: r(*src),
+                            dst: r(*dst)?,
+                            src: r(*src)?,
                             ty: *ty,
-                            dst2: r(*d2),
+                            dst2: r(*d2)?,
                         });
                         continue;
                     }
                 }
-                p.ops.push(FlatOp::CastSat { dst: r(*dst), src: r(*src), ty: *ty });
+                p.ops.push(FlatOp::CastSat { dst: r(*dst)?, src: r(*src)?, ty: *ty });
             }
             Instr::LoadState { dst, slot } => {
-                let (dst1, slot1) = (r(*dst), narrow(*slot, "state slot"));
+                let (dst1, slot1) = (r(*dst)?, narrow(*slot, "state slot")?);
                 // Blocks reading several state slots in a row (delays,
                 // charts re-materializing variables) pair up like stores.
                 if let Some(Instr::LoadState { dst: d2, slot: s2 }) = body.get(i) {
@@ -666,15 +690,15 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                     p.ops.push(FlatOp::Load2 {
                         dst1,
                         slot1,
-                        dst2: r(*d2),
-                        slot2: narrow(*s2, "state slot"),
+                        dst2: r(*d2)?,
+                        slot2: narrow(*s2, "state slot")?,
                     });
                     continue;
                 }
                 p.ops.push(FlatOp::LoadState { dst: dst1, slot: slot1 });
             }
             Instr::StoreState { slot, src } => {
-                let (slot1, src1) = (narrow(*slot, "state slot"), r(*src));
+                let (slot1, src1) = (narrow(*slot, "state slot")?, r(*src)?);
                 // Chart transition actions store several variables in a
                 // row; pair them up into one dispatch (order preserved).
                 if let Some(Instr::StoreState { slot: slot2, src: src2 }) = body.get(i) {
@@ -682,8 +706,8 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                     p.ops.push(FlatOp::StoreState2 {
                         slot1,
                         src1,
-                        slot2: narrow(*slot2, "state slot"),
-                        src2: r(*src2),
+                        slot2: narrow(*slot2, "state slot")?,
+                        src2: r(*src2)?,
                     });
                 } else {
                     p.ops.push(FlatOp::StoreState { slot: slot1, src: src1 });
@@ -693,26 +717,26 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                 p.ops.push(FlatOp::ShiftState {
                     base: *base as u32,
                     len: *len as u32,
-                    src: r(*src),
+                    src: r(*src)?,
                 });
             }
             Instr::Lookup1 { dst, src, table } => {
                 p.ops.push(FlatOp::Lookup1 {
-                    dst: r(*dst),
-                    src: r(*src),
-                    table: narrow(*table, "1-D table index"),
+                    dst: r(*dst)?,
+                    src: r(*src)?,
+                    table: narrow(*table, "1-D table index")?,
                 });
             }
             Instr::Lookup2 { dst, row, col, table } => {
                 p.ops.push(FlatOp::Lookup2 {
-                    dst: r(*dst),
-                    row: r(*row),
-                    col: r(*col),
-                    table: narrow(*table, "2-D table index"),
+                    dst: r(*dst)?,
+                    row: r(*row)?,
+                    col: r(*col)?,
+                    table: narrow(*table, "2-D table index")?,
                 });
             }
             Instr::Probe { branch } => {
-                p.ops.push(FlatOp::Probe { branch: narrow(branch.index(), "branch id") });
+                p.ops.push(FlatOp::Probe { branch: narrow(branch.index(), "branch id")? });
             }
             Instr::CondProbe { cond, src } => {
                 // Fuse with the single-condition decision evaluation that
@@ -722,8 +746,8 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                 if let Some(Instr::DecisionEval { decision, conds, outcome }) = body.get(i) {
                     if conds.as_slice() == [*src] && outcome == src {
                         i += 1;
-                        let decision = narrow(decision.index(), "decision id");
-                        let cond = narrow(cond.index(), "condition id");
+                        let decision = narrow(decision.index(), "decision id")?;
+                        let cond = narrow(cond.index(), "condition id")?;
                         // Single-condition decisions are always followed by
                         // their outcome probe-select on the same register;
                         // folding it in makes the whole instrumentation
@@ -739,14 +763,14 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                                 p.ops.push(FlatOp::DecisionSel {
                                     decision,
                                     cond,
-                                    src: r(*src),
-                                    then_branch: narrow(t.index(), "branch id"),
-                                    else_branch: narrow(e.index(), "branch id"),
+                                    src: r(*src)?,
+                                    then_branch: narrow(t.index(), "branch id")?,
+                                    else_branch: narrow(e.index(), "branch id")?,
                                 });
                                 continue;
                             }
                         }
-                        p.ops.push(FlatOp::Decision1 { decision, cond, src: r(*src) });
+                        p.ops.push(FlatOp::Decision1 { decision, cond, src: r(*src)? });
                         continue;
                     }
                 }
@@ -763,47 +787,49 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                     if !next_fuses {
                         i += 1;
                         p.ops.push(FlatOp::CondProbe2 {
-                            cond1: narrow(cond.index(), "condition id"),
-                            src1: r(*src),
-                            cond2: narrow(c2.index(), "condition id"),
-                            src2: r(*s2),
+                            cond1: narrow(cond.index(), "condition id")?,
+                            src1: r(*src)?,
+                            cond2: narrow(c2.index(), "condition id")?,
+                            src2: r(*s2)?,
                         });
                         continue;
                     }
                 }
                 p.ops.push(FlatOp::CondProbe {
-                    cond: narrow(cond.index(), "condition id"),
-                    src: r(*src),
+                    cond: narrow(cond.index(), "condition id")?,
+                    src: r(*src)?,
                 });
             }
             Instr::DecisionEval { decision, conds, outcome } => {
-                let decision = narrow(decision.index(), "decision id");
+                let decision = narrow(decision.index(), "decision id")?;
                 if conds.len() <= MAX_INLINE {
                     let mut inline = [0 as RegW; MAX_INLINE];
                     for (slot, c) in inline.iter_mut().zip(conds) {
-                        *slot = r(*c);
+                        *slot = r(*c)?;
                     }
                     p.ops.push(FlatOp::DecisionEvalSmall {
                         decision,
-                        outcome: r(*outcome),
+                        outcome: r(*outcome)?,
                         len: conds.len() as u8,
                         conds: inline,
                     });
                 } else {
-                    let start = narrow(p.cond_pool.len(), "condition pool offset");
-                    p.cond_pool.extend(conds.iter().map(|c| r(*c)));
+                    let start = narrow(p.cond_pool.len(), "condition pool offset")?;
+                    for c in conds {
+                        p.cond_pool.push(r(*c)?);
+                    }
                     p.ops.push(FlatOp::DecisionEvalPool {
                         decision,
-                        outcome: r(*outcome),
+                        outcome: r(*outcome)?,
                         start,
-                        len: narrow(conds.len(), "condition pool span"),
+                        len: narrow(conds.len(), "condition pool span")?,
                     });
                 }
             }
             Instr::Assert { id, cond } => {
                 p.ops.push(FlatOp::Assert {
-                    id: narrow(id.index(), "assertion id"),
-                    cond: r(*cond),
+                    id: narrow(id.index(), "assertion id")?,
+                    cond: r(*cond)?,
                 });
             }
             Instr::If { cond, then_body, else_body } => {
@@ -813,9 +839,9 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                     (then_body.as_slice(), else_body.as_slice())
                 {
                     p.ops.push(FlatOp::ProbeSelect {
-                        cond: r(*cond),
-                        then_branch: narrow(t.index(), "branch id"),
-                        else_branch: narrow(e.index(), "branch id"),
+                        cond: r(*cond)?,
+                        then_branch: narrow(t.index(), "branch id")?,
+                        else_branch: narrow(e.index(), "branch id")?,
                     });
                     continue;
                 }
@@ -830,35 +856,41 @@ fn flatten_into(body: &[Instr], p: &mut FlatProgram, hoisted: &std::collections:
                         if eb2.is_empty() {
                             let pos = reserve(
                                 p,
-                                FlatOp::JzJz { cond1: r(*cond), skip1: 0, cond2: r(*c2), skip2: 0 },
+                                FlatOp::JzJz {
+                                    cond1: r(*cond)?,
+                                    skip1: 0,
+                                    cond2: r(*c2)?,
+                                    skip2: 0,
+                                },
                             );
-                            flatten_into(tb2, p, hoisted);
-                            patch_jzjz(p, pos, false);
-                            flatten_into(&then_body[1..], p, hoisted);
-                            patch_jzjz(p, pos, true);
+                            flatten_into(tb2, p, hoisted)?;
+                            patch_jzjz(p, pos, false)?;
+                            flatten_into(&then_body[1..], p, hoisted)?;
+                            patch_jzjz(p, pos, true)?;
                             fence = p.ops.len();
                             continue;
                         }
                     }
-                    let (jz, skipped) = reserve_guard(p, r(*cond), then_body, fence);
-                    flatten_into(&then_body[skipped..], p, hoisted);
-                    patch(p, jz);
+                    let (jz, skipped) = reserve_guard(p, r(*cond)?, then_body, fence)?;
+                    flatten_into(&then_body[skipped..], p, hoisted)?;
+                    patch(p, jz)?;
                 } else if then_body.is_empty() {
-                    let jnz = reserve(p, FlatOp::JumpIfNonZero { cond: r(*cond), skip: 0 });
-                    flatten_into(else_body, p, hoisted);
-                    patch(p, jnz);
+                    let jnz = reserve(p, FlatOp::JumpIfNonZero { cond: r(*cond)?, skip: 0 });
+                    flatten_into(else_body, p, hoisted)?;
+                    patch(p, jnz)?;
                 } else {
-                    let (jz, skipped) = reserve_guard(p, r(*cond), then_body, fence);
-                    flatten_into(&then_body[skipped..], p, hoisted);
+                    let (jz, skipped) = reserve_guard(p, r(*cond)?, then_body, fence)?;
+                    flatten_into(&then_body[skipped..], p, hoisted)?;
                     let jump = reserve(p, FlatOp::Jump { skip: 0 });
-                    patch(p, jz);
-                    flatten_into(else_body, p, hoisted);
-                    patch(p, jump);
+                    patch(p, jz)?;
+                    flatten_into(else_body, p, hoisted)?;
+                    patch(p, jump)?;
                 }
                 fence = p.ops.len();
             }
         }
     }
+    Ok(())
 }
 
 /// Matches the full single-condition decision preamble over register `dst`
@@ -948,16 +980,16 @@ fn reserve_guard(
     cond: RegW,
     then_body: &[Instr],
     fence: usize,
-) -> (usize, usize) {
+) -> Result<(usize, usize), CompileError> {
     if p.ops.len() > fence {
         match *p.ops.last().expect("len > fence >= 0") {
             FlatOp::BinopCmp { dst, op, lhs, rhs } if dst == cond => {
                 p.ops.pop();
-                return (reserve(p, FlatOp::CmpJump { op, dst, lhs, rhs, skip: 0 }), 0);
+                return Ok((reserve(p, FlatOp::CmpJump { op, dst, lhs, rhs, skip: 0 }), 0));
             }
             FlatOp::LoadState { dst, slot } => {
                 p.ops.pop();
-                return (reserve(p, FlatOp::LoadJz { dst, slot, cond, skip: 0 }), 0);
+                return Ok((reserve(p, FlatOp::LoadJz { dst, slot, cond, skip: 0 }), 0));
             }
             FlatOp::DecisionSel { decision, cond: cid, src, then_branch, else_branch }
                 if src == cond =>
@@ -975,22 +1007,23 @@ fn reserve_guard(
                         else_branch: e,
                         skip: 0,
                     };
-                    return (reserve(p, op), 0);
+                    return Ok((reserve(p, op), 0));
                 }
             }
             _ => {}
         }
     }
     if let Some(Instr::LoadState { dst, slot }) = then_body.first() {
-        let op = FlatOp::JzLoad { cond, skip: 0, dst: r(*dst), slot: narrow(*slot, "state slot") };
-        return (reserve(p, op), 1);
+        let op =
+            FlatOp::JzLoad { cond, skip: 0, dst: r(*dst)?, slot: narrow(*slot, "state slot")? };
+        return Ok((reserve(p, op), 1));
     }
-    (reserve(p, FlatOp::JumpIfZero { cond, skip: 0 }), 0)
+    Ok((reserve(p, FlatOp::JumpIfZero { cond, skip: 0 }), 0))
 }
 
 /// Patches the jump at `pos` to skip to the current end of the op array.
-fn patch(p: &mut FlatProgram, pos: usize) {
-    let skip = narrow(p.ops.len() - pos - 1, "jump offset");
+fn patch(p: &mut FlatProgram, pos: usize) -> Result<(), CompileError> {
+    let skip = narrow(p.ops.len() - pos - 1, "jump offset")?;
     match &mut p.ops[pos] {
         FlatOp::JumpIfZero { skip: s, .. }
         | FlatOp::JumpIfNonZero { skip: s, .. }
@@ -1001,16 +1034,18 @@ fn patch(p: &mut FlatProgram, pos: usize) {
         | FlatOp::DecisionSelJz { skip: s, .. } => *s = skip,
         other => unreachable!("patching a non-jump op {other:?}"),
     }
+    Ok(())
 }
 
 /// Patches one of a [`FlatOp::JzJz`]'s two skips to the current end of the
 /// op array: the outer guard's (`skip1`) or the inner's (`skip2`).
-fn patch_jzjz(p: &mut FlatProgram, pos: usize, outer: bool) {
-    let skip = narrow(p.ops.len() - pos - 1, "jump offset");
+fn patch_jzjz(p: &mut FlatProgram, pos: usize, outer: bool) -> Result<(), CompileError> {
+    let skip = narrow(p.ops.len() - pos - 1, "jump offset")?;
     match &mut p.ops[pos] {
         FlatOp::JzJz { skip1, skip2, .. } => *(if outer { skip1 } else { skip2 }) = skip,
         other => unreachable!("patching a non-JzJz op {other:?}"),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1026,13 +1061,24 @@ mod tests {
     }
 
     #[test]
+    fn operand_overflow_is_a_typed_compile_error() {
+        let body = vec![Instr::Copy { dst: 70_000, src: 0 }];
+        let err = flatten(&body, &Default::default()).unwrap_err();
+        assert_eq!(err, CompileError::Encoding { what: "register operand", value: 70_000 });
+        assert_eq!(err.to_string(), "register operand 70000 exceeds the flat encoding's u16 width");
+        // The largest encodable register still lowers.
+        let body = vec![Instr::Copy { dst: u16::MAX as Reg, src: 0 }];
+        assert!(flatten(&body, &Default::default()).is_ok());
+    }
+
+    #[test]
     fn if_with_both_arms_uses_two_jumps() {
         let body = vec![Instr::If {
             cond: 0,
             then_body: vec![Instr::Const { dst: 1, value: 1.0 }],
             else_body: vec![Instr::Const { dst: 1, value: 2.0 }],
         }];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1052,7 +1098,7 @@ mod tests {
             then_body: vec![Instr::Copy { dst: 1, src: 2 }],
             else_body: vec![],
         }];
-        let p = flatten(&then_only, &Default::default());
+        let p = flatten(&then_only, &Default::default()).unwrap();
         assert_eq!(p.ops[0], FlatOp::JumpIfZero { cond: 0, skip: 1 });
         assert_eq!(p.ops.len(), 2);
 
@@ -1061,7 +1107,7 @@ mod tests {
             then_body: vec![],
             else_body: vec![Instr::Copy { dst: 1, src: 2 }],
         }];
-        let p = flatten(&else_only, &Default::default());
+        let p = flatten(&else_only, &Default::default()).unwrap();
         assert_eq!(p.ops[0], FlatOp::JumpIfNonZero { cond: 0, skip: 1 });
         assert_eq!(p.ops.len(), 2);
     }
@@ -1080,7 +1126,7 @@ mod tests {
             ],
             else_body: vec![],
         }];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1104,7 +1150,7 @@ mod tests {
             }],
             else_body: vec![],
         }];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1123,7 +1169,7 @@ mod tests {
             Instr::Binop { dst: 2, op: BinopCode::Lt, lhs: 0, rhs: 1 },
             Instr::Binop { dst: 3, op: BinopCode::Add, lhs: 0, rhs: 1 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert!(matches!(p.ops[0], FlatOp::BinopCmp { op: BinopCode::Lt, .. }));
         assert!(matches!(p.ops[1], FlatOp::Binop { op: BinopCode::Add, .. }));
     }
@@ -1135,7 +1181,7 @@ mod tests {
             conds: vec![0, 1, 2, 3, 4],
             outcome: 5,
         }];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(p.cond_pool, vec![0, 1, 2, 3, 4]);
         assert!(matches!(p.ops[0], FlatOp::DecisionEvalPool { start: 0, len: 5, .. }));
     }
@@ -1157,7 +1203,7 @@ mod tests {
             Instr::Output { index: 1, src: 1 },
             Instr::Output { index: 2, src: 2 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert!(p.reg_init.is_empty());
         assert_eq!(p.const_pool, vec![2.5, -2.5]);
         assert_eq!(p.ops[1], FlatOp::Const { dst: 0, idx: 0 });
@@ -1175,13 +1221,13 @@ mod tests {
         // Register 1 is a signal probe surface: tracing would see 3.0 on
         // ticks where the arm never ran. Must stay in the body.
         let observed = std::collections::HashSet::from([1 as Reg]);
-        let p = flatten(&body, &observed);
+        let p = flatten(&body, &observed).unwrap();
         assert!(p.reg_init.is_empty());
         assert_eq!(p.ops.len(), 2);
 
         // Unobserved and dominated (no reads at all): hoists, and the
         // emptied arm collapses to a lone jump over nothing.
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(p.reg_init, vec![(1, 3.0)]);
         assert_eq!(p.ops, vec![FlatOp::JumpIfZero { cond: 0, skip: 0 }]);
     }
@@ -1213,7 +1259,7 @@ mod tests {
             },
             Instr::Output { index: 0, src: 3 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(p.reg_init, vec![(0, 4.0), (2, 6.0)]);
         assert_eq!(
             p.ops,
@@ -1237,7 +1283,7 @@ mod tests {
             Instr::StoreState { slot: 1, src: 2 },
             Instr::StoreState { slot: 2, src: 3 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1253,7 +1299,7 @@ mod tests {
             Instr::CondProbe { cond: ConditionId(3), src: 7 },
             Instr::DecisionEval { decision: DecisionId(2), conds: vec![7], outcome: 7 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(p.ops, vec![FlatOp::Decision1 { decision: 2, cond: 3, src: 7 }]);
 
         // A decision over a *different* register must not fuse.
@@ -1261,7 +1307,7 @@ mod tests {
             Instr::CondProbe { cond: ConditionId(3), src: 7 },
             Instr::DecisionEval { decision: DecisionId(2), conds: vec![8], outcome: 8 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(p.ops.len(), 2);
         assert!(matches!(p.ops[0], FlatOp::CondProbe { .. }));
     }
@@ -1279,7 +1325,7 @@ mod tests {
                 else_body: vec![Instr::Probe { branch: BranchId(5) }],
             },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![FlatOp::DecisionSel {
@@ -1301,7 +1347,7 @@ mod tests {
                 else_body: vec![Instr::Probe { branch: BranchId(5) }],
             },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(p.ops.len(), 2);
         assert!(matches!(p.ops[0], FlatOp::Decision1 { .. }));
         assert!(matches!(p.ops[1], FlatOp::ProbeSelect { .. }));
@@ -1321,7 +1367,7 @@ mod tests {
                 },
             ]
         };
-        let p = flatten(&preamble(4), &Default::default());
+        let p = flatten(&preamble(4), &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![FlatOp::CmpSel {
@@ -1338,7 +1384,7 @@ mod tests {
 
         // Ids past the byte-wide encoding stay unfused: two dispatches,
         // identical event sequence.
-        let p = flatten(&preamble(400), &Default::default());
+        let p = flatten(&preamble(400), &Default::default()).unwrap();
         assert_eq!(p.ops.len(), 2);
         assert!(matches!(p.ops[0], FlatOp::BinopCmp { op: BinopCode::Lt, .. }));
         assert!(matches!(p.ops[1], FlatOp::DecisionSel { then_branch: 400, else_branch: 401, .. }));
@@ -1358,7 +1404,7 @@ mod tests {
             Instr::LoadState { dst: 5, slot: 0 },
             Instr::LoadState { dst: 6, slot: 1 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1376,7 +1422,7 @@ mod tests {
             Instr::CondProbe { cond: ConditionId(0), src: 1 },
             Instr::CondProbe { cond: ConditionId(1), src: 2 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(p.ops, vec![FlatOp::CondProbe2 { cond1: 0, src1: 1, cond2: 1, src2: 2 }]);
 
         // A probe heading a fusable decision preamble must stay free for
@@ -1386,7 +1432,7 @@ mod tests {
             Instr::CondProbe { cond: ConditionId(1), src: 2 },
             Instr::DecisionEval { decision: DecisionId(0), conds: vec![2], outcome: 2 },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1406,7 +1452,7 @@ mod tests {
                 else_body: vec![],
             },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1434,7 +1480,7 @@ mod tests {
                 else_body: vec![],
             },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1457,7 +1503,7 @@ mod tests {
                 else_body: vec![],
             },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1473,7 +1519,7 @@ mod tests {
             then_body: vec![Instr::LoadState { dst: 1, slot: 4 }, Instr::Copy { dst: 2, src: 1 }],
             else_body: vec![],
         }];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1499,7 +1545,7 @@ mod tests {
                 else_body: vec![],
             },
         ];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(
             p.ops,
             vec![
@@ -1523,7 +1569,7 @@ mod tests {
             then_body: vec![Instr::Probe { branch: BranchId(0) }],
             else_body: vec![Instr::Probe { branch: BranchId(1) }],
         }];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert_eq!(p.ops, vec![FlatOp::ProbeSelect { cond: 4, then_branch: 0, else_branch: 1 }]);
 
         // An arm with extra work keeps the jump lowering.
@@ -1535,7 +1581,7 @@ mod tests {
             ],
             else_body: vec![Instr::Probe { branch: BranchId(1) }],
         }];
-        let p = flatten(&body, &Default::default());
+        let p = flatten(&body, &Default::default()).unwrap();
         assert!(matches!(p.ops[0], FlatOp::JumpIfZero { .. }));
     }
 }

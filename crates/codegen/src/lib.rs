@@ -58,7 +58,6 @@
 //! # }
 //! ```
 
-mod batch;
 mod cemit;
 mod compile;
 mod flatten;
@@ -71,7 +70,6 @@ mod opt;
 mod replay;
 mod vm;
 
-pub use batch::{BatchExecutor, BatchStats, DEFAULT_BATCH_WIDTH, MAX_BATCH_WIDTH};
 pub use cemit::{emit_c, emit_driver_c};
 pub use compile::{compile, CompileError, CompiledModel, SignalMeta};
 pub use ir::{BinopCode, FuncCode, Instr, Reg, UnopCode};

@@ -121,34 +121,6 @@ pub(crate) fn optimize(program: &[Instr], num_regs: usize, signals: &[SignalMeta
 /// **same register space** as the optimized program: signal registers stay
 /// roots, so `trace_vm_case` still reads correct values through this
 /// variant.
-/// Produces the batch tier's program variant: condition probes and MCDC
-/// decision evaluations are dropped (the batched fuzz loop's lane recorder
-/// observes neither), but `Probe`, `Assert`, and every relational binop
-/// stay — the lanes still collect branch bitmaps, assertion verdicts, and
-/// TORC compare operands.
-///
-/// Deliberately **no DCE pass** runs afterwards: unpinning relational
-/// binops could delete a compare whose result only fed a stripped
-/// `DecisionEval`, and losing that compare event would let the batched
-/// loop misclassify a dictionary-earning input as boring (a byte-identity
-/// bug, not a perf bug). The stripped-only registers still compute; their
-/// cost is noise next to the dispatch win.
-pub(crate) fn strip_decision_probes(program: &[Instr]) -> Vec<Instr> {
-    let mut out = Vec::with_capacity(program.len());
-    for instr in program {
-        match instr {
-            Instr::CondProbe { .. } | Instr::DecisionEval { .. } => {}
-            Instr::If { cond, then_body, else_body } => out.push(Instr::If {
-                cond: *cond,
-                then_body: strip_decision_probes(then_body),
-                else_body: strip_decision_probes(else_body),
-            }),
-            other => out.push(other.clone()),
-        }
-    }
-    out
-}
-
 pub(crate) fn strip_probes(program: &[Instr], signals: &[SignalMeta]) -> Vec<Instr> {
     fn strip(body: &[Instr]) -> Vec<Instr> {
         let mut out = Vec::with_capacity(body.len());

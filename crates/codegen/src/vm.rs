@@ -37,16 +37,6 @@ pub enum Engine {
     /// architectures, `--no-default-features`, executable-page mapping
     /// refused) transparently resolves to [`Engine::Flat`].
     Jit,
-    /// The batched structure-of-arrays tier: the fuzz loop executes `width`
-    /// cases per pass through the flat program (see
-    /// [`BatchExecutor`](crate::BatchExecutor)), replaying coverage-earning
-    /// cases on the best single-case engine. `width == 0` means the
-    /// default ([`crate::DEFAULT_BATCH_WIDTH`]). A single-case [`Executor`]
-    /// asked for this tier runs that replay engine.
-    Batch {
-        /// Lanes per batch (0 = default width).
-        width: usize,
-    },
 }
 
 impl Engine {
@@ -68,32 +58,25 @@ impl Engine {
     }
 
     /// Reads the `CFTCG_ENGINE` environment override: `ref`/`reference`,
-    /// `flat`, `jit`, or `batch`/`batch:N` (case-insensitive; `N` an
-    /// explicit lane width). Returns `None` when unset or unrecognized.
+    /// `flat`, or `jit` (case-insensitive). Returns `None` when unset or
+    /// unrecognized.
     pub fn from_env() -> Option<Engine> {
         let v = std::env::var("CFTCG_ENGINE").ok()?;
         match v.to_ascii_lowercase().as_str() {
             "ref" | "reference" => Some(Engine::Reference),
             "flat" => Some(Engine::Flat),
             "jit" => Some(Engine::Jit),
-            "batch" => Some(Engine::Batch { width: 0 }),
-            s => {
-                let width: usize = s.strip_prefix("batch:")?.parse().ok()?;
-                (1..=crate::batch::MAX_BATCH_WIDTH)
-                    .contains(&width)
-                    .then_some(Engine::Batch { width })
-            }
+            _ => None,
         }
     }
 
-    /// The engine's short name (`ref`/`flat`/`jit`/`batch`) as logged into
-    /// bench and campaign metadata.
+    /// The engine's short name (`ref`/`flat`/`jit`) as logged into bench
+    /// and campaign metadata.
     pub const fn name(self) -> &'static str {
         match self {
             Engine::Reference => "ref",
             Engine::Flat => "flat",
             Engine::Jit => "jit",
-            Engine::Batch { .. } => "batch",
         }
     }
 }
@@ -141,9 +124,9 @@ pub struct Executor<'c> {
     /// The canonical start-of-case register file (zeros plus hoisted
     /// constants): [`Executor::reset`] restores it so every case's
     /// execution is a pure function of its bytes, with no register residue
-    /// from the previous case — the invariant the batch tier's lane
-    /// classification relies on, and what replay/minimization (which
-    /// always run cases on fresh executors) already assumed.
+    /// from the previous case. Replay and minimization run each case on a
+    /// fresh executor, so the fuzz loop's reused executor must see exactly
+    /// what they see for a case's coverage to reproduce.
     reg_canon: Vec<f64>,
     state: Vec<f64>,
     inputs: Vec<f64>,
@@ -181,11 +164,8 @@ impl<'c> Executor<'c> {
     }
 
     /// Creates an executor with an explicit engine choice.
-    /// [`Engine::Jit`] resolves to [`Engine::Flat`] when unavailable;
-    /// [`Engine::Batch`] — a fuzz-loop strategy, not a single-case engine —
-    /// resolves to the best scalar engine (the tier's winner-replay path).
+    /// [`Engine::Jit`] resolves to [`Engine::Flat`] when unavailable.
     pub fn with_engine(compiled: &'c CompiledModel, engine: Engine) -> Self {
-        let engine = if matches!(engine, Engine::Batch { .. }) { Engine::best() } else { engine };
         #[cfg(cftcg_jit)]
         let mut engine = engine;
         #[cfg(not(cftcg_jit))]

@@ -2,8 +2,8 @@
 //! the compiled VM and the interpretive simulator — broad structural
 //! coverage beyond the hand-written differential cases.
 
-use cftcg_codegen::{compile, BatchExecutor, Executor};
-use cftcg_coverage::{NullLaneRecorder, NullRecorder};
+use cftcg_codegen::{compile, Executor};
+use cftcg_coverage::NullRecorder;
 use cftcg_model::{
     BlockKind, DataType, EdgeKind, InputSign, LogicOp, MathFunc, MinMaxOp, Model, ModelBuilder,
     ProductOp, RelOp, SwitchCriterion, Value,
@@ -273,7 +273,6 @@ proptest! {
         let mut rec = NullRecorder;
         let mut actual = Vec::new();
         let mut jit_out = Vec::new();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
         for (k, row) in steps.iter().enumerate() {
             let inputs: Vec<Value> = input_types
                 .iter()
@@ -281,7 +280,6 @@ proptest! {
                 .map(|(&ty, &x)| Value::from_f64(x, ty))
                 .collect();
             let expected = sim.step(&inputs).expect("sim step");
-            rows.push(inputs.clone());
             exec.step_into(&inputs, &mut actual, &mut rec);
             for (port, (e, a)) in expected.iter().zip(&actual).enumerate() {
                 prop_assert!(
@@ -297,52 +295,6 @@ proptest! {
                         "step {k} output {port}: flat {f:?} vs jit {j:?}"
                     );
                 }
-            }
-        }
-
-        // Batch tier: four lanes running rotations of the same case must
-        // each match a fresh scalar flat run bit for bit — different lane
-        // contents force real divergence through the masked path.
-        const WIDTH: usize = 4;
-        let layout = compiled.layout();
-        let tuple = layout.tuple_size().max(1);
-        let lane_bytes: Vec<Vec<u8>> = (0..WIDTH)
-            .map(|lane| {
-                let mut bytes = Vec::new();
-                for k in 0..rows.len() {
-                    bytes.extend_from_slice(&layout.encode(&rows[(k + lane) % rows.len()]));
-                }
-                bytes
-            })
-            .collect();
-        let expected_lanes: Vec<Vec<Vec<u64>>> = lane_bytes
-            .iter()
-            .map(|bytes| {
-                exec.reset();
-                layout
-                    .split(bytes)
-                    .map(|tup| {
-                        exec.step_tuple(tup, &mut rec);
-                        exec.outputs().iter().map(|v| v.as_f64().to_bits()).collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut batch = BatchExecutor::new(&compiled, WIDTH);
-        batch.begin();
-        for t in 0..rows.len() {
-            for (lane, bytes) in lane_bytes.iter().enumerate() {
-                batch.load_tuple(lane, &bytes[t * tuple..(t + 1) * tuple]);
-            }
-            batch.step_tick(&mut NullLaneRecorder);
-            for (lane, expected) in expected_lanes.iter().enumerate() {
-                let out: Vec<u64> =
-                    batch.lane_outputs(lane).iter().map(|v| v.as_f64().to_bits()).collect();
-                prop_assert!(
-                    expected[t] == out,
-                    "tick {t} lane {lane}: batch {out:?} vs flat {:?}",
-                    expected[t]
-                );
             }
         }
     }

@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 
 use cftcg_core::CampaignArtifact;
 use cftcg_coverage::InstrumentationMap;
+use cftcg_telemetry::escape_html as esc;
 
 use crate::diff::{ArtifactDiff, GoalSide};
 use crate::frontier::FrontierMigration;
@@ -337,19 +338,4 @@ fn render_migration(out: &mut String, migration: &FrontierMigration) {
         }
         out.push_str("</table>\n");
     }
-}
-
-/// HTML-escapes text content and attribute values.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
 }

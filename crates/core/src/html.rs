@@ -19,6 +19,7 @@ use cftcg_coverage::{
     format_case_id, frontier, CoverageReport, FullTracker, Goal, InstrumentationMap, Ratio,
 };
 use cftcg_fuzz::{format_chain, MutationKind};
+use cftcg_telemetry::escape_html as esc;
 use cftcg_trace::{trace_vm_case, ProbeMask, Trace};
 
 use crate::campaign::{CampaignArtifact, CampaignCase, CampaignHit};
@@ -555,22 +556,6 @@ fn plural(n: usize) -> &'static str {
     } else {
         "s"
     }
-}
-
-/// Escapes text for HTML element content and attribute values.
-fn esc(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -116,15 +116,6 @@ impl Cftcg {
         self
     }
 
-    /// Selects the batched SoA fuzz tier at `width` lanes per pass (`0`
-    /// picks [`cftcg_codegen::DEFAULT_BATCH_WIDTH`]). The `CFTCG_ENGINE`
-    /// environment override still wins, like every engine preference.
-    /// Campaign artifacts are byte-identical to the scalar engines'.
-    pub fn with_batch(mut self, width: usize) -> Self {
-        self.config.engine = Some(cftcg_codegen::Engine::Batch { width });
-        self
-    }
-
     /// Installs a trace hook observing every coverage-earning case the
     /// fuzzing loop emits (`hook(case_bytes, case_id)`). Pure observation —
     /// the hook consumes no fuzzer RNG and fires after emission, so

@@ -48,14 +48,12 @@
 //! short-circuiting does not hide vectors.
 
 mod frontier;
-mod lanes;
 mod map;
 mod provenance;
 mod recorder;
 mod report;
 
 pub use frontier::{frontier, FrontierCause, FrontierEntry};
-pub use lanes::{LaneBitmap, LaneRecorder, NullLaneRecorder};
 pub use map::{
     AssertionId, BranchId, BranchInfo, ConditionId, ConditionInfo, DecisionId, DecisionInfo,
     InstrumentationMap, MapBuilder,

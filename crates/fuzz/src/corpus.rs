@@ -193,17 +193,6 @@ impl Corpus {
         self.pick(rng)
     }
 
-    /// Reverses one [`Corpus::pick`]'s selection bump for `id`. The batched
-    /// fuzz loop pre-selects seeds for a whole batch of children; when the
-    /// tail of a batch is abandoned (a committed lane changed the corpus or
-    /// the TORC dictionary), the abandoned children's selections never
-    /// happened and must leave no trace in the scheduling forensics.
-    pub fn unnote_selection(&mut self, id: u64) {
-        if let Some(account) = self.accounts.get_mut(&id) {
-            account.selections = account.selections.saturating_sub(1);
-        }
-    }
-
     /// Books a freshly committed entry's provenance: the parent it was
     /// mutated from and the shard executions at commit time (its birthday,
     /// for age accounting). No-op if the id is not resident.

@@ -7,7 +7,7 @@
 use std::fmt::Write;
 
 use cftcg_telemetry::json::{push_json_f64, push_json_str};
-use cftcg_telemetry::{CorpusSeedReport, SeriesPoint, SpanKind, TelemetrySnapshot};
+use cftcg_telemetry::{escape_html, CorpusSeedReport, SeriesPoint, SpanKind, TelemetrySnapshot};
 
 /// The `/snapshot` body: campaign totals, coverage, span attribution,
 /// operator attribution, and the retained time series, as one JSON object.
@@ -71,19 +71,6 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
             let _ = write!(out, ",\"jit_compile_ns\":{ns}");
         }
         None => out.push_str(",\"jit_compile_ns\":null"),
-    }
-    match &snap.batch {
-        Some(b) => {
-            let _ = write!(
-                out,
-                ",\"batch\":{{\"width\":{},\"rounds\":{},\"commits\":{},\"abandons\":{},\
-                 \"scalar_lane_fraction\":",
-                b.width, b.rounds, b.commits, b.abandons
-            );
-            push_json_f64(&mut out, b.scalar_lane_fraction);
-            out.push('}');
-        }
-        None => out.push_str(",\"batch\":null"),
     }
 
     out.push_str(",\"spans\":[");
@@ -261,11 +248,6 @@ pub(crate) fn dashboard_html(model: &str, snap: &TelemetrySnapshot) -> String {
     tile(format!("{:.2}/s", snap.goals_per_second()), "goal rate");
     if let Some(bytes) = snap.jit_code_bytes {
         tile(format!("{:.1} KiB", bytes as f64 / 1024.0), "JIT code");
-    }
-    if let Some(batch) = &snap.batch {
-        tile(format!("{} lanes", batch.width), "batch width");
-        tile(format!("{:.1}%", 100.0 * batch.scalar_lane_fraction), "batch divergence");
-        tile(batch.abandons.to_string(), "batch abandons");
     }
     out.push_str("</div>\n");
 
@@ -465,20 +447,6 @@ fn format_ns(ns: u64) -> String {
         1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
         _ => format!("{:.2}s", ns as f64 / 1e9),
     }
-}
-
-fn escape_html(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

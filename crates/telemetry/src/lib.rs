@@ -399,8 +399,6 @@ pub struct TelemetrySnapshot {
     pub jit_code_bytes: Option<u64>,
     /// JIT compilation wall-clock cost in nanoseconds, when the tier ran.
     pub jit_compile_ns: Option<u64>,
-    /// Batched-tier gauges, when the fuzz loop ran `Engine::Batch`.
-    pub batch: Option<BatchTierStats>,
     /// The retained coverage/throughput time series, oldest first.
     pub series: Vec<SeriesPoint>,
     /// Per-corpus-entry scheduling forensics, flattened across shards in
@@ -410,24 +408,6 @@ pub struct TelemetrySnapshot {
     pub plateaus: u64,
     /// The most recent plateau, when one fired.
     pub last_plateau: Option<PlateauSummary>,
-}
-
-/// Batched-tier gauges, published wholesale on each fuzz-loop flush (like
-/// the JIT gauges): what the SoA tier has done and how much of its lane
-/// capacity divergence is wasting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchTierStats {
-    /// Lanes per batch round.
-    pub width: u64,
-    /// Batched rounds executed.
-    pub rounds: u64,
-    /// Lanes committed (inputs the batch tier contributed to the campaign).
-    pub commits: u64,
-    /// Lanes abandoned to a mid-round corpus/dictionary change.
-    pub abandons: u64,
-    /// Fraction of lane executions spent in divergence masks rather than
-    /// the converged row path (`BatchStats::scalar_lane_fraction`).
-    pub scalar_lane_fraction: f64,
 }
 
 impl TelemetrySnapshot {
@@ -536,7 +516,6 @@ struct Inner {
     series_last: Option<(f64, u64)>,
     jit_code_bytes: Option<u64>,
     jit_compile_ns: Option<u64>,
-    batch: Option<BatchTierStats>,
     /// Per-shard corpus scheduling forensics, replaced wholesale on publish.
     corpus_seeds: Vec<Vec<CorpusSeedReport>>,
     plateaus: u64,
@@ -609,7 +588,6 @@ impl Telemetry {
                 series_last: None,
                 jit_code_bytes: None,
                 jit_compile_ns: None,
-                batch: None,
                 corpus_seeds: Vec::new(),
                 plateaus: 0,
                 last_plateau: None,
@@ -827,12 +805,6 @@ impl Telemetry {
         inner.totals.spans.record(SpanKind::JitCompile, compile_ns);
     }
 
-    /// Publishes the batched tier's gauges (replaced wholesale; the fuzz
-    /// loop calls this on its flush cadence while running `Engine::Batch`).
-    pub fn set_batch_stats(&self, stats: BatchTierStats) {
-        self.lock().batch = Some(stats);
-    }
-
     /// The retained coverage/throughput time series, oldest first.
     pub fn series_points(&self) -> Vec<SeriesPoint> {
         self.lock().series.points().to_vec()
@@ -931,7 +903,6 @@ impl Telemetry {
             last_sync_ms: inner.last_sync_ms,
             jit_code_bytes: inner.jit_code_bytes,
             jit_compile_ns: inner.jit_compile_ns,
-            batch: inner.batch,
             series: inner.series.points().to_vec(),
             corpus_seeds: inner.corpus_seeds.iter().flatten().cloned().collect(),
             plateaus: inner.plateaus,
@@ -994,31 +965,6 @@ impl Telemetry {
             out.push_str("# HELP cftcg_jit_compile_ns JIT compilation wall-clock cost (ns)\n");
             out.push_str("# TYPE cftcg_jit_compile_ns gauge\n");
             out.push_str(&format!("cftcg_jit_compile_ns {ns}\n"));
-        }
-        if let Some(batch) = &snapshot.batch {
-            out.push_str("# HELP cftcg_batch_width Lanes per batched fuzz round\n");
-            out.push_str("# TYPE cftcg_batch_width gauge\n");
-            out.push_str(&format!("cftcg_batch_width {}\n", batch.width));
-            out.push_str("# HELP cftcg_batch_rounds Batched fuzz rounds executed\n");
-            out.push_str("# TYPE cftcg_batch_rounds gauge\n");
-            out.push_str(&format!("cftcg_batch_rounds {}\n", batch.rounds));
-            out.push_str("# HELP cftcg_batch_commits Lanes committed by the batch tier\n");
-            out.push_str("# TYPE cftcg_batch_commits gauge\n");
-            out.push_str(&format!("cftcg_batch_commits {}\n", batch.commits));
-            out.push_str(
-                "# HELP cftcg_batch_abandons Lanes abandoned to mid-round state changes\n",
-            );
-            out.push_str("# TYPE cftcg_batch_abandons gauge\n");
-            out.push_str(&format!("cftcg_batch_abandons {}\n", batch.abandons));
-            out.push_str(
-                "# HELP cftcg_batch_scalar_lane_fraction Lane executions spent under \
-                 divergence masks\n",
-            );
-            out.push_str("# TYPE cftcg_batch_scalar_lane_fraction gauge\n");
-            out.push_str(&format!(
-                "cftcg_batch_scalar_lane_fraction {:.4}\n",
-                batch.scalar_lane_fraction
-            ));
         }
 
         out.push_str(
@@ -1296,9 +1242,33 @@ impl Write for SharedBuf {
     }
 }
 
+/// Escapes text for HTML element content and attribute values — the one
+/// escaper every HTML renderer (campaign explorer, campaign diff, live
+/// dashboard) shares.
+pub fn escape_html(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for ch in text.chars() {
+        match ch {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            '\'' => out.push_str("&#39;"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_html_covers_markup_and_both_quotes() {
+        assert_eq!(escape_html(r#"a<b>&"c'"#), "a&lt;b&gt;&amp;&quot;c&#39;");
+        assert_eq!(escape_html("plain µs"), "plain µs");
+    }
 
     #[test]
     fn merge_shard_accumulates_and_tracks_rates() {

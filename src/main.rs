@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use cftcg::codegen::{
     compile, emit_c, emit_driver_c, replay_case, replay_suite, test_case_from_csv,
-    test_case_to_csv, CompiledModel, TestCase,
+    test_case_to_csv, CompiledModel, Engine, TestCase,
 };
 use cftcg::compare::{
     ab_report, diff_html, diff_json, run_ab, terminal_report, AbBudget, ArtifactDiff,
@@ -71,6 +71,14 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         print_usage();
         return Ok(());
     };
+    // The engine override is read deep inside every command; an unknown
+    // value would otherwise fall back to the default engine unnoticed.
+    if let Some(value) = std::env::var_os("CFTCG_ENGINE") {
+        if Engine::from_env().is_none() {
+            let accepted = "accepted: ref|reference|flat|jit";
+            return Err(format!("unknown CFTCG_ENGINE value {value:?} ({accepted})").into());
+        }
+    }
     match command.as_str() {
         "stats" => stats(&load(args.get(1))?),
         "codegen" => codegen(&load(args.get(1))?, args.contains(&"--driver".to_string())),
@@ -100,7 +108,7 @@ fn print_usage() {
          \x20 cftcg stats  <model.mdlx>\n\
          \x20 cftcg codegen <model.mdlx> [--driver]\n\
          \x20 cftcg fuzz   <model.mdlx> [--budget-ms N] [--seed N] [--out DIR] [--workers N]\n\
-         \x20              [--batch N] [--stats-jsonl FILE] [--status-every SECS] [--prom FILE]\n\
+         \x20              [--stats-jsonl FILE] [--status-every SECS] [--prom FILE]\n\
          \x20              [--serve ADDR] [--trace-events FILE]\n\
          \x20              [--trace-dir DIR] [--trace-every N] [--plateau-window N]\n\
          \x20 cftcg diff   <model.mdlx> <a/campaign.json> <b/campaign.json>\n\
@@ -206,9 +214,6 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         flag_value(rest, "--trace-every").map(str::parse).transpose()?.unwrap_or(1).max(1);
     let plateau_window: Option<u64> =
         flag_value(rest, "--plateau-window").map(str::parse).transpose()?;
-    // `--batch N` selects the batched SoA tier at N lanes (0 = default
-    // width); `CFTCG_ENGINE` still wins, like every engine preference.
-    let batch: Option<usize> = flag_value(rest, "--batch").map(str::parse).transpose()?;
 
     // Build the telemetry registry only when a sink was requested; without
     // one the loop skips per-execution timing entirely. The observatory is
@@ -237,9 +242,6 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let span_trace = trace_events.map(|_| cftcg::telemetry::SpanTrace::new());
 
     let mut tool = Cftcg::new(model)?;
-    if let Some(width) = batch {
-        tool = tool.with_batch(width);
-    }
     println!("engine: {} ({} workers)", tool.engine(), workers);
     if let Some(t) = &telemetry {
         tool = tool.with_telemetry(t.clone());
@@ -336,8 +338,7 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     // JIT-tier gauges and the compile span: the cache is already warm (the
     // campaign ran on it), so reading the stats is free. Recorded before
     // the final flush so the last Prometheus rewrite carries them.
-    if tool.engine() == cftcg::codegen::Engine::Jit && (telemetry.is_some() || span_trace.is_some())
-    {
+    if tool.engine() == Engine::Jit && (telemetry.is_some() || span_trace.is_some()) {
         if let Some(stats) = tool.compiled().jit_stats() {
             let code_bytes = (stats.probed_code_bytes + stats.noprobe_code_bytes) as u64;
             if let Some(t) = &telemetry {
