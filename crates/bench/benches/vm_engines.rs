@@ -1,13 +1,12 @@
 //! Criterion: whole-case execution cost (`Executor::run_case`) of the
-//! optimized flat VM vs the reference tree walker, plus the
-//! probe-stripped `NullRecorder` fast path — the statistical counterpart
-//! to the `vm_throughput` binary's wall-clock sweep.
+//! optimized flat VM vs the reference tree walker — the statistical
+//! counterpart to the `vm_throughput` binary's wall-clock sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cftcg_codegen::{compile, CompiledModel, Executor, TestCase};
-use cftcg_coverage::{BranchBitmap, NullRecorder};
+use cftcg_coverage::BranchBitmap;
 
 /// Ticks per case — matches the `vm_throughput` binary so numbers line up.
 const CASE_TICKS: usize = 64;
@@ -45,11 +44,6 @@ fn bench_run_case(c: &mut Criterion) {
         let mut cov = BranchBitmap::new(branches);
         group.bench_function("flat", |b| {
             b.iter(|| black_box(exec.run_case(black_box(&case), &mut cov)));
-        });
-
-        let mut exec = Executor::new(&compiled);
-        group.bench_function("flat-noprobe", |b| {
-            b.iter(|| black_box(exec.run_case(black_box(&case), &mut NullRecorder)));
         });
         group.finish();
     }

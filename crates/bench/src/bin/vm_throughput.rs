@@ -26,7 +26,7 @@
 use std::time::{Duration, Instant};
 
 use cftcg_codegen::{compile, CompiledModel, Engine, Executor, TestCase};
-use cftcg_coverage::{BranchBitmap, NullRecorder};
+use cftcg_coverage::BranchBitmap;
 
 /// Ticks per measured case: long enough that per-case reset cost is noise.
 const CASE_TICKS: usize = 64;
@@ -91,24 +91,19 @@ fn main() {
 
         let mut reference = Executor::new_reference(&compiled);
         let mut flat = Executor::new(&compiled);
-        let mut noprobe = Executor::new(&compiled);
         let mut jit = Executor::new_jit(&compiled);
-        let mut jit_noprobe = Executor::new_jit(&compiled);
         // `new_jit` silently falls back to the flat VM when the tier is
         // unavailable; measure it only when native code actually runs.
         let jit_live = jit.engine() == Engine::Jit;
         // Warm-up passes so lazily-faulted pages don't bill the first slice.
         reference.run_case(&case, &mut BranchBitmap::new(branches));
         flat.run_case(&case, &mut BranchBitmap::new(branches));
-        noprobe.run_case(&case, &mut NullRecorder);
         if jit_live {
             jit.run_case(&case, &mut BranchBitmap::new(branches));
-            jit_noprobe.run_case(&case, &mut NullRecorder);
         }
 
         let slice = budget / ROUNDS;
-        let (mut ref_rate, mut flat_rate, mut noprobe_rate) = (0.0f64, 0.0f64, 0.0f64);
-        let (mut jit_rate, mut jit_noprobe_rate) = (0.0f64, 0.0f64);
+        let (mut ref_rate, mut flat_rate, mut jit_rate) = (0.0f64, 0.0f64, 0.0f64);
         for _ in 0..ROUNDS {
             ref_rate = ref_rate.max(slice_rate(
                 &mut reference,
@@ -122,8 +117,6 @@ fn main() {
                 &mut BranchBitmap::new(branches),
                 slice,
             ));
-            noprobe_rate =
-                noprobe_rate.max(slice_rate(&mut noprobe, &case, &mut NullRecorder, slice));
             if jit_live {
                 jit_rate = jit_rate.max(slice_rate(
                     &mut jit,
@@ -131,17 +124,11 @@ fn main() {
                     &mut BranchBitmap::new(branches),
                     slice,
                 ));
-                jit_noprobe_rate = jit_noprobe_rate.max(slice_rate(
-                    &mut jit_noprobe,
-                    &case,
-                    &mut NullRecorder,
-                    slice,
-                ));
             }
         }
 
         let stats = compiled.opt_stats();
-        let (flat_ops, noprobe_ops) = compiled.flat_lens();
+        let (flat_ops, probe_ops) = compiled.flat_lens();
         let name: &'static str = Box::leak(model.name().to_string().into_boxed_str());
         let jit_col = if jit_live {
             format!(" -> jit {jit_rate:>9.0} (x{:.2})", jit_rate / flat_rate)
@@ -150,7 +137,7 @@ fn main() {
         };
         println!(
             "  {name:>8}: {ref_rate:>9.0} -> {flat_rate:>9.0} cases/s (x{:.2}){jit_col}, \
-             noprobe {noprobe_rate:>9.0}; instrs {} -> {} (lvn {}, dce -{}), regs {} -> {}",
+             instrs {} -> {} (lvn {}, dce -{}), regs {} -> {}",
             flat_rate / ref_rate,
             stats.instrs_before,
             stats.instrs_after_dce,
@@ -161,26 +148,22 @@ fn main() {
         );
         let jit_fields = if jit_live {
             format!(
-                "\"jit_cases_per_sec\": {jit_rate:.1}, \
-                 \"jit_noprobe_cases_per_sec\": {jit_noprobe_rate:.1}, \
-                 \"jit_speedup\": {:.3}, ",
+                "\"jit_cases_per_sec\": {jit_rate:.1}, \"jit_speedup\": {:.3}, ",
                 jit_rate / flat_rate
             )
         } else {
-            "\"jit_cases_per_sec\": null, \"jit_noprobe_cases_per_sec\": null, \
-             \"jit_speedup\": null, "
-                .to_string()
+            "\"jit_cases_per_sec\": null, \"jit_speedup\": null, ".to_string()
         };
         entries.push(format!(
             "    {{\"model\": \"{name}\", \"reference_cases_per_sec\": {ref_rate:.1}, \
-             \"flat_cases_per_sec\": {flat_rate:.1}, \"noprobe_cases_per_sec\": {noprobe_rate:.1}, \
+             \"flat_cases_per_sec\": {flat_rate:.1}, \
              {jit_fields}\
              \"speedup\": {:.3}, \"case_ticks\": {CASE_TICKS}, \
              \"opt\": {{\"instrs_before\": {}, \"instrs_after_lvn\": {}, \
              \"instrs_after_dce\": {}, \"instrs_removed\": {}, \"consts_folded\": {}, \
              \"branches_folded\": {}, \"cse_hits\": {}, \"operands_forwarded\": {}, \
              \"bools_reduced\": {}, \"regs_before\": {}, \"regs_after\": {}, \
-             \"flat_ops\": {flat_ops}, \"flat_noprobe_ops\": {noprobe_ops}}}}}",
+             \"flat_ops\": {flat_ops}, \"probe_ops\": {probe_ops}}}}}",
             flat_rate / ref_rate,
             stats.instrs_before,
             stats.instrs_after_lvn,

@@ -25,7 +25,7 @@ use crate::flatten::{flatten, FlatProgram};
 use crate::ir::{BinopCode, FuncCode, Instr, Reg, UnopCode};
 use crate::layout::TupleLayout;
 use crate::lower::{lower_decision, lower_stmts, Scope};
-use crate::opt::{optimize, strip_probes, OptStats};
+use crate::opt::{optimize, OptStats};
 
 /// Error produced by [`compile`].
 #[derive(Debug, Clone, PartialEq)]
@@ -106,11 +106,10 @@ pub struct SignalMeta {
 /// A compiled, instrumented model: the reproduction's "generated fuzz code".
 ///
 /// Compilation runs the full back half: lowering produces the *reference*
-/// structured program, the mid-end ([`crate::opt`]) optimizes it, and the
-/// back-end ([`crate::flatten`]) lowers the optimized tree to the flat
-/// jump-threaded form the production VM executes. Both the optimized tree
-/// (for emission/inspection) and the unoptimized reference (for the
-/// differential baseline) are carried.
+/// structured program, the mid-end optimizes it, and the back-end lowers
+/// the optimized tree to the flat jump-threaded form the production VM
+/// executes. Both the optimized tree (for emission/inspection) and the
+/// unoptimized reference (for the differential baseline) are carried.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     pub(crate) name: String,
@@ -125,8 +124,6 @@ pub struct CompiledModel {
     pub(crate) reference_signals: Vec<SignalMeta>,
     /// The flat encoding of `program` (probes included).
     pub(crate) flat: FlatProgram,
-    /// The probe-stripped flat variant for non-observing recorders.
-    pub(crate) flat_noprobe: FlatProgram,
     /// Per-pass mid-end accounting.
     pub(crate) opt_stats: OptStats,
     pub(crate) map: InstrumentationMap,
@@ -187,74 +184,27 @@ impl CompiledModel {
     }
 
     /// Number of flat ops the production dispatch loop executes over
-    /// (jumps included) — with probes, and with probes stripped.
+    /// (jumps included), and how many of them emit at least one recorder
+    /// event.
     pub fn flat_lens(&self) -> (usize, usize) {
-        (self.flat.len(), self.flat_noprobe.len())
+        (self.flat.len(), self.flat.ops.iter().filter(|op| op.records()).count())
     }
 
     /// Static opcode histogram of the instrumented flat program, sorted by
     /// descending count — the tuning diagnostic behind the back-end's
     /// fusion choices (which op shapes are worth a dedicated opcode).
     pub fn flat_histogram(&self) -> Vec<(&'static str, usize)> {
-        self.flat_histogram_at(0).expect("program 0 always exists")
-    }
-
-    /// Like [`CompiledModel::flat_histogram`], but for an explicit program
-    /// index: `0` is the instrumented program, `1` the probe-stripped one
-    /// executed under [`NullRecorder`](cftcg_coverage::NullRecorder). Any
-    /// other index returns `None` — out-of-range selectors are a caller
-    /// mistake worth reporting, not panicking over.
-    pub fn flat_histogram_at(&self, program: usize) -> Option<Vec<(&'static str, usize)>> {
-        use std::collections::HashMap;
-        let ops = &self.flat_program_at(program)?.ops;
-        let mut counts: HashMap<&'static str, usize> = HashMap::new();
-        for op in ops {
-            *counts.entry(crate::flatten::op_name(op)).or_default() += 1;
-        }
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        Some(v)
-    }
-
-    /// Like [`CompiledModel::flat_pair_histogram`], but for an explicit
-    /// program index (same selector space as
-    /// [`CompiledModel::flat_histogram_at`]).
-    pub fn flat_pair_histogram_at(&self, program: usize) -> Option<Vec<(String, usize)>> {
-        use std::collections::HashMap;
-        let ops = &self.flat_program_at(program)?.ops;
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        for w in ops.windows(2) {
-            let key =
-                format!("{}+{}", crate::flatten::op_name(&w[0]), crate::flatten::op_name(&w[1]));
-            *counts.entry(key).or_default() += 1;
-        }
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        Some(v)
-    }
-
-    fn flat_program_at(&self, program: usize) -> Option<&crate::flatten::FlatProgram> {
-        match program {
-            0 => Some(&self.flat),
-            1 => Some(&self.flat_noprobe),
-            _ => None,
-        }
+        histogram(self.flat.ops.iter().map(crate::flatten::op_name))
     }
 
     /// Static adjacent-pair histogram of the instrumented flat program —
     /// the companion diagnostic to [`CompiledModel::flat_histogram`] for
     /// spotting fusion candidates.
     pub fn flat_pair_histogram(&self) -> Vec<(String, usize)> {
-        use std::collections::HashMap;
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        for w in self.flat.ops.windows(2) {
-            let key =
-                format!("{}+{}", crate::flatten::op_name(&w[0]), crate::flatten::op_name(&w[1]));
-            *counts.entry(key).or_default() += 1;
-        }
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
+        use crate::flatten::op_name;
+        histogram(
+            self.flat.ops.windows(2).map(|w| format!("{}+{}", op_name(&w[0]), op_name(&w[1]))),
+        )
     }
 
     /// Declared inport types, in port order.
@@ -295,7 +245,7 @@ impl CompiledModel {
     }
 
     /// Native code-size accounting for the JIT tier: bytes emitted and
-    /// straight-line block counts for both program variants. `None` when
+    /// straight-line block count of the compiled program. `None` when
     /// the JIT is unavailable on this build/host. Triggers JIT compilation
     /// on first call.
     pub fn jit_stats(&self) -> Option<crate::JitStats> {
@@ -308,6 +258,17 @@ impl CompiledModel {
             None
         }
     }
+}
+
+/// Counts each key, sorted by descending count, then key.
+fn histogram<K: Ord + std::hash::Hash>(keys: impl Iterator<Item = K>) -> Vec<(K, usize)> {
+    let mut counts: std::collections::HashMap<K, usize> = std::collections::HashMap::new();
+    for key in keys {
+        *counts.entry(key).or_default() += 1;
+    }
+    let mut v: Vec<_> = counts.into_iter().collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    v
 }
 
 /// The mutable compilation context shared across regions.
@@ -471,8 +432,6 @@ pub fn compile(model: &Model) -> Result<CompiledModel, CompileError> {
     // must leave them materialized in the body.
     let observed: std::collections::HashSet<_> = opt.signals.iter().map(|s| s.reg).collect();
     let flat = flatten(&opt.program, &observed)?;
-    let noprobe = strip_probes(&opt.program, &opt.signals);
-    let flat_noprobe = flatten(&noprobe, &observed)?;
 
     Ok(CompiledModel {
         name: model.name().to_string(),
@@ -481,7 +440,6 @@ pub fn compile(model: &Model) -> Result<CompiledModel, CompileError> {
         reference_regs,
         reference_signals,
         flat,
-        flat_noprobe,
         opt_stats: opt.stats,
         map: ctx.map.finish(),
         layout: TupleLayout::for_model(model),

@@ -962,6 +962,28 @@ pub(crate) fn op_name(op: &FlatOp) -> &'static str {
     }
 }
 
+impl FlatOp {
+    /// Whether executing this op emits at least one recorder event.
+    pub(crate) fn records(&self) -> bool {
+        matches!(
+            self,
+            FlatOp::BinopCmp { .. }
+                | FlatOp::CmpJump { .. }
+                | FlatOp::Probe { .. }
+                | FlatOp::CondProbe { .. }
+                | FlatOp::CondProbe2 { .. }
+                | FlatOp::Decision1 { .. }
+                | FlatOp::DecisionSel { .. }
+                | FlatOp::CmpSel { .. }
+                | FlatOp::DecisionEvalSmall { .. }
+                | FlatOp::DecisionEvalPool { .. }
+                | FlatOp::Assert { .. }
+                | FlatOp::ProbeSelect { .. }
+                | FlatOp::DecisionSelJz { .. }
+        )
+    }
+}
+
 /// Pushes a jump placeholder, returning its position for later patching.
 fn reserve(p: &mut FlatProgram, op: FlatOp) -> usize {
     p.ops.push(op);

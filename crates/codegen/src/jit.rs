@@ -36,15 +36,16 @@
 //! process (Rust's `extern` panic boundary): generated frames carry no
 //! unwind tables, so unwinding through them would be undefined behavior.
 //!
-//! Two fast paths keep probed execution near probe-stripped speed, both
-//! driven by promises on the [`Recorder`] trait (skipping a promised
-//! no-op is observationally identical, so the event-sequence contract is
+//! Two fast paths keep instrumented execution cheap, both driven by
+//! promises on the [`Recorder`] trait (skipping a promised no-op is
+//! observationally identical, so the event-sequence contract is
 //! untouched):
 //!
 //! * **Null vtable slots** — an event class the recorder promises away
-//!   (`OBSERVES_CONDITIONS` & friends) gets a null [`RecorderVt`] entry;
-//!   every event site loads its slot, tests for null, and skips both the
-//!   callback and the argument recomputation feeding it.
+//!   (`OBSERVES_BRANCHES` & friends) gets a null [`RecorderVt`] entry;
+//!   every event site loads its slot, tests for null, and skips the
+//!   callback (and, except for branch events, whose slot is tested only
+//!   when no flags array is exposed, the argument recomputation too).
 //! * **Inline branch stores** — a recorder exposing dense
 //!   [`branch_flags`](Recorder::branch_flags) (the fuzz loop's branch
 //!   bitmap does) has branch probes lowered to a single byte store
@@ -187,15 +188,14 @@ const CTX_FLAGS: i32 = 0x30;
 
 /// Fixed-ABI probe dispatch table: one `extern "sysv64"` trampoline per
 /// recorder hook, monomorphized over the concrete recorder type. Entries
-/// other than `branch` are null (`None`) when the recorder promises that
-/// event class away — generated code tests each slot before computing the
-/// event's arguments. (`Option` of a function pointer is
-/// null-pointer-optimized, so the layout stays one plain pointer per
-/// slot.)
+/// are null (`None`) when the recorder promises that event class away —
+/// generated code tests each slot before calling through it. (`Option` of
+/// a function pointer is null-pointer-optimized, so the layout stays one
+/// plain pointer per slot.)
 #[repr(C)]
 #[allow(dead_code)] // entries are called by the generated machine code
 pub(crate) struct RecorderVt {
-    branch: extern "sysv64" fn(*mut (), u32),
+    branch: Option<extern "sysv64" fn(*mut (), u32)>,
     condition: Option<extern "sysv64" fn(*mut (), u32, u32)>,
     decision: Option<extern "sysv64" fn(*mut (), u32, u64, u32)>,
     compare: Option<extern "sysv64" fn(*mut (), f64, f64)>,
@@ -227,7 +227,8 @@ extern "sysv64" fn tramp_assertion<R: Recorder>(rec: *mut (), id: u32, passed: u
 impl RecorderVt {
     fn of<R: Recorder>() -> RecorderVt {
         RecorderVt {
-            branch: tramp_branch::<R>,
+            branch: R::OBSERVES_BRANCHES
+                .then_some(tramp_branch::<R> as extern "sysv64" fn(*mut (), u32)),
             condition: R::OBSERVES_CONDITIONS
                 .then_some(tramp_condition::<R> as extern "sysv64" fn(*mut (), u32, u32)),
             decision: R::OBSERVES_DECISIONS
@@ -521,13 +522,6 @@ impl Asm {
         self.modrm_rr(2, r);
     }
 
-    /// `call [base + disp]`
-    fn call_mem(&mut self, base: u8, disp: i32) {
-        self.rex(false, 0, base);
-        self.u8(0xFF);
-        self.modrm_mem(2, base, disp);
-    }
-
     /// `test r32, r32`
     fn test_r32(&mut self, a: u8, b: u8) {
         self.rex(false, b, a);
@@ -773,25 +767,6 @@ impl<'p> Lowerer<'p> {
         self.clobber_xmm0();
     }
 
-    /// `branch(id)` event with the id already in `esi`: stores into the
-    /// dense flags array when the recorder exposes one, else calls the
-    /// vtable. `esi` must be below the tracked [`Lowerer::branch_bound`].
-    fn branch_event_from_rsi(&mut self) {
-        let a = &mut self.asm;
-        a.mov_r_mem(RAX, R15, CTX_FLAGS);
-        a.test_r(RAX, RAX);
-        let slow = a.jz_fwd();
-        a.add_r_r(RAX, RSI);
-        a.mov_mem8_imm1(RAX, 0);
-        let done = a.jmp_fwd();
-        a.bind_fwd(slow);
-        self.load_recorder_rdi();
-        self.asm.mov_r_mem(R10, R15, CTX_VT);
-        self.asm.call_mem(R10, VT_BRANCH);
-        self.asm.bind_fwd(done);
-        self.clobber_xmm0();
-    }
-
     /// `mov rax, imm64(helper); call rax`. Helpers receive and return
     /// values in `xmm0`, so the forwarding cache dies here.
     fn call_helper(&mut self, helper: usize) {
@@ -900,7 +875,32 @@ impl<'p> Lowerer<'p> {
         self.asm.mov_r_imm32(RSI, else_branch);
         self.asm.test_r32(RAX, RAX);
         self.asm.cmovnz_r32(RSI, RCX);
-        self.branch_event_from_rsi();
+        let a = &mut self.asm;
+        a.mov_r_mem(RAX, R15, CTX_FLAGS);
+        a.test_r(RAX, RAX);
+        let slow = a.jz_fwd();
+        a.add_r_r(RAX, RSI);
+        a.mov_mem8_imm1(RAX, 0);
+        let done = a.jmp_fwd();
+        a.bind_fwd(slow);
+        self.branch_call();
+        self.asm.bind_fwd(done);
+        self.clobber_xmm0();
+    }
+
+    /// The slow half of a `branch` event, taken when the recorder exposes
+    /// no dense flags: calls the vtable's branch slot with the id already
+    /// in `esi`, or skips the call when the slot is null (the recorder
+    /// promised branch events away). Testing the slot only here keeps the
+    /// fuzz loop's inline-store path free of it.
+    fn branch_call(&mut self) {
+        self.asm.mov_r_mem(R10, R15, CTX_VT);
+        self.asm.mov_r_mem(R10, R10, VT_BRANCH);
+        self.asm.test_r(R10, R10);
+        let skip = self.asm.jz_fwd();
+        self.load_recorder_rdi();
+        self.call_event();
+        self.asm.bind_fwd(skip);
     }
 
     /// `if regs[cond] == 0.0 { jump target }` — NaN does not jump, exactly
@@ -1099,10 +1099,8 @@ impl<'p> Lowerer<'p> {
                 a.mov_mem8_imm1(RAX, i32::from(branch));
                 let done = a.jmp_fwd();
                 a.bind_fwd(slow);
-                self.load_recorder_rdi();
                 self.asm.mov_r_imm32(RSI, u32::from(branch));
-                self.asm.mov_r_mem(R10, R15, CTX_VT);
-                self.asm.call_mem(R10, VT_BRANCH);
+                self.branch_call();
                 self.asm.bind_fwd(done);
                 self.clobber_xmm0();
             }
@@ -1200,7 +1198,7 @@ impl<'p> Lowerer<'p> {
 // ---------------------------------------------------------------------------
 // Compiled program container.
 
-/// One compiled entry point (probed or probe-stripped program).
+/// One compiled entry point.
 pub(crate) struct JitCode {
     buf: ExecBuf,
     code_len: usize,
@@ -1216,13 +1214,12 @@ impl JitCode {
     }
 }
 
-/// Both native entry points for one compiled model, plus owned copies of
+/// The native entry point for one compiled model, plus owned copies of
 /// every side table the machine code points into (function codes, lookup
 /// tables). Self-contained: the code never dereferences the
 /// [`CompiledModel`] it was compiled from.
 pub(crate) struct JitProgram {
-    probed: JitCode,
-    noprobe: JitCode,
+    code: JitCode,
     // Referenced by absolute addresses burned into the code — never
     // mutate after compilation (heap buffers must not move).
     _funcs: Vec<FuncCode>,
@@ -1233,20 +1230,15 @@ pub(crate) struct JitProgram {
 
 impl std::fmt::Debug for JitProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JitProgram")
-            .field("probed_bytes", &self.probed.code_len)
-            .field("noprobe_bytes", &self.noprobe.code_len)
-            .finish()
+        f.debug_struct("JitProgram").field("code_bytes", &self.code.code_len).finish()
     }
 }
 
 impl JitProgram {
     pub(crate) fn stats(&self) -> JitStats {
         JitStats {
-            probed_code_bytes: self.probed.code_len,
-            noprobe_code_bytes: self.noprobe.code_len,
-            probed_blocks: self.probed.blocks,
-            noprobe_blocks: self.noprobe.blocks,
+            code_bytes: self.code.code_len,
+            blocks: self.code.blocks,
             compile_ns: self.compile_ns,
         }
     }
@@ -1338,22 +1330,20 @@ fn emit_program(
     Some(JitCode { buf, code_len, blocks, branch_bound })
 }
 
-/// Compiles both flat variants of a model to native code. Returns `None`
+/// Compiles a model's flat program to native code. Returns `None`
 /// if executable pages cannot be mapped (the caller falls back to the
 /// flat VM).
 pub(crate) fn compile_jit(compiled: &CompiledModel) -> Option<JitProgram> {
     let compile_started = std::time::Instant::now();
-    // Collect every (func, arity) pair of both programs up front: the
-    // emitted code holds absolute addresses of elements of `funcs`, so the
-    // vector must be complete (and never touched again) before lowering.
+    // Collect every (func, arity) pair up front: the emitted code holds
+    // absolute addresses of elements of `funcs`, so the vector must be
+    // complete (and never touched again) before lowering.
     let mut func_index: Vec<(FuncCode, usize)> = Vec::new();
-    for program in [&compiled.flat, &compiled.flat_noprobe] {
-        for op in &program.ops {
-            if let FlatOp::Call { func, argc, .. } = op {
-                let key = (*func, *argc as usize);
-                if !func_index.contains(&key) {
-                    func_index.push(key);
-                }
+    for op in &compiled.flat.ops {
+        if let FlatOp::Call { func, argc, .. } = op {
+            let key = (*func, *argc as usize);
+            if !func_index.contains(&key) {
+                func_index.push(key);
             }
         }
     }
@@ -1361,11 +1351,9 @@ pub(crate) fn compile_jit(compiled: &CompiledModel) -> Option<JitProgram> {
     let tables1 = compiled.tables1.clone();
     let tables2 = compiled.tables2.clone();
 
-    let probed = emit_program(&compiled.flat, &funcs, &func_index, &tables1, &tables2)?;
-    let noprobe = emit_program(&compiled.flat_noprobe, &funcs, &func_index, &tables1, &tables2)?;
+    let code = emit_program(&compiled.flat, &funcs, &func_index, &tables1, &tables2)?;
     Some(JitProgram {
-        probed,
-        noprobe,
+        code,
         _funcs: funcs,
         _tables1: tables1,
         _tables2: tables2,
@@ -1374,8 +1362,8 @@ pub(crate) fn compile_jit(compiled: &CompiledModel) -> Option<JitProgram> {
 }
 
 /// Runs one step of a compiled program (the JIT counterpart of
-/// `run_flat`): picks the probed or probe-stripped entry by the recorder's
-/// observation promise and calls into the native code.
+/// `run_flat`): builds the recorder's vtable and calls into the native
+/// code.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_jit<R: Recorder>(
     jit: &JitProgram,
@@ -1385,13 +1373,13 @@ pub(crate) fn run_jit<R: Recorder>(
     outputs: &mut [f64],
     recorder: &mut R,
 ) {
-    let code = if R::OBSERVES_PROBES { &jit.probed } else { &jit.noprobe };
+    let code = &jit.code;
     // Validate the dense-flags fast path once per step: every inline store
     // the code emits hits an id below `branch_bound`, so a buffer at least
     // that long needs no per-probe bounds checks. Too short (a recorder
     // sized for a different map) falls back to the vtable, which indexes
     // through the recorder's own (panicking) accessor like the flat VM.
-    let branch_flags = if R::OBSERVES_PROBES {
+    let branch_flags = if R::OBSERVES_BRANCHES {
         match recorder.branch_flags() {
             Some(flags) if flags.len() >= code.branch_bound => flags.as_mut_ptr(),
             _ => std::ptr::null_mut(),

@@ -41,7 +41,7 @@ use cftcg_model::{DataType, Value};
 use crate::compile::SignalMeta;
 use crate::ir::{instr_count, BinopCode, FuncCode, Instr, Reg, UnopCode};
 
-/// Per-pass accounting for one [`optimize`] run — the numbers behind
+/// Per-pass accounting for one mid-end run — the numbers behind
 /// `results/BENCH_vm.json`'s instruction-reduction columns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptStats {
@@ -102,7 +102,7 @@ pub(crate) fn optimize(program: &[Instr], num_regs: usize, signals: &[SignalMeta
     stats.instrs_after_lvn = instr_count(&body);
 
     let sig_regs: HashSet<Reg> = signals.iter().map(|m| m.reg).collect();
-    stats.instrs_removed = dce(&mut body, &sig_regs, true);
+    stats.instrs_removed = dce(&mut body, &sig_regs);
     stats.instrs_after_dce = instr_count(&body);
 
     let mut signals = signals.to_vec();
@@ -110,40 +110,6 @@ pub(crate) fn optimize(program: &[Instr], num_regs: usize, signals: &[SignalMeta
     stats.regs_after = num_regs;
 
     Optimized { program: body, num_regs, signals, stats }
-}
-
-/// Produces the probe-stripped program variant for recorders that promise
-/// [`OBSERVES_PROBES`](cftcg_coverage::Recorder::OBSERVES_PROBES)` == false`
-/// (replay, minimization baselines, pure-throughput benchmarks).
-///
-/// Strips `Probe`/`CondProbe`/`DecisionEval`/`Assert`, then re-runs DCE with
-/// relational binops *unpinned* (a no-op `compare` makes them pure), in the
-/// **same register space** as the optimized program: signal registers stay
-/// roots, so `trace_vm_case` still reads correct values through this
-/// variant.
-pub(crate) fn strip_probes(program: &[Instr], signals: &[SignalMeta]) -> Vec<Instr> {
-    fn strip(body: &[Instr]) -> Vec<Instr> {
-        let mut out = Vec::with_capacity(body.len());
-        for instr in body {
-            match instr {
-                Instr::Probe { .. }
-                | Instr::CondProbe { .. }
-                | Instr::DecisionEval { .. }
-                | Instr::Assert { .. } => {}
-                Instr::If { cond, then_body, else_body } => out.push(Instr::If {
-                    cond: *cond,
-                    then_body: strip(then_body),
-                    else_body: strip(else_body),
-                }),
-                other => out.push(other.clone()),
-            }
-        }
-        out
-    }
-    let mut body = strip(program);
-    let sig_regs: HashSet<Reg> = signals.iter().map(|m| m.reg).collect();
-    dce(&mut body, &sig_regs, false);
-    body
 }
 
 // ---------------------------------------------------------------------------
@@ -549,16 +515,14 @@ fn contains_probe(body: &[Instr]) -> bool {
 /// reads and that is not a signal register, iterating to a fixpoint
 /// (removing a reader can kill its operands' definitions, and emptying an
 /// `If` kills the condition read). Returns the number of instructions
-/// removed.
-///
-/// `pin_relational` keeps relational binops unconditionally (their
-/// `compare` side effect); the probe-stripped variant passes `false`.
-fn dce(body: &mut Vec<Instr>, sig_regs: &HashSet<Reg>, pin_relational: bool) -> usize {
+/// removed. Relational binops are kept unconditionally (their `compare`
+/// side effect).
+fn dce(body: &mut Vec<Instr>, sig_regs: &HashSet<Reg>) -> usize {
     let mut removed = 0;
     loop {
         let mut needed: HashSet<Reg> = sig_regs.clone();
         collect_reads(body, &mut needed);
-        let swept = sweep(body, &needed, sig_regs, pin_relational);
+        let swept = sweep(body, &needed, sig_regs);
         if swept == 0 {
             return removed;
         }
@@ -608,12 +572,7 @@ fn collect_reads(body: &[Instr], needed: &mut HashSet<Reg>) {
 }
 
 /// One removal sweep against a fixed `needed` set. Returns removals.
-fn sweep(
-    body: &mut Vec<Instr>,
-    needed: &HashSet<Reg>,
-    sig_regs: &HashSet<Reg>,
-    pin_relational: bool,
-) -> usize {
+fn sweep(body: &mut Vec<Instr>, needed: &HashSet<Reg>, sig_regs: &HashSet<Reg>) -> usize {
     let mut removed = 0;
     body.retain_mut(|instr| {
         let keep = match instr {
@@ -625,9 +584,7 @@ fn sweep(
             | Instr::CondProbe { .. }
             | Instr::DecisionEval { .. }
             | Instr::Assert { .. } => true,
-            Instr::Binop { dst, op, .. } if op.is_relational() => {
-                pin_relational || needed.contains(dst) || sig_regs.contains(dst)
-            }
+            Instr::Binop { op, .. } if op.is_relational() => true,
             Instr::Const { dst, .. }
             | Instr::Copy { dst, .. }
             | Instr::Input { dst, .. }
@@ -639,8 +596,8 @@ fn sweep(
             | Instr::Lookup1 { dst, .. }
             | Instr::Lookup2 { dst, .. } => needed.contains(dst) || sig_regs.contains(dst),
             Instr::If { then_body, else_body, .. } => {
-                removed += sweep(then_body, needed, sig_regs, pin_relational);
-                removed += sweep(else_body, needed, sig_regs, pin_relational);
+                removed += sweep(then_body, needed, sig_regs);
+                removed += sweep(else_body, needed, sig_regs);
                 !(then_body.is_empty() && else_body.is_empty())
             }
         };
@@ -806,9 +763,6 @@ mod tests {
             "pinned relational swept: {:?}",
             opt.program
         );
-        // The probe-stripped variant is free to drop it.
-        let stripped = strip_probes(&opt.program, &opt.signals);
-        assert!(!stripped.iter().any(|i| matches!(i, Instr::Binop { op: BinopCode::Lt, .. })));
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //!
 //! * the **flat engine** (default) runs the optimized, flattened program —
 //!   a non-recursive, jump-threaded dispatch loop over a linear op array
-//!   (see [`crate::flatten`]); recorders that promise
-//!   [`Recorder::OBSERVES_PROBES`]` == false` are routed to a
-//!   probe-stripped program variant, the replay/minimization fast path;
+//!   (see [`crate::flatten`]); every recorder, `NullRecorder` included,
+//!   runs the one instrumented program the fuzz loop runs;
 //! * the **JIT engine** ([`Executor::new_jit`]) lowers the same flat
-//!   programs to native x86-64 machine code (see `crate::jit`) — available
+//!   program to native x86-64 machine code (see `crate::jit`) — available
 //!   with the `jit` feature on x86-64 Linux, transparently falling back to
 //!   the flat engine everywhere else;
 //! * the **reference engine** ([`Executor::new_reference`]) walks the
@@ -98,16 +97,11 @@ impl std::fmt::Display for Engine {
 /// [`CompiledModel::jit_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JitStats {
-    /// Machine-code bytes emitted for the probed program.
-    pub probed_code_bytes: usize,
-    /// Machine-code bytes emitted for the probe-stripped program.
-    pub noprobe_code_bytes: usize,
-    /// Straight-line native blocks in the probed program (jump targets
-    /// plus entry).
-    pub probed_blocks: usize,
-    /// Straight-line native blocks in the probe-stripped program.
-    pub noprobe_blocks: usize,
-    /// Wall-clock cost of compiling both program variants, nanoseconds.
+    /// Machine-code bytes emitted.
+    pub code_bytes: usize,
+    /// Straight-line native blocks (jump targets plus entry).
+    pub blocks: usize,
+    /// Wall-clock cost of the compilation, nanoseconds.
     pub compile_ns: u64,
 }
 
@@ -115,8 +109,7 @@ pub struct JitStats {
 ///
 /// See the crate-level example for usage. `step` is generic over the
 /// [`Recorder`] so the fuzz loop's branch bitmap monomorphizes to direct
-/// stores — and so the probe-observation const folds the fast-path
-/// selection away entirely.
+/// stores and a discarding recorder's no-op hooks inline away.
 #[derive(Debug, Clone)]
 pub struct Executor<'c> {
     compiled: &'c CompiledModel,
@@ -186,11 +179,8 @@ impl<'c> Executor<'c> {
         if !reference {
             // Hoisted constants: single-writer top-level `Const` registers
             // are pre-loaded once here instead of re-stored every tick by
-            // the flat programs (both variants share the register space).
+            // the flat program.
             for &(r, v) in &compiled.flat.reg_init {
-                regs[r as usize] = v;
-            }
-            for &(r, v) in &compiled.flat_noprobe.reg_init {
                 regs[r as usize] = v;
             }
         }
@@ -379,13 +369,8 @@ impl<'c> Executor<'c> {
             );
             return;
         }
-        // `OBSERVES_PROBES` is an associated const, so monomorphization
-        // folds this selection away: a `NullRecorder` caller compiles
-        // straight to the probe-stripped program.
-        let program: &FlatProgram =
-            if R::OBSERVES_PROBES { &self.compiled.flat } else { &self.compiled.flat_noprobe };
         run_flat(
-            program,
+            &self.compiled.flat,
             &mut self.regs,
             &mut self.state,
             &self.inputs,
@@ -804,7 +789,7 @@ mod tests {
     }
 
     #[test]
-    fn jit_null_recorder_runs_noprobe_program() {
+    fn jit_null_recorder_skips_events_but_computes_outputs() {
         let compiled = saturation_model();
         let mut jit = Executor::new_jit(&compiled);
         let mut rec = NullRecorder;
@@ -835,8 +820,8 @@ mod tests {
         let compiled = compile(&b.finish().unwrap()).unwrap();
         let mut exec = Executor::new(&compiled);
         let mut rec = NullRecorder;
-        // Unit delay: output lags input by one tick even with probes
-        // stripped (state stores are effects, not probes).
+        // Unit delay: output lags input by one tick even when every
+        // recorder event is discarded (state stores are effects, not probes).
         assert_eq!(exec.step(&[Value::F64(3.0)], &mut rec), vec![Value::F64(0.0)]);
         assert_eq!(exec.step(&[Value::F64(5.0)], &mut rec), vec![Value::F64(3.0)]);
     }

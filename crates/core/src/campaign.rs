@@ -321,13 +321,7 @@ impl CampaignArtifact {
         out.push_str(",\n\"yields\":[");
         for (i, row) in self.yields.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("{\"name\":");
-            push_json_str(&mut out, &row.name);
-            let _ = write!(
-                out,
-                ",\"executed\":{},\"new_coverage\":{},\"corpus_insert\":{},\"violation\":{}}}",
-                row.executed, row.new_coverage, row.corpus_insert, row.violation
-            );
+            row.push_json(&mut out);
         }
         out.push_str("],\n\"spans\":[");
         for (i, span) in self.spans.iter().enumerate() {
@@ -408,7 +402,7 @@ impl CampaignArtifact {
                 .as_array()
                 .ok_or("campaign artifact: `yields` is not an array")?
                 .iter()
-                .map(parse_yield_row)
+                .map(YieldReport::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         };
         let spans = match doc.get("spans") {
@@ -442,6 +436,38 @@ impl CampaignArtifact {
             yields,
             spans,
         })
+    }
+
+    /// Checks that this campaign was recorded against `map`: the same
+    /// branch-probe universe, and every first-hit goal inside it. Front
+    /// ends resolve goal indices through the map, so a campaign from a
+    /// different model must be refused before it is rendered.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the mismatch.
+    pub fn check_against(&self, map: &InstrumentationMap) -> Result<(), String> {
+        if self.branch_count != map.branch_count() {
+            return Err(format!(
+                "campaign of model `{}` has {} branches, the given model has {}",
+                self.model,
+                self.branch_count,
+                map.branch_count()
+            ));
+        }
+        for hit in &self.hits {
+            let in_range = match hit.goal {
+                Goal::Outcome(b) => b < map.branch_count(),
+                Goal::Condition(c, _) | Goal::Mcdc(c) => c < map.condition_count(),
+            };
+            if !in_range {
+                return Err(format!(
+                    "campaign of model `{}` names goal {:?}, outside the given model",
+                    self.model, hit.goal
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -566,20 +592,6 @@ fn parse_series_point(value: &Json) -> Result<SeriesPoint, String> {
         corpus: field_u64(value, "corpus")?,
         frontier_open: field_u64(value, "frontier_open")? as usize,
         execs_per_sec: field_f64(value, "execs_per_sec")?,
-    })
-}
-
-fn parse_yield_row(value: &Json) -> Result<YieldReport, String> {
-    Ok(YieldReport {
-        name: value
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("yield row: missing `name`")?
-            .to_string(),
-        executed: field_u64(value, "executed")?,
-        new_coverage: field_u64(value, "new_coverage")?,
-        corpus_insert: field_u64(value, "corpus_insert")?,
-        violation: field_u64(value, "violation")?,
     })
 }
 
@@ -857,5 +869,30 @@ mod tests {
         // And the whole artifact survives persistence.
         let parsed = CampaignArtifact::from_json(&artifact.to_json()).unwrap();
         assert_eq!(parsed, artifact);
+    }
+
+    #[test]
+    fn check_against_refuses_another_models_campaign() {
+        let mut b = ModelBuilder::new("sat");
+        let u = b.inport("u", DataType::I8);
+        let sat = b.add("s", BlockKind::Saturation { lower: -10.0, upper: 10.0 });
+        let y = b.outport("y");
+        b.wire(u, sat);
+        b.wire(sat, y);
+        let tool = crate::Cftcg::new(&b.finish().unwrap()).unwrap();
+        let map = tool.compiled().map();
+        let generation = tool.generate_executions(500, 3);
+        let artifact = CampaignArtifact::from_generation("sat", 3, 1, &generation, map);
+        assert_eq!(artifact.check_against(map), Ok(()));
+
+        let mut wider = artifact.clone();
+        wider.branch_count += 1;
+        assert!(wider.check_against(map).unwrap_err().contains("branches"));
+
+        let mut stray = artifact.clone();
+        stray.hits[0].goal = Goal::Outcome(map.branch_count());
+        assert!(stray.check_against(map).unwrap_err().contains("outside"));
+        stray.hits[0].goal = Goal::Mcdc(map.condition_count());
+        assert!(stray.check_against(map).is_err());
     }
 }

@@ -101,8 +101,8 @@ impl FirstHit {
 
 /// Accumulates per-goal first-hit provenance across a campaign.
 ///
-/// Feed it one coverage-earning case at a time via [`absorb`]
-/// (`ProvenanceTracker::absorb`); it owns the cumulative [`FullTracker`]
+/// Feed it one coverage-earning case at a time via
+/// [`absorb`](Self::absorb); it owns the cumulative [`FullTracker`]
 /// union of everything absorbed, so the frontier and score derived from
 /// [`tracker`](Self::tracker) are always consistent with the recorded
 /// provenance partition.

@@ -10,17 +10,7 @@ use crate::map::{AssertionId, BranchId, ConditionId, DecisionId, Instrumentation
 /// what to retain. Methods other than [`Recorder::branch`] default to no-ops
 /// so the fuzz-loop-fast bitmap only pays for what it uses.
 pub trait Recorder {
-    /// Whether this recorder observes probe events at all.
-    ///
-    /// When `false`, every probe method — [`Recorder::branch`],
-    /// [`Recorder::condition`], [`Recorder::decision_eval`],
-    /// [`Recorder::compare`], [`Recorder::assertion`] — is promised to be a
-    /// no-op, and the VM is free to run a program variant with probe
-    /// instructions stripped entirely (the replay/minimization fast path).
-    /// Implementations that retain *any* event must leave this `true`.
-    const OBSERVES_PROBES: bool = true;
-
-    /// Promise that [`Recorder::condition`] is a no-op for this type.
+    /// Promise that [`Recorder::branch`] is a no-op for this type.
     ///
     /// These per-event promises are the native back-end's trampoline seam:
     /// the JIT compiles probe ops as calls through a per-recorder vtable,
@@ -29,18 +19,22 @@ pub trait Recorder {
     /// recomputation feeding it. Leave the default `true` whenever the
     /// method is overridden; promising away a retained event silently
     /// loses coverage observations.
+    const OBSERVES_BRANCHES: bool = true;
+
+    /// Promise that [`Recorder::condition`] is a no-op for this type
+    /// (see [`Recorder::OBSERVES_BRANCHES`]).
     const OBSERVES_CONDITIONS: bool = true;
 
     /// Promise that [`Recorder::decision_eval`] is a no-op for this type
-    /// (see [`Recorder::OBSERVES_CONDITIONS`]).
+    /// (see [`Recorder::OBSERVES_BRANCHES`]).
     const OBSERVES_DECISIONS: bool = true;
 
     /// Promise that [`Recorder::compare`] is a no-op for this type
-    /// (see [`Recorder::OBSERVES_CONDITIONS`]).
+    /// (see [`Recorder::OBSERVES_BRANCHES`]).
     const OBSERVES_COMPARES: bool = true;
 
     /// Promise that [`Recorder::assertion`] is a no-op for this type
-    /// (see [`Recorder::OBSERVES_CONDITIONS`]).
+    /// (see [`Recorder::OBSERVES_BRANCHES`]).
     const OBSERVES_ASSERTIONS: bool = true;
 
     /// A branch probe (decision outcome) was executed.
@@ -55,7 +49,8 @@ pub trait Recorder {
     /// stay valid and un-moved across any interleaving of this recorder's
     /// other event methods for the duration of a run, and must span every
     /// branch id of the executing program (callers fall back to
-    /// [`Recorder::branch`] when it is too short). Default: no fast path.
+    /// [`Recorder::branch`] when it is too short). Ignored when
+    /// [`Recorder::OBSERVES_BRANCHES`] is `false`. Default: no fast path.
     fn branch_flags(&mut self) -> Option<&mut [u8]> {
         None
     }
@@ -90,8 +85,7 @@ pub trait Recorder {
 pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
-    /// Discarding everything means the VM may skip probes altogether.
-    const OBSERVES_PROBES: bool = false;
+    const OBSERVES_BRANCHES: bool = false;
     const OBSERVES_CONDITIONS: bool = false;
     const OBSERVES_DECISIONS: bool = false;
     const OBSERVES_COMPARES: bool = false;

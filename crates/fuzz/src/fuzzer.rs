@@ -367,34 +367,6 @@ pub struct CoverageEvent {
     pub covered_branches: usize,
 }
 
-/// Attribution totals for one mutation operator across a run: how many
-/// candidate executions its strategy contributed to, and how many of those
-/// earned new coverage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OperatorAttribution {
-    /// Operator name (Table 1 spelling).
-    pub name: &'static str,
-    /// Candidate executions whose mutation chain included this operator.
-    pub executions: u64,
-    /// Of those, executions that covered at least one new branch.
-    pub coverage_earning: u64,
-}
-
-impl OperatorAttribution {
-    /// Builds the per-operator attribution table from raw counters indexed
-    /// by [`MutationKind::ALL`].
-    pub(crate) fn from_counters(counters: &cftcg_telemetry::OperatorCounters) -> Vec<Self> {
-        MutationKind::ALL
-            .iter()
-            .map(|k| OperatorAttribution {
-                name: k.name(),
-                executions: counters.executions.get(k.index()).copied().unwrap_or(0),
-                coverage_earning: counters.coverage_earning.get(k.index()).copied().unwrap_or(0),
-            })
-            .collect()
-    }
-}
-
 /// Forensic metadata of one emitted test case (parallel to
 /// [`FuzzOutcome::suite`], same order).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -440,12 +412,9 @@ pub struct FuzzOutcome {
     pub covered_branches: usize,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Per-mutation-operator attribution (Table 1 order): executions each
-    /// operator contributed to and how many earned new coverage.
-    pub operators: Vec<OperatorAttribution>,
     /// Per-operator × outcome yield matrix (Table 1 order × executed /
-    /// new-coverage / corpus-insert / violation) — the search-forensics
-    /// view of the same run.
+    /// new-coverage / corpus-insert / violation): the one per-operator
+    /// tally every view renders.
     pub yields: cftcg_telemetry::YieldMatrix,
 }
 
@@ -467,32 +436,10 @@ impl FuzzOutcome {
         }
     }
 
-    /// The operator table as telemetry report rows (for the campaign-end
-    /// event and CLI report).
-    pub fn operator_reports(&self) -> Vec<cftcg_telemetry::OperatorReport> {
-        self.operators
-            .iter()
-            .map(|op| cftcg_telemetry::OperatorReport {
-                name: op.name.to_string(),
-                executions: op.executions,
-                coverage_earning: op.coverage_earning,
-            })
-            .collect()
-    }
-
     /// The yield matrix as telemetry report rows (Table 1 order; for the
     /// campaign-end event and CLI report).
     pub fn yield_reports(&self) -> Vec<cftcg_telemetry::YieldReport> {
-        MutationKind::ALL
-            .iter()
-            .map(|k| cftcg_telemetry::YieldReport {
-                name: k.name().to_string(),
-                executed: self.yields.get(k.index(), YieldOutcome::Executed),
-                new_coverage: self.yields.get(k.index(), YieldOutcome::NewCoverage),
-                corpus_insert: self.yields.get(k.index(), YieldOutcome::CorpusInsert),
-                violation: self.yields.get(k.index(), YieldOutcome::Violation),
-            })
-            .collect()
+        self.yields.reports(MutationKind::ALL.map(MutationKind::name))
     }
 }
 
@@ -817,7 +764,6 @@ impl<'c> Fuzzer<'c> {
             branch_count: self.total.len(),
             covered_branches: self.total.count(),
             elapsed: self.elapsed,
-            operators: OperatorAttribution::from_counters(&self.stats.operators),
             yields: self.stats.yields.clone(),
         }
     }
@@ -865,11 +811,6 @@ impl<'c> Fuzzer<'c> {
         let earned = new_branches > 0;
         if earned {
             self.stats.discoveries += 1;
-        }
-        for kind in MutationKind::ALL {
-            if operator_mask & (1 << kind.index()) != 0 {
-                self.stats.operators.record(kind.index(), earned);
-            }
         }
 
         // Report first-time assertion violations with their witness input.

@@ -37,9 +37,6 @@ pub struct Generation {
     pub notes: String,
     /// Assertion violations discovered: `(assertion index, witness input)`.
     pub violations: Vec<(usize, TestCase)>,
-    /// Per-mutation-operator attribution (empty for non-fuzzing
-    /// generators, which apply no mutation operators).
-    pub operators: Vec<crate::OperatorAttribution>,
     /// Per-operator × outcome yield matrix (empty for non-fuzzing
     /// generators; Table 1 order for fuzzing runs).
     pub yields: cftcg_telemetry::YieldMatrix,
@@ -64,17 +61,7 @@ impl Generation {
         if self.yields.is_empty() {
             return Vec::new();
         }
-        use cftcg_telemetry::YieldOutcome;
-        crate::MutationKind::ALL
-            .iter()
-            .map(|k| cftcg_telemetry::YieldReport {
-                name: k.name().to_string(),
-                executed: self.yields.get(k.index(), YieldOutcome::Executed),
-                new_coverage: self.yields.get(k.index(), YieldOutcome::NewCoverage),
-                corpus_insert: self.yields.get(k.index(), YieldOutcome::CorpusInsert),
-                violation: self.yields.get(k.index(), YieldOutcome::Violation),
-            })
-            .collect()
+        self.yields.reports(crate::MutationKind::ALL.map(crate::MutationKind::name))
     }
 }
 
@@ -91,7 +78,6 @@ impl From<crate::FuzzOutcome> for Generation {
             elapsed: outcome.elapsed,
             notes: String::new(),
             violations: outcome.violations,
-            operators: outcome.operators,
             yields: outcome.yields,
         }
     }

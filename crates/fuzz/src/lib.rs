@@ -58,8 +58,7 @@ mod plateau;
 
 pub use corpus::{Corpus, CorpusEntry, CorpusInsertion};
 pub use fuzzer::{
-    CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer, OperatorAttribution,
-    TraceHook,
+    CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer, TraceHook,
 };
 pub use generation::{coverage_series, Generation};
 pub use lineage::{format_chain, Lineage, LineageOrigin, LineageRecord, SHARD_ID_STRIDE};

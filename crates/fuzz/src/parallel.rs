@@ -32,9 +32,7 @@ use cftcg_telemetry::{
     PLATEAU_FRONTIER_CAP,
 };
 
-use crate::fuzzer::{
-    CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer, OperatorAttribution,
-};
+use crate::fuzzer::{CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer};
 use crate::lineage::{Lineage, LineageRecord};
 use crate::mutate::MutationKind;
 use crate::plateau::PlateauDetector;
@@ -647,7 +645,6 @@ impl<'c> ParallelFuzzer<'c> {
             branch_count: global.total.len(),
             covered_branches: global.total.count(),
             elapsed: started.elapsed(),
-            operators: OperatorAttribution::from_counters(&global_stats.operators),
             yields: global_stats.yields.clone(),
         }
     }

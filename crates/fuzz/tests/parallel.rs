@@ -141,10 +141,11 @@ fn one_worker_with_telemetry_stays_byte_identical() {
 
     // Attribution reached the outcome: every execution belongs to at least
     // one operator, and the per-operator totals are internally consistent.
-    let attributed: u64 = merged.operators.iter().map(|op| op.executions).sum();
+    let rows = merged.yield_reports();
+    let attributed: u64 = rows.iter().map(|row| row.executed).sum();
     assert!(attributed >= merged.executions, "every execution has ≥1 operator");
-    for op in &merged.operators {
-        assert!(op.coverage_earning <= op.executions, "{}", op.name);
+    for row in &rows {
+        assert!(row.new_coverage <= row.executed, "{}", row.name);
     }
 }
 

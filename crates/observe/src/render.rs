@@ -98,33 +98,12 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
     }
     out.push(']');
 
-    out.push_str(",\"operators\":[");
-    for (i, op) in snap.operator_reports().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        push_json_str(&mut out, &op.name);
-        let _ = write!(
-            out,
-            ",\"executions\":{},\"coverage_earning\":{}}}",
-            op.executions, op.coverage_earning
-        );
-    }
-    out.push(']');
-
     out.push_str(",\"yields\":[");
     for (i, row) in snap.yield_reports().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"name\":");
-        push_json_str(&mut out, &row.name);
-        let _ = write!(
-            out,
-            ",\"executed\":{},\"new_coverage\":{},\"corpus_insert\":{},\"violation\":{}}}",
-            row.executed, row.new_coverage, row.corpus_insert, row.violation
-        );
+        row.push_json(&mut out);
     }
     out.push(']');
 

@@ -5,19 +5,8 @@
 //! campaign started. The schema is documented in DESIGN.md §5c and consumed
 //! by `cftcg report`.
 
-use crate::json::{push_json_f64, push_json_str};
+use crate::json::{push_json_f64, push_json_str, Json};
 use crate::span::SpanReport;
-
-/// Per-operator attribution snapshot carried by [`Event::CampaignEnd`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OperatorReport {
-    /// Mutation-operator name (Table 1 spelling, e.g. `EraseTuples`).
-    pub name: String,
-    /// Candidate executions whose mutation chain included this operator.
-    pub executions: u64,
-    /// Of those, how many earned new coverage.
-    pub coverage_earning: u64,
-}
 
 /// One mutation operator's yield-matrix row, carried by
 /// [`Event::CampaignEnd`] (and the snapshot/report surfaces).
@@ -33,6 +22,44 @@ pub struct YieldReport {
     pub corpus_insert: u64,
     /// Of those, how many first witnessed an assertion violation.
     pub violation: u64,
+}
+
+impl YieldReport {
+    /// Appends the row as one JSON object: the spelling the JSONL log,
+    /// `/snapshot` and campaign.json share.
+    pub fn push_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        push_json_str(out, &self.name);
+        out.push_str(&format!(
+            ",\"executed\":{},\"new_coverage\":{},\"corpus_insert\":{},\"violation\":{}}}",
+            self.executed, self.new_coverage, self.corpus_insert, self.violation
+        ));
+    }
+
+    /// Parses a row written by [`YieldReport::push_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the missing or malformed field.
+    pub fn from_json(value: &Json) -> Result<YieldReport, String> {
+        let field = |key: &str| {
+            value
+                .get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("yield row: missing or non-integer `{key}`"))
+        };
+        Ok(YieldReport {
+            name: value
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or("yield row: missing `name`")?
+                .into(),
+            executed: field("executed")?,
+            new_coverage: field("new_coverage")?,
+            corpus_insert: field("corpus_insert")?,
+            violation: field("violation")?,
+        })
+    }
 }
 
 /// One still-open goal named by a [`Event::Plateau`] frontier diff: the
@@ -194,7 +221,7 @@ pub enum Event {
         /// Seconds since campaign start.
         t: f64,
     },
-    /// The campaign finished: final aggregates and operator attribution.
+    /// The campaign finished: final aggregates and the mutation yield.
     CampaignEnd {
         /// Inputs executed.
         executions: u64,
@@ -210,8 +237,6 @@ pub enum Event {
         elapsed_s: f64,
         /// Iteration throughput.
         iterations_per_second: f64,
-        /// Per-operator attribution.
-        operators: Vec<OperatorReport>,
         /// Per-operator × per-outcome mutation yield (empty when the
         /// campaign ran without yield accounting).
         yields: Vec<YieldReport>,
@@ -364,7 +389,6 @@ impl Event {
                 violations,
                 elapsed_s,
                 iterations_per_second,
-                operators,
                 yields,
             } => {
                 out.push_str(&format!(
@@ -373,29 +397,12 @@ impl Event {
                 push_json_f64(&mut out, *elapsed_s);
                 out.push_str(",\"iterations_per_second\":");
                 push_json_f64(&mut out, *iterations_per_second);
-                out.push_str(",\"operators\":[");
-                for (i, op) in operators.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"name\":");
-                    push_json_str(&mut out, &op.name);
-                    out.push_str(&format!(
-                        ",\"executions\":{},\"coverage_earning\":{}}}",
-                        op.executions, op.coverage_earning
-                    ));
-                }
-                out.push_str("],\"yields\":[");
+                out.push_str(",\"yields\":[");
                 for (i, row) in yields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str("{\"name\":");
-                    push_json_str(&mut out, &row.name);
-                    out.push_str(&format!(
-                        ",\"executed\":{},\"new_coverage\":{},\"corpus_insert\":{},\"violation\":{}}}",
-                        row.executed, row.new_coverage, row.corpus_insert, row.violation
-                    ));
+                    row.push_json(&mut out);
                 }
                 out.push(']');
             }
@@ -486,11 +493,6 @@ mod tests {
                 violations: 1,
                 elapsed_s: 3.0,
                 iterations_per_second: 333_333.3,
-                operators: vec![OperatorReport {
-                    name: "EraseTuples".into(),
-                    executions: 900,
-                    coverage_earning: 12,
-                }],
                 yields: vec![YieldReport {
                     name: "EraseTuples".into(),
                     executed: 900,
@@ -527,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn campaign_end_operators_round_trip() {
+    fn campaign_end_yields_round_trip() {
         let event = Event::CampaignEnd {
             executions: 1,
             iterations: 2,
@@ -536,26 +538,24 @@ mod tests {
             violations: 0,
             elapsed_s: 0.5,
             iterations_per_second: 4.0,
-            operators: vec![
-                OperatorReport { name: "A".into(), executions: 10, coverage_earning: 2 },
-                OperatorReport { name: "B".into(), executions: 20, coverage_earning: 0 },
+            yields: vec![
+                YieldReport {
+                    name: "A".into(),
+                    executed: 10,
+                    new_coverage: 2,
+                    corpus_insert: 5,
+                    violation: 0,
+                },
+                YieldReport { name: "B".into(), executed: 20, ..YieldReport::default() },
             ],
-            yields: vec![YieldReport {
-                name: "A".into(),
-                executed: 10,
-                new_coverage: 2,
-                corpus_insert: 5,
-                violation: 0,
-            }],
         };
         let parsed = Json::parse(&event.to_json()).unwrap();
-        let ops = parsed.get("operators").unwrap().as_array().unwrap();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].get("name").unwrap().as_str(), Some("A"));
-        assert_eq!(ops[1].get("executions").unwrap().as_u64(), Some(20));
+        assert_eq!(parsed.get("operators"), None);
         let yields = parsed.get("yields").unwrap().as_array().unwrap();
-        assert_eq!(yields.len(), 1);
+        assert_eq!(yields.len(), 2);
+        assert_eq!(yields[0].get("name").unwrap().as_str(), Some("A"));
         assert_eq!(yields[0].get("corpus_insert").unwrap().as_u64(), Some(5));
+        assert_eq!(yields[1].get("executed").unwrap().as_u64(), Some(20));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! # Example
 //!
 //! ```
-//! use cftcg_telemetry::{Event, ShardStats, Telemetry};
+//! use cftcg_telemetry::{Event, ShardStats, Telemetry, YieldOutcome};
 //!
 //! let telemetry = Telemetry::new().with_jsonl(Vec::new());
 //! telemetry.set_operator_labels(&["EraseTuples", "InsertTuple"]);
@@ -44,7 +44,7 @@
 //! let mut stats = ShardStats::new(2);
 //! stats.executions += 1;
 //! stats.exec_latency_ns.record(12_345);
-//! stats.operators.record(0, true);
+//! stats.yields.record(0, YieldOutcome::Executed);
 //!
 //! // …and merges at a sync point.
 //! telemetry.merge_shard(0, &stats, 1);
@@ -66,80 +66,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-pub use event::{Event, OperatorReport, PlateauGoal, YieldReport, PLATEAU_FRONTIER_CAP};
+pub use event::{Event, PlateauGoal, YieldReport, PLATEAU_FRONTIER_CAP};
 pub use histogram::{Histogram, BUCKETS};
 pub use series::{SeriesPoint, SeriesRing};
 pub use span::{
     SpanKind, SpanReport, SpanSampler, SpanStats, SpanTrace, TraceEvent, COORDINATOR_TID,
 };
-
-/// Per-mutation-operator attribution counters.
-///
-/// Index space is defined by the caller (the fuzz crate maps its
-/// `MutationKind` table onto `0..n`); labels are attached once via
-/// [`Telemetry::set_operator_labels`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OperatorCounters {
-    /// Candidate executions whose mutation chain included the operator.
-    pub executions: Vec<u64>,
-    /// Of those, executions that earned new (shard-local) coverage.
-    pub coverage_earning: Vec<u64>,
-}
-
-impl OperatorCounters {
-    /// Counters for `n` operators, all zero.
-    pub fn new(n: usize) -> Self {
-        OperatorCounters { executions: vec![0; n], coverage_earning: vec![0; n] }
-    }
-
-    /// Number of operator slots.
-    pub fn len(&self) -> usize {
-        self.executions.len()
-    }
-
-    /// `true` when no operator slots exist.
-    pub fn is_empty(&self) -> bool {
-        self.executions.is_empty()
-    }
-
-    /// Records one candidate execution attributed to operator `index`.
-    #[inline]
-    pub fn record(&mut self, index: usize, earned_coverage: bool) {
-        self.executions[index] += 1;
-        if earned_coverage {
-            self.coverage_earning[index] += 1;
-        }
-    }
-
-    /// Folds another counter set into this one, growing if needed.
-    pub fn merge_from(&mut self, other: &OperatorCounters) {
-        if other.len() > self.len() {
-            self.executions.resize(other.len(), 0);
-            self.coverage_earning.resize(other.len(), 0);
-        }
-        for (mine, theirs) in self.executions.iter_mut().zip(&other.executions) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.coverage_earning.iter_mut().zip(&other.coverage_earning) {
-            *mine += theirs;
-        }
-    }
-
-    /// The difference `self − baseline` (both from the same monotone
-    /// counter stream).
-    pub fn delta_since(&self, baseline: &OperatorCounters) -> OperatorCounters {
-        let sub = |now: &[u64], base: &[u64]| {
-            now.iter()
-                .enumerate()
-                .map(|(i, v)| v.saturating_sub(base.get(i).copied().unwrap_or(0)))
-                .collect()
-        };
-        OperatorCounters {
-            executions: sub(&self.executions, &baseline.executions),
-            coverage_earning: sub(&self.coverage_earning, &baseline.coverage_earning),
-        }
-    }
-}
 
 /// What a candidate execution attributed to a mutation operator achieved —
 /// the outcome axis of the [`YieldMatrix`].
@@ -185,9 +117,12 @@ impl YieldOutcome {
 
 /// The per-operator × per-outcome yield matrix: for every mutation
 /// operator, how many attributed candidate executions reached each
-/// [`YieldOutcome`]. Same merge algebra as [`OperatorCounters`] —
-/// element-wise addition, commutative and associative — so it rides the
-/// shard delta/merge machinery unchanged.
+/// [`YieldOutcome`]. Its merge is element-wise addition, commutative and
+/// associative, so it rides the shard delta/merge machinery unchanged.
+///
+/// The operator index space is defined by the caller (the fuzz crate maps
+/// its `MutationKind` table onto `0..n`); labels are attached once via
+/// [`Telemetry::set_operator_labels`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct YieldMatrix {
     rows: Vec<[u64; YieldOutcome::COUNT]>,
@@ -250,6 +185,22 @@ impl YieldMatrix {
             })
             .collect();
         YieldMatrix { rows }
+    }
+
+    /// The matrix as reportable rows, row `i` under the `i`-th label
+    /// (rows the matrix lacks read as zero).
+    pub fn reports<'a>(&self, labels: impl IntoIterator<Item = &'a str>) -> Vec<YieldReport> {
+        labels
+            .into_iter()
+            .enumerate()
+            .map(|(i, name)| YieldReport {
+                name: name.to_string(),
+                executed: self.get(i, YieldOutcome::Executed),
+                new_coverage: self.get(i, YieldOutcome::NewCoverage),
+                corpus_insert: self.get(i, YieldOutcome::CorpusInsert),
+                violation: self.get(i, YieldOutcome::Violation),
+            })
+            .collect()
     }
 }
 
@@ -316,8 +267,6 @@ pub struct ShardStats {
     /// Coordinator-side sync-round merge cost, nanoseconds (empty on
     /// worker shards).
     pub sync_duration_ns: Histogram,
-    /// Mutation-operator attribution.
-    pub operators: OperatorCounters,
     /// Per-operator × per-outcome mutation yield.
     pub yields: YieldMatrix,
     /// Span-based self-profiling: per-phase wall-clock attribution
@@ -328,11 +277,7 @@ pub struct ShardStats {
 impl ShardStats {
     /// Fresh stats with `operator_count` attribution slots.
     pub fn new(operator_count: usize) -> Self {
-        ShardStats {
-            operators: OperatorCounters::new(operator_count),
-            yields: YieldMatrix::new(operator_count),
-            ..Default::default()
-        }
+        ShardStats { yields: YieldMatrix::new(operator_count), ..Default::default() }
     }
 
     /// Folds another stats block into this one.
@@ -346,7 +291,6 @@ impl ShardStats {
         self.exec_latency_ns.merge_from(&other.exec_latency_ns);
         self.mutation_depth.merge_from(&other.mutation_depth);
         self.sync_duration_ns.merge_from(&other.sync_duration_ns);
-        self.operators.merge_from(&other.operators);
         self.yields.merge_from(&other.yields);
         self.spans.merge_from(&other.spans);
     }
@@ -364,7 +308,6 @@ impl ShardStats {
             exec_latency_ns: self.exec_latency_ns.delta_since(&baseline.exec_latency_ns),
             mutation_depth: self.mutation_depth.delta_since(&baseline.mutation_depth),
             sync_duration_ns: self.sync_duration_ns.delta_since(&baseline.sync_duration_ns),
-            operators: self.operators.delta_since(&baseline.operators),
             yields: self.yields.delta_since(&baseline.yields),
             spans: self.spans.delta_since(&baseline.spans),
         }
@@ -389,7 +332,7 @@ pub struct TelemetrySnapshot {
     /// Per-shard share of span-attributed wall-clock spent blocked on sync
     /// rounds, percent (0 for shards that never synced).
     pub shard_sync_pct: Vec<f64>,
-    /// Operator labels (parallel to `totals.operators`).
+    /// Operator labels (parallel to the rows of `totals.yields`).
     pub operator_labels: Vec<String>,
     /// Event-side violation count (distinct `Violation` events witnessed).
     pub violations_seen: u64,
@@ -411,38 +354,9 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Per-operator attribution as reportable rows.
-    pub fn operator_reports(&self) -> Vec<OperatorReport> {
-        self.operator_labels
-            .iter()
-            .enumerate()
-            .map(|(i, name)| OperatorReport {
-                name: name.clone(),
-                executions: self.totals.operators.executions.get(i).copied().unwrap_or(0),
-                coverage_earning: self
-                    .totals
-                    .operators
-                    .coverage_earning
-                    .get(i)
-                    .copied()
-                    .unwrap_or(0),
-            })
-            .collect()
-    }
-
     /// The mutation-yield matrix as reportable rows (one per operator).
     pub fn yield_reports(&self) -> Vec<YieldReport> {
-        self.operator_labels
-            .iter()
-            .enumerate()
-            .map(|(i, name)| YieldReport {
-                name: name.clone(),
-                executed: self.totals.yields.get(i, YieldOutcome::Executed),
-                new_coverage: self.totals.yields.get(i, YieldOutcome::NewCoverage),
-                corpus_insert: self.totals.yields.get(i, YieldOutcome::CorpusInsert),
-                violation: self.totals.yields.get(i, YieldOutcome::Violation),
-            })
-            .collect()
+        self.totals.yields.reports(self.operator_labels.iter().map(String::as_str))
     }
 
     /// Branch goals attained per wall-clock second.
@@ -911,7 +825,7 @@ impl Telemetry {
     }
 
     /// Renders every metric in the Prometheus text exposition format
-    /// (counters, gauges, per-operator counters with labels, and the three
+    /// (counters, gauges, the labeled per-operator yield matrix, and the three
     /// histograms with cumulative `le` buckets).
     pub fn prometheus_text(&self) -> String {
         let snapshot = self.snapshot();
@@ -965,27 +879,6 @@ impl Telemetry {
             out.push_str("# HELP cftcg_jit_compile_ns JIT compilation wall-clock cost (ns)\n");
             out.push_str("# TYPE cftcg_jit_compile_ns gauge\n");
             out.push_str(&format!("cftcg_jit_compile_ns {ns}\n"));
-        }
-
-        out.push_str(
-            "# HELP cftcg_operator_executions_total Candidate executions per mutation operator\n",
-        );
-        out.push_str("# TYPE cftcg_operator_executions_total counter\n");
-        for op in snapshot.operator_reports() {
-            out.push_str(&format!(
-                "cftcg_operator_executions_total{{operator=\"{}\"}} {}\n",
-                op.name, op.executions
-            ));
-        }
-        out.push_str(
-            "# HELP cftcg_operator_coverage_earning_total Coverage-earning executions per mutation operator\n",
-        );
-        out.push_str("# TYPE cftcg_operator_coverage_earning_total counter\n");
-        for op in snapshot.operator_reports() {
-            out.push_str(&format!(
-                "cftcg_operator_coverage_earning_total{{operator=\"{}\"}} {}\n",
-                op.name, op.coverage_earning
-            ));
         }
 
         // The mutation-yield matrix: one labeled counter series per
@@ -1276,10 +1169,11 @@ mod tests {
         let mut a = ShardStats::new(2);
         a.executions = 100;
         a.iterations = 1_000;
-        a.operators.record(0, true);
+        a.yields.record(0, YieldOutcome::Executed);
+        a.yields.record(0, YieldOutcome::NewCoverage);
         let mut b = ShardStats::new(2);
         b.executions = 50;
-        b.operators.record(1, false);
+        b.yields.record(1, YieldOutcome::Executed);
         t.merge_shard(0, &a, 10);
         t.merge_shard(1, &b, 20);
         let snap = t.snapshot();
@@ -1287,8 +1181,9 @@ mod tests {
         assert_eq!(snap.totals.iterations, 1_000);
         assert_eq!(snap.corpus_size, 30);
         assert_eq!(snap.shard_rates.len(), 2);
-        assert_eq!(snap.totals.operators.executions, vec![1, 1]);
-        assert_eq!(snap.totals.operators.coverage_earning, vec![1, 0]);
+        let column = |outcome| [0, 1].map(|i| snap.totals.yields.get(i, outcome));
+        assert_eq!(column(YieldOutcome::Executed), [1, 1]);
+        assert_eq!(column(YieldOutcome::NewCoverage), [1, 0]);
     }
 
     #[test]
@@ -1334,11 +1229,11 @@ mod tests {
         let mut stats = ShardStats::new(2);
         stats.executions = 7;
         stats.exec_latency_ns.record(100);
-        stats.operators.record(0, true);
+        stats.yields.record(0, YieldOutcome::Executed);
         t.merge_shard(0, &stats, 3);
         let text = t.prometheus_text();
         assert!(text.contains("cftcg_executions_total 7"));
-        assert!(text.contains("cftcg_operator_executions_total{operator=\"EraseTuples\"} 1"));
+        assert!(text.contains("cftcg_mutation_yield{kind=\"EraseTuples\",outcome=\"executed\"} 1"));
         assert!(text.contains("cftcg_exec_latency_ns_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("cftcg_exec_latency_ns_count 1"));
         // Every non-comment line is `name{labels} value` or `name value`.

@@ -2,7 +2,7 @@
 //! per-shard stats safe to merge in any order, and the histogram bucketing
 //! invariants the Prometheus exposition relies on.
 
-use cftcg_telemetry::{Histogram, OperatorCounters, ShardStats};
+use cftcg_telemetry::{Histogram, ShardStats, YieldMatrix, YieldOutcome};
 use proptest::prelude::*;
 
 /// Builds a histogram from a list of observations.
@@ -12,6 +12,14 @@ fn histogram_of(values: &[u64]) -> Histogram {
         h.record(v);
     }
     h
+}
+
+/// Records one attributed execution of operator `op`, and its new coverage.
+fn record_yield(m: &mut YieldMatrix, op: usize, earned: bool) {
+    m.record(op, YieldOutcome::Executed);
+    if earned {
+        m.record(op, YieldOutcome::NewCoverage);
+    }
 }
 
 /// Compact generator output: executions, iterations, discoveries, exec
@@ -28,7 +36,7 @@ fn stats_of((execs, iters, discoveries, latencies, ops): &RawStats) -> ShardStat
         s.exec_latency_ns.record(v);
     }
     for &(op, earned) in ops {
-        s.operators.record(op % 8, earned);
+        record_yield(&mut s.yields, op % 8, earned);
     }
     s
 }
@@ -144,21 +152,27 @@ proptest! {
         prop_assert_eq!(rebuilt, current);
     }
 
-    /// Operator counters never report more coverage-earning executions than
-    /// total executions, regardless of the record/merge sequence.
+    /// The yield matrix never reports more coverage-earning executions than
+    /// executions for any operator, through merge and delta alike.
     #[test]
-    fn operator_earning_never_exceeds_executions(
+    fn yield_new_coverage_never_exceeds_executed(
         ops in prop::collection::vec((any::<usize>(), any::<bool>()), 0..128),
         split in 0..128usize,
     ) {
-        let mut a = OperatorCounters::new(4);
-        let mut b = OperatorCounters::new(4);
+        let mut a = YieldMatrix::new(4);
+        let mut b = YieldMatrix::new(4);
         for (i, &(op, earned)) in ops.iter().enumerate() {
-            if i < split { a.record(op % 4, earned) } else { b.record(op % 4, earned) }
+            record_yield(if i < split { &mut a } else { &mut b }, op % 4, earned);
         }
+        let baseline = a.clone();
         a.merge_from(&b);
-        for (execs, earning) in a.executions.iter().zip(&a.coverage_earning) {
-            prop_assert!(earning <= execs);
+        let delta = a.delta_since(&baseline);
+        for m in [&a, &delta] {
+            for op in 0..4 {
+                prop_assert!(
+                    m.get(op, YieldOutcome::NewCoverage) <= m.get(op, YieldOutcome::Executed)
+                );
+            }
         }
     }
 }

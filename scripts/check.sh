@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Tier-1 gate: build, test, and format-check the whole workspace.
+# Tier-1 gate: build, test, format-, lint- and doc-check the whole workspace.
 # Offline-safe: all dependencies are workspace-local (see vendor/).
 set -eu
 
@@ -9,6 +9,8 @@ cargo build --release --offline
 cargo test --workspace --offline -q
 cargo fmt --check
 cargo clippy --workspace --offline --all-targets -- -D warnings
+# Rustdoc gate: every intra-doc link must resolve.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Golden-file gates (also part of the workspace test run, invoked explicitly
 # so a drift in the HTML campaign explorer, the campaign diff report, or the

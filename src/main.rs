@@ -51,7 +51,7 @@ use cftcg::model::{load_model, save_model, Model};
 use cftcg::pipeline::{
     campaign_explorer_html, parse_case_id, CampaignArtifact, HostMeta, SpanSummary,
 };
-use cftcg::telemetry::{json::Json, BlockCost, Event, OperatorReport, Telemetry};
+use cftcg::telemetry::{json::Json, BlockCost, Event, Telemetry};
 use cftcg::trace::{profile_case, to_csv, to_vcd, trace_vm_case, Auditor, BlockProfile, ProbeMask};
 use cftcg::Cftcg;
 
@@ -79,6 +79,9 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
             return Err(format!("unknown CFTCG_ENGINE value {value:?} ({accepted})").into());
         }
     }
+    if let Some((values, switches)) = accepted_flags(command) {
+        check_flags(command, &args[1..], values, switches)?;
+    }
     match command.as_str() {
         "stats" => stats(&load(args.get(1))?),
         "codegen" => codegen(&load(args.get(1))?, args.contains(&"--driver".to_string())),
@@ -99,6 +102,51 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
         other => Err(format!("unknown command `{other}` (try `cftcg help`)").into()),
     }
+}
+
+/// The flags a subcommand accepts, space-separated: those that take a
+/// value, then bare switches. `None` for words that are not subcommands.
+fn accepted_flags(command: &str) -> Option<(&'static str, &'static str)> {
+    Some(match command {
+        "stats" | "explain" | "export-benchmarks" => ("", ""),
+        "codegen" => ("", "--driver"),
+        "fuzz" => (
+            "--budget-ms --seed --out --workers --stats-jsonl --status-every --prom --serve \
+             --trace-events --trace-dir --trace-every --plateau-window",
+            "--minimize",
+        ),
+        "diff" => ("--json --html", "--allow-mismatch --no-frontier"),
+        "ab" => ("--a --b --trials --seed --executions --budget-ms --json --html", ""),
+        "trace" => ("--probe --out --csv", "--all --profile"),
+        "audit" => ("--campaign --cases --ticks --seed", ""),
+        "report" => ("--html --model --campaign", ""),
+        "score" => ("", "--detailed"),
+        _ => return None,
+    })
+}
+
+/// Rejects a `--flag` the subcommand does not accept, and a value flag
+/// with no value after it, naming the accepted flags either way.
+fn check_flags(command: &str, rest: &[String], values: &str, switches: &str) -> Result<(), String> {
+    let accepted = || {
+        let values = values.split_whitespace().map(|f| format!("{f} <value>"));
+        let all: Vec<String> =
+            values.chain(switches.split_whitespace().map(String::from)).collect();
+        format!("accepted: {}", if all.is_empty() { "none".to_string() } else { all.join(", ") })
+    };
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") || switches.split_whitespace().any(|f| f == arg) {
+            continue;
+        }
+        if !values.split_whitespace().any(|f| f == arg) {
+            return Err(format!("`cftcg {command}` does not accept `{arg}` ({})", accepted()));
+        }
+        if args.next().is_none_or(|value| value.starts_with("--")) {
+            return Err(format!("`cftcg {command} {arg}` needs a value ({})", accepted()));
+        }
+    }
+    Ok(())
 }
 
 fn print_usage() {
@@ -139,6 +187,14 @@ fn load_path(path: &str) -> Result<Model, Box<dyn Error>> {
     let model = load_model(&xml)?;
     model.validate()?;
     Ok(model)
+}
+
+/// Reads a persisted campaign and checks that it was recorded against
+/// `compiled`'s model.
+fn load_campaign(path: &str, compiled: &CompiledModel) -> Result<CampaignArtifact, Box<dyn Error>> {
+    let artifact = CampaignArtifact::from_json(&fs::read_to_string(path)?)?;
+    artifact.check_against(compiled.map()).map_err(|e| format!("{path}: {e}"))?;
+    Ok(artifact)
 }
 
 /// Rebuilds the replay-time observations of a persisted campaign by running
@@ -322,15 +378,6 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
             violations: generation.violations.len(),
             elapsed_s: generation.elapsed.as_secs_f64(),
             iterations_per_second: generation.iterations_per_second(),
-            operators: generation
-                .operators
-                .iter()
-                .map(|op| OperatorReport {
-                    name: op.name.to_string(),
-                    executions: op.executions,
-                    coverage_earning: op.coverage_earning,
-                })
-                .collect(),
             yields: generation.yield_reports(),
         });
         t.status_tick(true);
@@ -340,9 +387,8 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     // the final flush so the last Prometheus rewrite carries them.
     if tool.engine() == Engine::Jit && (telemetry.is_some() || span_trace.is_some()) {
         if let Some(stats) = tool.compiled().jit_stats() {
-            let code_bytes = (stats.probed_code_bytes + stats.noprobe_code_bytes) as u64;
             if let Some(t) = &telemetry {
-                t.set_jit_stats(code_bytes, stats.compile_ns);
+                t.set_jit_stats(stats.code_bytes as u64, stats.compile_ns);
             }
             if let Some(trace) = &span_trace {
                 // The lazy compile ran inside the engine at first
@@ -418,15 +464,6 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     );
     println!("emitted {} test cases", generation.suite.len());
     println!("coverage: {report}");
-    if !generation.operators.is_empty() {
-        println!("mutation-operator attribution:");
-        let rows: Vec<(String, u64, u64)> = generation
-            .operators
-            .iter()
-            .map(|op| (op.name.to_string(), op.executions, op.coverage_earning))
-            .collect();
-        print!("{}", operator_table(&rows));
-    }
     let yields = generation.yield_reports();
     if yields.iter().any(|y| y.executed > 0) {
         println!("mutation-yield matrix (per-operator outcomes):");
@@ -493,16 +530,17 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
 /// `cftcg diff <model.mdlx> <a/campaign.json> <b/campaign.json>`: the
 /// differential view of two persisted campaigns — goals gained/lost/shared
 /// (with first-hit execution shifts), mutation-yield and span-profile
-/// deltas, and the replay-based frontier-cause migration. Refuses
-/// apples-to-oranges comparisons (different model/engine/workers/host)
-/// unless `--allow-mismatch` downgrades the refusal to a loud annotation.
+/// deltas, and the replay-based frontier-cause migration. Each campaign
+/// must belong to the given model. Refuses apples-to-oranges comparisons
+/// of A against B (different model/engine/workers/host) unless
+/// `--allow-mismatch` downgrades the refusal to a loud annotation.
 fn diff_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let a_path =
         rest.first().filter(|a| !a.starts_with("--")).ok_or("missing <a/campaign.json>")?;
     let b_path = rest.get(1).filter(|a| !a.starts_with("--")).ok_or("missing <b/campaign.json>")?;
-    let a = CampaignArtifact::from_json(&fs::read_to_string(a_path)?)?;
-    let b = CampaignArtifact::from_json(&fs::read_to_string(b_path)?)?;
     let compiled = compile(model)?;
+    let a = load_campaign(a_path, &compiled)?;
+    let b = load_campaign(b_path, &compiled)?;
     let diff = ArtifactDiff::compute(&a, &b);
     if !diff.mismatches.is_empty() && !rest.contains(&"--allow-mismatch".to_string()) {
         return Err(format!(
@@ -588,8 +626,8 @@ fn write_diff_outputs(
 fn explain(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let campaign_path =
         rest.first().filter(|a| !a.starts_with("--")).ok_or("missing <campaign.json>")?;
-    let artifact = CampaignArtifact::from_json(&fs::read_to_string(campaign_path)?)?;
     let compiled = compile(model)?;
+    let artifact = load_campaign(campaign_path, &compiled)?;
     let tracker = replay_tracker(&compiled, &artifact);
     let map = compiled.map();
 
@@ -677,7 +715,8 @@ fn trace_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         .get(1)
         .filter(|a| !a.starts_with("--"))
         .ok_or("missing <CASE> reference (s<shard>:<n>)")?;
-    let artifact = CampaignArtifact::from_json(&fs::read_to_string(campaign_path)?)?;
+    let compiled = compile(model)?;
+    let artifact = load_campaign(campaign_path, &compiled)?;
     let id = parse_case_id(case_ref)
         .ok_or_else(|| format!("bad case reference `{case_ref}` (expected s<shard>:<n>)"))?;
     let case = artifact.case(id).ok_or_else(|| {
@@ -686,7 +725,6 @@ fn trace_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
             artifact.cases.len()
         )
     })?;
-    let compiled = compile(model)?;
 
     let patterns = flag_values(rest, "--probe");
     let names: Vec<&str> = compiled.signals().iter().map(|m| m.name.as_str()).collect();
@@ -754,7 +792,7 @@ fn audit_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let mut total_cases = 0usize;
     let mut total_ticks = 0u64;
     if let Some(path) = flag_value(rest, "--campaign") {
-        let artifact = CampaignArtifact::from_json(&fs::read_to_string(path)?)?;
+        let artifact = load_campaign(path, &compiled)?;
         let corpus: Vec<(String, Vec<u8>)> = artifact
             .cases
             .iter()
@@ -807,25 +845,6 @@ fn score(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Renders `(name, executions, coverage-earning)` attribution rows as an
-/// aligned table with a hit-rate column, sorted by executions.
-fn operator_table(rows: &[(String, u64, u64)]) -> String {
-    let mut rows: Vec<&(String, u64, u64)> = rows.iter().collect();
-    rows.sort_by_key(|&&(_, execs, earning)| {
-        (std::cmp::Reverse(execs), std::cmp::Reverse(earning))
-    });
-    let width = rows.iter().map(|r| r.0.len()).max().unwrap_or(8).max("operator".len());
-    let mut out = format!(
-        "  {:width$}  {:>12}  {:>12}  {:>9}\n",
-        "operator", "executions", "earning", "hit rate"
-    );
-    for (name, execs, earning) in rows {
-        let rate = if *execs > 0 { 100.0 * *earning as f64 / *execs as f64 } else { 0.0 };
-        out.push_str(&format!("  {name:width$}  {execs:>12}  {earning:>12}  {rate:>8.3}%\n"));
-    }
-    out
-}
-
 /// Renders the mutation-yield matrix (per-operator × outcome counters) as
 /// an aligned table, sorted by executed inputs.
 fn yield_table(rows: &[cftcg::telemetry::YieldReport]) -> String {
@@ -864,7 +883,7 @@ fn block_table(rows: &[BlockCost]) -> String {
 
 /// `cftcg report <stats.jsonl>`: renders a campaign event log as a summary —
 /// run identity, coverage growth, violations, sync behaviour, and the
-/// per-operator attribution table from the campaign-end event. With
+/// mutation-yield table from the campaign-end event. With
 /// `--html OUT --model M --campaign C` it instead renders the persisted
 /// campaign artifact as the self-contained HTML campaign explorer.
 fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
@@ -873,8 +892,8 @@ fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
         let campaign_path =
             flag_value(rest, "--campaign").ok_or("--html needs --campaign <campaign.json>")?;
         let model = load_path(model_path)?;
-        let artifact = CampaignArtifact::from_json(&fs::read_to_string(campaign_path)?)?;
         let compiled = compile(&model)?;
+        let artifact = load_campaign(campaign_path, &compiled)?;
         let tracker = replay_tracker(&compiled, &artifact);
         let html = campaign_explorer_html(&compiled, &artifact, &tracker);
         fs::write(out, &html)?;
@@ -995,33 +1014,11 @@ fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
             }
         }
     }
-    if let Some(ops) = end.as_ref().and_then(|e| e.get("operators")).and_then(Json::as_array) {
-        let rows: Vec<(String, u64, u64)> = ops
-            .iter()
-            .map(|op| {
-                (
-                    op.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
-                    op.get("executions").and_then(Json::as_u64).unwrap_or(0),
-                    op.get("coverage_earning").and_then(Json::as_u64).unwrap_or(0),
-                )
-            })
-            .collect();
-        if !rows.is_empty() {
-            println!("mutation-operator attribution:");
-            print!("{}", operator_table(&rows));
-        }
-    }
     if let Some(yields) = end.as_ref().and_then(|e| e.get("yields")).and_then(Json::as_array) {
-        let rows: Vec<cftcg::telemetry::YieldReport> = yields
+        let rows = yields
             .iter()
-            .map(|y| cftcg::telemetry::YieldReport {
-                name: y.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
-                executed: y.get("executed").and_then(Json::as_u64).unwrap_or(0),
-                new_coverage: y.get("new_coverage").and_then(Json::as_u64).unwrap_or(0),
-                corpus_insert: y.get("corpus_insert").and_then(Json::as_u64).unwrap_or(0),
-                violation: y.get("violation").and_then(Json::as_u64).unwrap_or(0),
-            })
-            .collect();
+            .map(cftcg::telemetry::YieldReport::from_json)
+            .collect::<Result<Vec<_>, _>>()?;
         if rows.iter().any(|r| r.executed > 0) {
             println!("mutation-yield matrix (per-operator outcomes):");
             print!("{}", yield_table(&rows));

@@ -1,10 +1,11 @@
 //! The paper's correctness argument at full scale: "we verified the
 //! correctness of the generated code by comparing simulation results with
 //! code execution results" — here across the whole benchmark suite with
-//! structured input sequences.
+//! structured input sequences, on the one instrumented program the fuzz
+//! loop runs.
 
-use cftcg::codegen::{compile, Executor};
-use cftcg::coverage::NullRecorder;
+use cftcg::codegen::{compile, Engine, Executor};
+use cftcg::coverage::{BranchBitmap, NullRecorder};
 use cftcg::model::{DataType, Value};
 use cftcg::sim::Simulator;
 use rand::rngs::SmallRng;
@@ -27,31 +28,54 @@ fn draw(rng: &mut SmallRng, ty: DataType) -> Value {
     Value::from_f64(x, ty)
 }
 
+fn bits(outputs: &[Value]) -> Vec<u64> {
+    outputs.iter().map(|v| v.as_f64().to_bits()).collect()
+}
+
+/// The flat VM and the JIT each run under a discarding recorder (whose
+/// promised-away events the JIT skips, branch events included) and under
+/// the fuzz loop's branch bitmap; all four must match the simulator and
+/// agree bit for bit.
 #[test]
 fn compiled_matches_interpreter_on_all_benchmarks() {
+    const VARIANTS: [&str; 4] = ["flat/null", "flat/bitmap", "jit/null", "jit/bitmap"];
     for model in cftcg::benchmarks::all() {
         let compiled = compile(&model).unwrap();
         let types: Vec<DataType> = compiled.input_types().to_vec();
         let mut rng = SmallRng::seed_from_u64(2024);
         for run in 0..3 {
             let mut sim = Simulator::new(&model).unwrap();
-            let mut exec = Executor::new(&compiled);
-            let mut rec = NullRecorder;
+            let mut flat_null = Executor::with_engine(&compiled, Engine::Flat);
+            let mut flat_bitmap = Executor::with_engine(&compiled, Engine::Flat);
+            let mut jit_null = Executor::new_jit(&compiled);
+            let mut jit_bitmap = Executor::new_jit(&compiled);
+            let mut bitmap = BranchBitmap::new(compiled.map().branch_count());
             // Long runs with persistent values drive the charts deep.
             let mut held: Vec<Value> = types.iter().map(|&t| draw(&mut rng, t)).collect();
-            let mut actual = Vec::new();
+            let mut actual: [Vec<Value>; 4] = Default::default();
             for step in 0..400 {
                 if rng.random_bool(0.3) {
                     let i = rng.random_range(0..held.len());
                     held[i] = draw(&mut rng, types[i]);
                 }
                 let expected = sim.step(&held).unwrap();
-                exec.step_into(&held, &mut actual, &mut rec);
-                for (port, (e, a)) in expected.iter().zip(&actual).enumerate() {
-                    assert!(
-                        values_eq(e, a),
-                        "{} run {run} step {step} output {port}: sim {e:?} vs compiled {a:?} \
-                         (inputs {held:?})",
+                flat_null.step_into(&held, &mut actual[0], &mut NullRecorder);
+                flat_bitmap.step_into(&held, &mut actual[1], &mut bitmap);
+                jit_null.step_into(&held, &mut actual[2], &mut NullRecorder);
+                jit_bitmap.step_into(&held, &mut actual[3], &mut bitmap);
+                for (variant, outputs) in VARIANTS.iter().zip(&actual) {
+                    for (port, (e, a)) in expected.iter().zip(outputs).enumerate() {
+                        assert!(
+                            values_eq(e, a),
+                            "{} {variant} run {run} step {step} output {port}: sim {e:?} vs \
+                             compiled {a:?} (inputs {held:?})",
+                            model.name(),
+                        );
+                    }
+                    assert_eq!(
+                        bits(outputs),
+                        bits(&actual[0]),
+                        "{} {variant} run {run} step {step}: not bit-equal to flat/null",
                         model.name(),
                     );
                 }

@@ -39,7 +39,7 @@ fn assert_outcomes_identical(flat: &FuzzOutcome, reference: &FuzzOutcome, contex
         o.violations.iter().map(|(i, c)| (*i, c.bytes.clone())).collect::<Vec<_>>()
     };
     assert_eq!(viol(flat), viol(reference), "{context}: assertion violations");
-    assert_eq!(flat.operators, reference.operators, "{context}: operator attribution");
+    assert_eq!(flat.yields, reference.yields, "{context}: mutation yield");
 }
 
 #[test]
