@@ -24,6 +24,43 @@
 //! slots address as `[rbx + 8*reg]` (u16 registers keep every
 //! displacement well inside disp32).
 //!
+//! [`JitCtx`] field offsets are burned into the code:
+//!
+//! | offset | field          | use                                      |
+//! |--------|----------------|------------------------------------------|
+//! | `0x00` | `regs`         | loaded into `rbx`                        |
+//! | `0x08` | `state`        | loaded into `r12`                        |
+//! | `0x10` | `inputs`       | loaded into `r13`                        |
+//! | `0x18` | `outputs`      | loaded into `r14`                        |
+//! | `0x20` | `recorder`     | first trampoline argument                |
+//! | `0x28` | `vt`           | the [`RecorderVt`]                       |
+//! | `0x30` | `branch_flags` | dense branch bytes, or null              |
+//! | `0x38` | `tuple`        | raw input tuple to decode, or null       |
+//!
+//! # Inport decode prelude
+//!
+//! [`Executor::step_tuple`](crate::Executor::step_tuple) hands the raw
+//! tuple bytes to the generated code in `JitCtx.tuple`. When that pointer
+//! is non-null, an entry prelude decodes every [`TupleLayout`] field at its
+//! byte offset straight into the inputs plane, with the field's own width
+//! and signedness: `movzx`/`movsx` then `cvtsi2sd` for integers,
+//! `byte & 1` for `Bool`, `cvtss2sd` for `F32`, a plain 8-byte move for
+//! `F64` — exactly `Value::from_le_bytes(..).as_f64()`. The `Value`-based
+//! entry points (`step`, `step_into`) fill the plane in Rust and pass a
+//! null tuple, which skips the prelude.
+//!
+//! # Saturating casts
+//!
+//! `CastSat` and its fused forms compile to inline SSE2 code computing
+//! exactly `Value::from_f64(x, ty).as_f64()`, with no call (the baseline
+//! x86-64 target has no SSE4.1 `roundsd`, so `f64::round` would be one).
+//! Integer targets map NaN to `+0.0` (a `cmpordsd` mask), clamp to the
+//! type's bounds with `maxsd`/`minsd`, truncate with `cvttsd2si`, then
+//! round half away from zero by adjusting ±1 on the fraction `x − trunc(x)`
+//! before `cvtsi2sd` (clamping first is exact because both bounds are
+//! integers). `Bool` is `x != 0 && !NaN`; `F32` is a
+//! `cvtsd2ss`/`cvtss2sd` round trip; `F64` is a move.
+//!
 //! # Recorder trampolines
 //!
 //! Probe ops must produce the *bit-for-bit identical* recorder event
@@ -66,11 +103,12 @@ use std::sync::OnceLock;
 
 use cftcg_coverage::{AssertionId, BranchId, ConditionId, DecisionId, Recorder};
 use cftcg_model::interp::{lookup1d, lookup2d};
-use cftcg_model::{DataType, Value};
+use cftcg_model::DataType;
 
 use crate::compile::{CompiledModel, Lookup2Table};
 use crate::flatten::{FlatOp, FlatProgram};
 use crate::ir::{BinopCode, FuncCode, UnopCode};
+use crate::layout::TupleLayout;
 use crate::vm::JitStats;
 
 // ---------------------------------------------------------------------------
@@ -173,18 +211,22 @@ impl Drop for ExecBuf {
 pub(crate) struct JitCtx {
     regs: *mut f64,        // 0x00 -> rbx
     state: *mut f64,       // 0x08 -> r12
-    inputs: *const f64,    // 0x10 -> r13
+    inputs: *mut f64,      // 0x10 -> r13
     outputs: *mut f64,     // 0x18 -> r14
     recorder: *mut (),     // 0x20
     vt: *const RecorderVt, // 0x28
     /// Dense branch-hit byte array ([`Recorder::branch_flags`]), or null
     /// to deliver branch events through the vtable.
     branch_flags: *mut u8, // 0x30
+    /// Raw input tuple the entry prelude decodes into `inputs`, or null
+    /// when the caller filled the inputs plane itself.
+    tuple: *const u8, // 0x38
 }
 
 const CTX_RECORDER: i32 = 0x20;
 const CTX_VT: i32 = 0x28;
 const CTX_FLAGS: i32 = 0x30;
+const CTX_TUPLE: i32 = 0x38;
 
 /// Fixed-ABI probe dispatch table: one `extern "sysv64"` trampoline per
 /// recorder hook, monomorphized over the concrete recorder type. Entries
@@ -254,10 +296,6 @@ extern "sysv64" fn jh_call(func: *const FuncCode, argc: u64, a: f64, b: f64, c: 
     unsafe { *func }.apply(&xs[..argc as usize])
 }
 
-extern "sysv64" fn jh_castsat(ty: u64, x: f64) -> f64 {
-    Value::from_f64(x, ty_from_code(ty)).as_f64()
-}
-
 extern "sysv64" fn jh_lookup1(table: *const (Vec<f64>, Vec<f64>), x: f64) -> f64 {
     let (breaks, values) = unsafe { &*table };
     lookup1d(breaks, values, x)
@@ -273,34 +311,6 @@ extern "sysv64" fn jh_shift_state(state: *mut f64, base: u64, len: u64, v: f64) 
     let s = unsafe { std::slice::from_raw_parts_mut(state, base + len) };
     s.copy_within(base + 1..base + len, base);
     s[base + len - 1] = v;
-}
-
-fn ty_code(ty: DataType) -> u64 {
-    match ty {
-        DataType::Bool => 0,
-        DataType::I8 => 1,
-        DataType::U8 => 2,
-        DataType::I16 => 3,
-        DataType::U16 => 4,
-        DataType::I32 => 5,
-        DataType::U32 => 6,
-        DataType::F32 => 7,
-        DataType::F64 => 8,
-    }
-}
-
-fn ty_from_code(code: u64) -> DataType {
-    match code {
-        0 => DataType::Bool,
-        1 => DataType::I8,
-        2 => DataType::U8,
-        3 => DataType::I16,
-        4 => DataType::U16,
-        5 => DataType::I32,
-        6 => DataType::U32,
-        7 => DataType::F32,
-        _ => DataType::F64,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -327,9 +337,12 @@ const CMP_EQ: u8 = 0;
 const CMP_LT: u8 = 1;
 const CMP_LE: u8 = 2;
 const CMP_NEQ: u8 = 4;
+const CMP_ORD: u8 = 7;
 
 const F64_ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
 const F64_SIGN_BIT: u64 = 0x8000_0000_0000_0000;
+const F64_HALF_BITS: u64 = 0x3FE0_0000_0000_0000;
+const F64_NEG_HALF_BITS: u64 = 0xBFE0_0000_0000_0000;
 
 /// Machine-code assembler: byte buffer + per-op labels + pending forward
 /// jump fixups (the flat program only ever jumps forward).
@@ -513,6 +526,53 @@ impl Asm {
         self.modrm_rr(x, r);
     }
 
+    /// `movapd xmm, xmm`
+    fn movapd_rr(&mut self, x: u8, y: u8) {
+        self.u8(0x66);
+        self.rex(false, x, y);
+        self.u8(0x0F);
+        self.u8(0x28);
+        self.modrm_rr(x, y);
+    }
+
+    /// Scalar-double register form with mandatory prefix `pre` and opcode
+    /// `op`: `subsd` (F2 5C), `minsd` (F2 5D), `maxsd` (F2 5F),
+    /// `cvtsd2ss` (F2 5A), `cvtss2sd` (F3 5A).
+    fn sse_rr(&mut self, pre: u8, op: u8, x: u8, y: u8) {
+        self.u8(pre);
+        self.rex(false, x, y);
+        self.u8(0x0F);
+        self.u8(op);
+        self.modrm_rr(x, y);
+    }
+
+    /// `cvtss2sd xmm, dword [base + disp]`
+    fn cvtss2sd_mem(&mut self, x: u8, base: u8, disp: i32) {
+        self.u8(0xF3);
+        self.rex(false, x, base);
+        self.u8(0x0F);
+        self.u8(0x5A);
+        self.modrm_mem(x, base, disp);
+    }
+
+    /// `cvttsd2si r64, xmm` (truncating)
+    fn cvttsd2si(&mut self, r: u8, x: u8) {
+        self.u8(0xF2);
+        self.rex(true, r, x);
+        self.u8(0x0F);
+        self.u8(0x2C);
+        self.modrm_rr(r, x);
+    }
+
+    /// `cvtsi2sd xmm, r64` (`wide`) or `cvtsi2sd xmm, r32`
+    fn cvtsi2sd(&mut self, x: u8, r: u8, wide: bool) {
+        self.u8(0xF2);
+        self.rex(wide, x, r);
+        self.u8(0x0F);
+        self.u8(0x2A);
+        self.modrm_rr(x, r);
+    }
+
     // -- control flow and ALU ----------------------------------------------
 
     /// `call r64`
@@ -541,6 +601,29 @@ impl Asm {
         self.rex(true, src, dst);
         self.u8(0x01);
         self.modrm_rr(src, dst);
+    }
+
+    /// `sub r64, r64`
+    fn sub_r_r(&mut self, dst: u8, src: u8) {
+        self.rex(true, src, dst);
+        self.u8(0x29);
+        self.modrm_rr(src, dst);
+    }
+
+    /// `mov r32, dword [base + disp]` (zero-extends)
+    fn mov_r32_mem(&mut self, dst: u8, base: u8, disp: i32) {
+        self.rex(false, dst, base);
+        self.u8(0x8B);
+        self.modrm_mem(dst, base, disp);
+    }
+
+    /// `movzx`/`movsx r32, byte/word [base + disp]` (second opcode byte
+    /// `op`: B6 zx8, B7 zx16, BE sx8, BF sx16).
+    fn movx_r32_mem(&mut self, op: u8, dst: u8, base: u8, disp: i32) {
+        self.rex(false, dst, base);
+        self.u8(0x0F);
+        self.u8(op);
+        self.modrm_mem(dst, base, disp);
     }
 
     /// `mov byte [base + disp], 1`
@@ -733,6 +816,115 @@ impl<'p> Lowerer<'p> {
         a.movq_x_r(1, RAX);
         a.logic_pd(0x54, 0, 1); // andpd xmm0, xmm1
         self.store_xmm0(dst);
+    }
+
+    /// Saturating cast of `xmm0` to `ty`, in place: exactly
+    /// `Value::from_f64(xmm0, ty).as_f64()` (see the module header).
+    /// Clobbers `xmm1`, `rax`, `rdx`; `F64` emits nothing.
+    fn cast_sat_xmm0(&mut self, ty: DataType) {
+        let a = &mut self.asm;
+        match ty {
+            DataType::F64 => return,
+            DataType::F32 => {
+                a.sse_rr(0xF2, 0x5A, 0, 0); // cvtsd2ss: round to nearest-even
+                a.sse_rr(0xF3, 0x5A, 0, 0); // cvtss2sd
+            }
+            DataType::Bool => {
+                a.movapd_rr(1, 0);
+                a.cmpsd_rr(1, 1, CMP_ORD); // xmm1 = !NaN
+                a.logic_pd(0x54, 1, 0); // andpd: NaN -> +0.0
+                a.logic_pd(0x57, 0, 0); // xorpd xmm0, xmm0
+                a.cmpsd_rr(1, 0, CMP_NEQ); // x != 0
+                a.mov_r_imm64(RAX, F64_ONE_BITS);
+                a.movq_x_r(0, RAX);
+                a.logic_pd(0x54, 0, 1); // andpd: mask -> 1.0 / +0.0
+            }
+            _ => {
+                a.movapd_rr(1, 0);
+                a.cmpsd_rr(1, 1, CMP_ORD);
+                a.logic_pd(0x54, 0, 1); // andpd: NaN -> +0.0
+
+                // Clamp first: both bounds are integers, so clamping
+                // commutes with rounding.
+                if ty.min_f64() == 0.0 {
+                    a.logic_pd(0x57, 1, 1);
+                } else {
+                    a.mov_r_imm64(RAX, ty.min_f64().to_bits());
+                    a.movq_x_r(1, RAX);
+                }
+                a.sse_rr(0xF2, 0x5F, 0, 1); // maxsd
+                a.mov_r_imm64(RAX, ty.max_f64().to_bits());
+                a.movq_x_r(1, RAX);
+                a.sse_rr(0xF2, 0x5D, 0, 1); // minsd
+                a.cvttsd2si(RAX, 0); // rax = trunc(x)
+                a.logic_pd(0x57, 1, 1);
+                a.cvtsi2sd(1, RAX, true);
+                a.sse_rr(0xF2, 0x5C, 0, 1); // subsd: xmm0 = x - trunc(x), exact
+
+                // Round half away from zero: compare masks are all-ones
+                // (-1), so `rax -= (frac >= 0.5)`, `rax += (frac <= -0.5)`.
+                a.mov_r_imm64(RDX, F64_HALF_BITS);
+                a.movq_x_r(1, RDX);
+                a.cmpsd_rr(1, 0, CMP_LE);
+                a.movq_r_x(RDX, 1);
+                a.sub_r_r(RAX, RDX);
+                a.mov_r_imm64(RDX, F64_NEG_HALF_BITS);
+                a.movq_x_r(1, RDX);
+                a.cmpsd_rr(0, 1, CMP_LE);
+                a.movq_r_x(RDX, 0);
+                a.add_r_r(RAX, RDX);
+                a.logic_pd(0x57, 0, 0);
+                a.cvtsi2sd(0, RAX, true); // integer zero comes out as +0.0
+            }
+        }
+        self.clobber_xmm0();
+    }
+
+    /// Entry prelude: when `ctx.tuple` is non-null, decodes every field of
+    /// `layout` from the tuple bytes into the inputs plane — exactly
+    /// `Value::from_le_bytes(..).as_f64()` per field. Clobbers `rax`,
+    /// `rcx`, `xmm0`.
+    fn decode_prelude(&mut self, layout: &TupleLayout) {
+        if layout.fields().is_empty() {
+            return;
+        }
+        let a = &mut self.asm;
+        a.mov_r_mem(RAX, R15, CTX_TUPLE);
+        a.test_r(RAX, RAX);
+        let skip = a.jz_fwd();
+        for (i, field) in layout.fields().iter().enumerate() {
+            let src = i32::try_from(field.offset).expect("tuple offset fits disp32");
+            let dst = i32::try_from(i).expect("inport index fits disp32") * 8;
+            let (load, wide) = match field.dtype {
+                DataType::F64 => {
+                    a.mov_r_mem(RCX, RAX, src);
+                    a.mov_mem_r(R13, dst, RCX);
+                    continue;
+                }
+                DataType::F32 => {
+                    a.cvtss2sd_mem(0, RAX, src);
+                    a.movsd_store(R13, dst, 0);
+                    continue;
+                }
+                DataType::Bool | DataType::U8 => (Some(0xB6), false),
+                DataType::I8 => (Some(0xBE), false),
+                DataType::U16 => (Some(0xB7), false),
+                DataType::I16 => (Some(0xBF), false),
+                DataType::I32 => (None, false),
+                DataType::U32 => (None, true), // zero-extended, converted as i64
+            };
+            match load {
+                Some(op) => a.movx_r32_mem(op, RCX, RAX, src),
+                None => a.mov_r32_mem(RCX, RAX, src),
+            }
+            if field.dtype == DataType::Bool {
+                a.and_r32_imm8(RCX, 1);
+            }
+            a.logic_pd(0x57, 0, 0);
+            a.cvtsi2sd(0, RCX, wide);
+            a.movsd_store(R13, dst, 0);
+        }
+        a.bind_fwd(skip);
     }
 
     /// `mov rdi, ctx.recorder` — first trampoline argument.
@@ -1026,24 +1218,19 @@ impl<'p> Lowerer<'p> {
             }
             FlatOp::CastSat { dst, src, ty } => {
                 self.load_xmm0(src);
-                self.asm.mov_r_imm32(RDI, ty_code(ty) as u32);
-                self.call_helper(jh_castsat as *const () as usize);
+                self.cast_sat_xmm0(ty);
                 self.store_xmm0(dst);
             }
             FlatOp::CastSatCopy { dst, src, ty, dst2 } => {
                 self.load_xmm0(src);
-                self.asm.mov_r_imm32(RDI, ty_code(ty) as u32);
-                self.call_helper(jh_castsat as *const () as usize);
+                self.cast_sat_xmm0(ty);
                 self.store_xmm0(dst);
                 self.store_xmm0(dst2);
             }
             FlatOp::CopyCastSat { dst, src, dst2, ty } => {
-                self.asm.mov_r_mem(RAX, RBX, slot(src));
-                self.asm.mov_mem_r(RBX, slot(dst), RAX);
-                self.wrote_reg(dst);
-                self.load_xmm0(dst);
-                self.asm.mov_r_imm32(RDI, ty_code(ty) as u32);
-                self.call_helper(jh_castsat as *const () as usize);
+                self.load_xmm0(src);
+                self.store_xmm0(dst);
+                self.cast_sat_xmm0(ty);
                 self.store_xmm0(dst2);
             }
             FlatOp::LoadState { dst, slot: s } => {
@@ -1205,6 +1392,8 @@ pub(crate) struct JitCode {
     blocks: usize,
     /// One past the highest branch id this program's probes can emit.
     branch_bound: usize,
+    /// Bytes the decode prelude reads from a non-null `JitCtx.tuple`.
+    tuple_size: usize,
 }
 
 impl JitCode {
@@ -1273,9 +1462,11 @@ impl std::fmt::Debug for JitCache {
     }
 }
 
-/// Emits one program: prologue, one template per flat op, epilogue.
+/// Emits one program: prologue, inport decode prelude, one template per
+/// flat op, epilogue.
 fn emit_program(
     program: &FlatProgram,
+    layout: &TupleLayout,
     funcs: &[FuncCode],
     func_index: &[(FuncCode, usize)],
     tables1: &[(Vec<f64>, Vec<f64>)],
@@ -1303,6 +1494,7 @@ fn emit_program(
     lw.asm.mov_r_mem(R12, R15, 0x08);
     lw.asm.mov_r_mem(R13, R15, 0x10);
     lw.asm.mov_r_mem(R14, R15, 0x18);
+    lw.decode_prelude(layout);
 
     for (pc, op) in program.ops.iter().enumerate() {
         lw.asm.labels.push(lw.asm.code.len());
@@ -1327,7 +1519,7 @@ fn emit_program(
     let blocks = lw.jump_targets.len() + 1;
     let branch_bound = lw.branch_bound;
     let buf = ExecBuf::new(&lw.asm.code)?;
-    Some(JitCode { buf, code_len, blocks, branch_bound })
+    Some(JitCode { buf, code_len, blocks, branch_bound, tuple_size: layout.tuple_size() })
 }
 
 /// Compiles a model's flat program to native code. Returns `None`
@@ -1351,7 +1543,8 @@ pub(crate) fn compile_jit(compiled: &CompiledModel) -> Option<JitProgram> {
     let tables1 = compiled.tables1.clone();
     let tables2 = compiled.tables2.clone();
 
-    let code = emit_program(&compiled.flat, &funcs, &func_index, &tables1, &tables2)?;
+    let code =
+        emit_program(&compiled.flat, compiled.layout(), &funcs, &func_index, &tables1, &tables2)?;
     Some(JitProgram {
         code,
         _funcs: funcs,
@@ -1363,17 +1556,30 @@ pub(crate) fn compile_jit(compiled: &CompiledModel) -> Option<JitProgram> {
 
 /// Runs one step of a compiled program (the JIT counterpart of
 /// `run_flat`): builds the recorder's vtable and calls into the native
-/// code.
+/// code. With `tuple`, the entry prelude first decodes it into `inputs`;
+/// without, `inputs` must already hold this tick's values.
+///
+/// # Panics
+///
+/// Panics if `tuple` is shorter than the model's tuple layout.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_jit<R: Recorder>(
     jit: &JitProgram,
     regs: &mut [f64],
     state: &mut [f64],
-    inputs: &[f64],
+    inputs: &mut [f64],
     outputs: &mut [f64],
+    tuple: Option<&[u8]>,
     recorder: &mut R,
 ) {
     let code = &jit.code;
+    let tuple = match tuple {
+        Some(t) => {
+            assert!(t.len() >= code.tuple_size, "input tuple shorter than the layout");
+            t.as_ptr()
+        }
+        None => std::ptr::null(),
+    };
     // Validate the dense-flags fast path once per step: every inline store
     // the code emits hits an id below `branch_bound`, so a buffer at least
     // that long needs no per-probe bounds checks. Too short (a recorder
@@ -1391,11 +1597,12 @@ pub(crate) fn run_jit<R: Recorder>(
     let ctx = JitCtx {
         regs: regs.as_mut_ptr(),
         state: state.as_mut_ptr(),
-        inputs: inputs.as_ptr(),
+        inputs: inputs.as_mut_ptr(),
         outputs: outputs.as_mut_ptr(),
         recorder: (recorder as *mut R).cast(),
         vt: &vt,
         branch_flags,
+        tuple,
     };
     (code.entry())(&ctx);
 }

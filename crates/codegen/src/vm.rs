@@ -125,6 +125,7 @@ pub struct Executor<'c> {
     inputs: Vec<f64>,
     outputs: Vec<f64>,
     engine: Engine,
+    /// Native code, present exactly when `engine` is [`Engine::Jit`].
     #[cfg(cftcg_jit)]
     jit: Option<&'c crate::jit::JitProgram>,
 }
@@ -267,12 +268,26 @@ impl<'c> Executor<'c> {
     }
 
     /// Executes one iteration from a raw input tuple (driver fast path: no
-    /// `Value` allocation).
+    /// `Value` allocation). On the JIT engine the native code decodes the
+    /// tuple itself (see `crate::jit`).
     ///
     /// # Panics
     ///
     /// Panics if `tuple` is shorter than the layout's tuple size.
     pub fn step_tuple<R: Recorder>(&mut self, tuple: &[u8], recorder: &mut R) {
+        #[cfg(cftcg_jit)]
+        if let Some(jit) = self.jit {
+            crate::jit::run_jit(
+                jit,
+                &mut self.regs,
+                &mut self.state,
+                &mut self.inputs,
+                &mut self.outputs,
+                Some(tuple),
+                recorder,
+            );
+            return;
+        }
         let layout = self.compiled.layout();
         for (i, field) in layout.fields().iter().enumerate() {
             let v = Value::from_le_bytes(&tuple[field.offset..], field.dtype);
@@ -357,14 +372,14 @@ impl<'c> Executor<'c> {
             return;
         }
         #[cfg(cftcg_jit)]
-        if self.engine == Engine::Jit {
-            let jit = self.jit.expect("Jit engine implies compiled native code");
+        if let Some(jit) = self.jit {
             crate::jit::run_jit(
                 jit,
                 &mut self.regs,
                 &mut self.state,
-                &self.inputs,
+                &mut self.inputs,
                 &mut self.outputs,
+                None,
                 recorder,
             );
             return;

@@ -120,6 +120,20 @@ fn word(chunk: &[u8]) -> u64 {
     u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
 }
 
+/// Words [`BranchBitmap::commit_tick`] sums per byte lane before folding:
+/// each word adds 0 or 1 to a lane, so 255 words cannot carry out of one.
+const LANE_WORDS: usize = 255;
+
+/// Adds up the eight byte lanes of `lanes` (each at most 255): pairs of
+/// lanes go to 16-bit lanes first, so the final multiply-and-shift cannot
+/// overflow its top lane.
+#[inline]
+fn lane_sum(lanes: u64) -> usize {
+    const EVEN: u64 = 0x00FF_00FF_00FF_00FF;
+    let pairs = (lanes & EVEN) + ((lanes >> 8) & EVEN);
+    (pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48) as usize
+}
+
 impl BranchBitmap {
     /// Creates a cleared bitmap with `branch_count` slots.
     pub fn new(branch_count: usize) -> Self {
@@ -193,6 +207,55 @@ impl BranchBitmap {
             t.copy_from_slice(&(old | c).to_le_bytes());
         }
         new_hits
+    }
+
+    /// Algorithm 1 lines 13–19 for one tick, fused into one pass over the
+    /// words: ORs this iteration's hits into `total`, counts the newly
+    /// covered branches and the positions where `self` and `last` differ,
+    /// then copies `self` into `last` and clears `self` for the next tick.
+    ///
+    /// Returns `(new branches, iteration difference)` — exactly what
+    /// [`merge_into`](Self::merge_into) then [`diff_count`](Self::diff_count)
+    /// return, leaving the three bitmaps as those calls followed by
+    /// [`copy_from`](Self::copy_from) and [`clear`](Self::clear) would.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the bitmaps have different lengths.
+    pub fn commit_tick(
+        &mut self,
+        total: &mut BranchBitmap,
+        last: &mut BranchBitmap,
+    ) -> (usize, usize) {
+        self.check_len(total);
+        self.check_len(last);
+        let (mut new_hits, mut diffs) = (0, 0);
+        let span = LANE_WORDS * WORD;
+        let chunks = self
+            .bytes
+            .chunks_mut(span)
+            .zip(total.bytes.chunks_mut(span))
+            .zip(last.bytes.chunks_mut(span));
+        for ((curr, total), last) in chunks {
+            // Every flag byte is 0 or 1, so these words hold 0/1 per byte
+            // lane and add lane-wise without carries.
+            let (mut new_lanes, mut diff_lanes) = (0u64, 0u64);
+            let words = curr
+                .chunks_exact_mut(WORD)
+                .zip(total.chunks_exact_mut(WORD))
+                .zip(last.chunks_exact_mut(WORD));
+            for ((c, t), l) in words {
+                let (cw, tw, lw) = (word(c), word(t), word(l));
+                new_lanes += cw & !tw;
+                diff_lanes += cw ^ lw;
+                t.copy_from_slice(&(tw | cw).to_le_bytes());
+                l.copy_from_slice(c);
+                c.fill(0);
+            }
+            new_hits += lane_sum(new_lanes);
+            diffs += lane_sum(diff_lanes);
+        }
+        (new_hits, diffs)
     }
 
     /// Copies another bitmap's flags into this one (Algorithm 1 line 19,

@@ -1,6 +1,7 @@
 //! `BranchBitmap` against a naive `Vec<bool>` reference: every operation,
 //! at lengths around the 8-byte word boundaries and at the benchmark
-//! models' branch counts.
+//! models' branch counts; and the fused per-tick bookkeeping against the
+//! unfused operations it replaces.
 
 use cftcg_coverage::{BranchBitmap, BranchId, Recorder};
 use proptest::prelude::*;
@@ -82,6 +83,79 @@ proptest! {
             prop_assert_eq!(copy.count(), 0);
             prop_assert_eq!(&copy, &BranchBitmap::new(n));
         }
+    }
+}
+
+/// Slot counts for the fused tick: off word boundaries, and on either side
+/// of the 255-word span `commit_tick` sums per byte lane before folding
+/// (2040 slots), once and twice over.
+const FUSED_LENGTHS: [usize; 9] = [0, 5, 133, 2037, 2040, 2041, 2047, 4081, 4163];
+const FUSED_MAX: usize = 4163;
+
+/// One tick of the unfused Algorithm 1 bookkeeping, lines 13–19.
+fn unfused_tick(
+    curr: &mut BranchBitmap,
+    total: &mut BranchBitmap,
+    last: &mut BranchBitmap,
+) -> (usize, usize) {
+    let new = curr.merge_into(total);
+    let diff = curr.diff_count(last);
+    last.copy_from(curr);
+    curr.clear();
+    (new, diff)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn commit_tick_matches_the_unfused_steps(
+        raw in prop::collection::vec(any::<u8>(), 4 * FUSED_MAX),
+        densities in (0u8..=4, 0u8..=4, 0u8..=4, 0u8..=4),
+        masked in any::<bool>(),
+    ) {
+        for n in FUSED_LENGTHS {
+            let part = |k: usize, density: u8| flags(&raw[k * FUSED_MAX..k * FUSED_MAX + n], density);
+            let ticks = [part(0, densities.0), part(1, densities.1), part(0, densities.0)];
+            let mask: BranchBitmap = part(2, densities.2).into_iter().collect();
+            let start = recorded(&part(3, densities.3));
+
+            let (mut f_curr, mut f_total, mut f_last) =
+                (BranchBitmap::new(n), start.clone(), BranchBitmap::new(n));
+            let (mut u_curr, mut u_total, mut u_last) =
+                (BranchBitmap::new(n), start, BranchBitmap::new(n));
+            for (t, tick) in ticks.iter().enumerate() {
+                for i in ones(tick) {
+                    f_curr.branch(BranchId(i as u32));
+                    u_curr.branch(BranchId(i as u32));
+                }
+                if masked {
+                    f_curr.retain_mask(&mask);
+                    u_curr.retain_mask(&mask);
+                }
+                let fused = f_curr.commit_tick(&mut f_total, &mut f_last);
+                let unfused = unfused_tick(&mut u_curr, &mut u_total, &mut u_last);
+                prop_assert_eq!(fused, unfused, "n = {}, tick {}", n, t);
+                prop_assert_eq!(&f_total, &u_total);
+                prop_assert_eq!(&f_last, &u_last);
+                prop_assert_eq!(&f_curr, &u_curr);
+            }
+        }
+    }
+}
+
+#[test]
+fn commit_tick_counts_full_lanes_without_carrying() {
+    // Every flag set: each byte lane sums to 255 over a full span, the
+    // most a lane can hold.
+    for n in [2040, 2041, 4080, 4163] {
+        let all = vec![true; n];
+        let mut curr = recorded(&all);
+        let (mut total, mut last) = (BranchBitmap::new(n), BranchBitmap::new(n));
+        assert_eq!(curr.commit_tick(&mut total, &mut last), (n, n));
+        assert_eq!((total.count(), last.count(), curr.count()), (n, n, 0));
+        let mut curr = recorded(&all);
+        assert_eq!(curr.commit_tick(&mut total, &mut last), (0, 0));
     }
 }
 

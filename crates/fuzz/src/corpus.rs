@@ -69,6 +69,14 @@ struct SeedAccount {
 #[derive(Debug, Clone)]
 pub struct Corpus {
     entries: Vec<CorpusEntry>,
+    /// `energy(&entries[i])`, cached: entries never change once inserted.
+    energies: Vec<u64>,
+    /// Exact sum of `energies` (a `u128` cannot overflow on `u64` addends
+    /// at any realistic capacity); the lottery saturates it to `u64`.
+    energy_sum: u128,
+    /// Weighted-mode eviction candidate: the first entry with the least
+    /// `(new_branches, metric)`, or `None` once an insertion made it stale.
+    worst: Option<usize>,
     capacity: usize,
     /// When `false`, selection is uniform and replacement FIFO — the
     /// "no iteration-difference priority" ablation (A1).
@@ -92,6 +100,9 @@ impl Corpus {
     pub fn new(capacity: usize) -> Self {
         Corpus {
             entries: Vec::new(),
+            energies: Vec::new(),
+            energy_sum: 0,
+            worst: None,
             capacity: capacity.max(1),
             metric_weighted: true,
             accounts: HashMap::new(),
@@ -118,37 +129,54 @@ impl Corpus {
     /// the newcomer beats it. Returns what happened, for churn accounting.
     pub fn insert(&mut self, entry: CorpusEntry) -> CorpusInsertion {
         if self.entries.len() < self.capacity {
-            self.accounts.entry(entry.id).or_default();
-            self.entries.push(entry);
+            self.store(None, entry);
             return CorpusInsertion::Appended;
         }
         if self.metric_weighted {
             // Evict among non-finders first: inputs that discovered new
             // branches are the coverage frontier and must survive the flood
             // of high-metric-but-stale mutants.
-            let (worst, worst_entry) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, e)| (e.new_branches, e.metric))
-                .expect("corpus is non-empty at capacity");
+            let worst = *self.worst.get_or_insert_with(|| {
+                let key = |(_, e): &(usize, &CorpusEntry)| (e.new_branches, e.metric);
+                self.entries.iter().enumerate().min_by_key(key).expect("corpus at capacity").0
+            });
+            let worst_entry = &self.entries[worst];
             let beats_worst =
                 (entry.new_branches, entry.metric) > (worst_entry.new_branches, worst_entry.metric);
             if beats_worst {
-                self.accounts.remove(&self.entries[worst].id);
-                self.accounts.entry(entry.id).or_default();
-                self.entries[worst] = entry;
+                self.accounts.remove(&worst_entry.id);
+                self.store(Some(worst), entry);
                 CorpusInsertion::Replaced
             } else {
                 CorpusInsertion::Rejected
             }
         } else {
             let evicted = self.entries.remove(0);
+            self.energy_sum -= u128::from(self.energies.remove(0));
             self.accounts.remove(&evicted.id);
-            self.accounts.entry(entry.id).or_default();
-            self.entries.push(entry);
+            self.store(None, entry);
             CorpusInsertion::Replaced
         }
+    }
+
+    /// Stores `entry` over `slot`, or appends it, keeping the energy cache
+    /// in step and opening the entry's account.
+    fn store(&mut self, slot: Option<usize>, entry: CorpusEntry) {
+        self.accounts.entry(entry.id).or_default();
+        let e = energy(&entry);
+        self.energy_sum += u128::from(e);
+        match slot {
+            Some(i) => {
+                self.energy_sum -= u128::from(self.energies[i]);
+                self.energies[i] = e;
+                self.entries[i] = entry;
+            }
+            None => {
+                self.energies.push(e);
+                self.entries.push(entry);
+            }
+        }
+        self.worst = None;
     }
 
     /// Picks a seed for the next mutation round, bumping its selection
@@ -174,10 +202,11 @@ impl Corpus {
         if !self.metric_weighted {
             return Some(rng.random_range(0..self.entries.len()));
         }
-        let total = self.entries.iter().map(energy).fold(0u64, u64::saturating_add);
+        // The saturating sum of the energies, as a left-to-right
+        // `saturating_add` fold over non-negative terms would give.
+        let total = u64::try_from(self.energy_sum).unwrap_or(u64::MAX);
         let mut ticket = rng.random_range(0..total);
-        for (i, entry) in self.entries.iter().enumerate() {
-            let e = energy(entry);
+        for (i, &e) in self.energies.iter().enumerate() {
             if ticket < e {
                 return Some(i);
             }
@@ -233,14 +262,15 @@ impl Corpus {
     pub fn seed_reports(&self, executions: u64) -> Vec<CorpusSeedReport> {
         self.entries
             .iter()
-            .map(|entry| {
+            .zip(&self.energies)
+            .map(|(entry, &energy)| {
                 let account = self.accounts.get(&entry.id).cloned().unwrap_or_default();
                 CorpusSeedReport {
                     id: entry.id,
                     size_bytes: entry.bytes.len() as u64,
                     metric: entry.metric as u64,
                     new_branches: entry.new_branches as u64,
-                    energy: energy(entry),
+                    energy,
                     selections: account.selections,
                     children: account.children,
                     descendant_goals: account.descendant_goals,
@@ -361,6 +391,63 @@ mod tests {
         }
         let reports = c.seed_reports(0);
         assert!(reports.iter().all(|r| r.energy == u64::MAX));
+    }
+
+    #[test]
+    fn cached_energies_match_a_fresh_recompute() {
+        // The lottery as it was before the cache: energies recomputed and
+        // summed with a saturating fold on every pick.
+        fn fresh_pick(entries: &[CorpusEntry], rng: &mut SmallRng) -> usize {
+            let total = entries.iter().map(energy).fold(0u64, u64::saturating_add);
+            let mut ticket = rng.random_range(0..total);
+            for (i, entry) in entries.iter().enumerate() {
+                if ticket < energy(entry) {
+                    return i;
+                }
+                ticket -= energy(entry);
+            }
+            entries.len() - 1
+        }
+        // Eviction as it was before the cache: a fresh scan per insertion.
+        fn fresh_insert(entries: &mut Vec<CorpusEntry>, entry: CorpusEntry, weighted: bool) {
+            if entries.len() < 16 {
+                entries.push(entry);
+            } else if weighted {
+                let key = |(_, e): &(usize, &CorpusEntry)| (e.new_branches, e.metric);
+                let (worst, w) = entries.iter().enumerate().min_by_key(key).unwrap();
+                if (entry.new_branches, entry.metric) > (w.new_branches, w.metric) {
+                    entries[worst] = entry;
+                }
+            } else {
+                entries.remove(0);
+                entries.push(entry);
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(11);
+        for weighted in [true, false] {
+            let mut c = Corpus::new(16);
+            c.metric_weighted = weighted;
+            let mut reference = Vec::new();
+            for id in 0..600u64 {
+                let huge = rng.random_range(0..50u32) == 0;
+                let metric = if huge { usize::MAX } else { rng.random_range(0..40) };
+                let new_branches =
+                    if rng.random_range(0..8u32) == 0 { rng.random_range(1..4) } else { 0 };
+                let entry = CorpusEntry { id, bytes: vec![], metric, new_branches };
+                fresh_insert(&mut reference, entry.clone(), weighted);
+                c.insert(entry);
+                assert_eq!(c.entries, reference);
+                let energies: Vec<u64> = c.entries.iter().map(energy).collect();
+                assert_eq!(c.energies, energies);
+                assert_eq!(c.energy_sum, energies.iter().map(|&e| u128::from(e)).sum());
+                if weighted {
+                    let mut a = rng.clone();
+                    let mut b = rng.clone();
+                    assert_eq!(c.pick_index(&mut a), Some(fresh_pick(&c.entries, &mut b)));
+                    rng = a;
+                }
+            }
+        }
     }
 
     #[test]

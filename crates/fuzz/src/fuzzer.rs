@@ -458,6 +458,7 @@ pub struct Fuzzer<'c> {
     config: FuzzConfig,
     /// `g_TotalCov` of Algorithm 1.
     total: BranchBitmap,
+    /// `g_CurrCov`: this tick's hits, all clear between ticks.
     curr: BranchBitmap,
     last: BranchBitmap,
     /// Feedback visibility mask; `None` under model-level feedback, where
@@ -1008,8 +1009,10 @@ impl<'c> Fuzzer<'c> {
         let mut metric = 0;
         self.last.clear();
         self.failed_assertions.iter_mut().for_each(|f| *f = false);
+        // Line 11: `curr` is clear here, and `commit_tick` clears it
+        // again at the end of every tick.
+        debug_assert_eq!(self.curr.count(), 0);
         for tuple in self.layout.split(data).take(self.config.max_iterations_per_input) {
-            self.curr.clear(); // line 11
             let mut recorder = LoopRecorder {
                 bitmap: &mut self.curr,
                 torc: &mut self.torc,
@@ -1020,11 +1023,11 @@ impl<'c> Fuzzer<'c> {
                 // Clear probe hits the configured feedback cannot observe.
                 self.curr.retain_mask(mask);
             }
-            new_branches += self.curr.merge_into(&mut self.total); // lines 13–16
-            metric += self.curr.diff_count(&self.last); // lines 17–18
-                                                        // Line 19 (`lastCov = g_CurrCov`) as a swap: the stale flags
-                                                        // left in `curr` are cleared by the next tick's line 11.
-            std::mem::swap(&mut self.last, &mut self.curr);
+            // Lines 13–19 in one pass: merge into the total, count the
+            // iteration difference, `lastCov = g_CurrCov`, clear `curr`.
+            let (new, diff) = self.curr.commit_tick(&mut self.total, &mut self.last);
+            new_branches += new;
+            metric += diff;
             self.iterations += 1;
             self.stats.iterations += 1;
         }

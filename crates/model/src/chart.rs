@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::expr::{Expr, Stmt};
+use crate::expr::{EvalExprError, Expr, Stmt};
 use crate::{DataType, Value};
 
 /// A chart state.
@@ -165,16 +165,19 @@ impl Chart {
             }
             if let Some(guard) = &t.guard {
                 check_vars(guard.free_vars())?;
+                guard.check_calls().map_err(ValidateChartError::BadCall)?;
             }
             for s in &t.action {
                 check_vars(s.free_vars())?;
                 check_assignable(&declared, s)?;
+                s.check_calls().map_err(ValidateChartError::BadCall)?;
             }
         }
         for state in &self.states {
             for s in state.entry.iter().chain(&state.during) {
                 check_vars(s.free_vars())?;
                 check_assignable(&declared, s)?;
+                s.check_calls().map_err(ValidateChartError::BadCall)?;
             }
         }
         Ok(())
@@ -226,6 +229,9 @@ pub enum ValidateChartError {
     DuplicateState(String),
     /// A guard or action references an undeclared variable.
     UndeclaredVariable(String),
+    /// A guard or action calls an unknown function, or a builtin with the
+    /// wrong number of arguments.
+    BadCall(EvalExprError),
 }
 
 impl fmt::Display for ValidateChartError {
@@ -239,6 +245,7 @@ impl fmt::Display for ValidateChartError {
             ValidateChartError::UndeclaredVariable(name) => {
                 write!(f, "chart references undeclared variable `{name}`")
             }
+            ValidateChartError::BadCall(e) => write!(f, "bad call in chart: {e}"),
         }
     }
 }
@@ -313,6 +320,34 @@ mod tests {
             chart.validate().unwrap_err(),
             ValidateChartError::UndeclaredVariable("mystery".into())
         );
+    }
+
+    #[test]
+    fn rejects_unknown_or_misarity_calls_everywhere() {
+        let unknown = ValidateChartError::BadCall(EvalExprError::UnknownFunction("nosuch".into()));
+        let mut chart = toggle_chart();
+        chart.add_transition(Transition::new(0, 1, parse_expr("nosuch(count) > 0").unwrap()));
+        assert_eq!(chart.validate().unwrap_err(), unknown);
+
+        let mut chart = toggle_chart();
+        chart.transitions[0].action = parse_stmts("count = nosuch(count);").unwrap();
+        assert_eq!(chart.validate().unwrap_err(), unknown);
+
+        let mut chart = toggle_chart();
+        chart.states[0].entry = parse_stmts("if (nosuch(count) > 1) { on = 1; }").unwrap();
+        assert_eq!(chart.validate().unwrap_err(), unknown);
+
+        let mut chart = toggle_chart();
+        chart.states[1].during = parse_stmts("count = max(count, 1, 2, 3);").unwrap();
+        assert_eq!(
+            chart.validate().unwrap_err(),
+            ValidateChartError::BadCall(EvalExprError::BadArity {
+                function: "max".into(),
+                expected: 2,
+                found: 4
+            })
+        );
+        assert!(chart.validate().unwrap_err().to_string().contains("`max` expects 2"));
     }
 
     #[test]

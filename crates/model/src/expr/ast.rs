@@ -3,6 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use super::eval::{check_builtin, EvalExprError};
 use crate::Value;
 
 /// Unary operators.
@@ -160,6 +161,33 @@ impl Expr {
         }
     }
 
+    /// Checks every function call in the expression against
+    /// [`BUILTINS`](super::BUILTINS), by name and arity — so a validated
+    /// model never reaches the compiler with a call it cannot lower.
+    ///
+    /// ```
+    /// # use cftcg_model::expr::{parse_expr, EvalExprError};
+    /// assert!(parse_expr("max(a, 1) > 0").unwrap().check_calls().is_ok());
+    /// assert_eq!(
+    ///     parse_expr("nosuch(a)").unwrap().check_calls(),
+    ///     Err(EvalExprError::UnknownFunction("nosuch".into()))
+    /// );
+    /// ```
+    pub fn check_calls(&self) -> Result<(), EvalExprError> {
+        match self {
+            Expr::Literal(_) | Expr::Var(_) => Ok(()),
+            Expr::Unary(_, inner) => inner.check_calls(),
+            Expr::Binary(_, lhs, rhs) => {
+                lhs.check_calls()?;
+                rhs.check_calls()
+            }
+            Expr::Call(name, args) => {
+                check_builtin(name, args.len())?;
+                args.iter().try_for_each(Expr::check_calls)
+            }
+        }
+    }
+
     /// Counts the *leaf conditions* of the expression when it is used as a
     /// decision: the operands that are not themselves `&&`/`||`/`!` nodes.
     ///
@@ -275,6 +303,18 @@ impl Stmt {
                 for s in then_body.iter().chain(else_body) {
                     s.collect_read_vars(out);
                 }
+            }
+        }
+    }
+
+    /// Checks every function call in this statement (conditions and nested
+    /// bodies included), like [`Expr::check_calls`].
+    pub fn check_calls(&self) -> Result<(), EvalExprError> {
+        match self {
+            Stmt::Assign(_, value) => value.check_calls(),
+            Stmt::If { cond, then_body, else_body } => {
+                cond.check_calls()?;
+                then_body.iter().chain(else_body).try_for_each(Stmt::check_calls)
             }
         }
     }

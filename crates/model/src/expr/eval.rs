@@ -111,6 +111,19 @@ pub const BUILTINS: &[(&str, usize)] = &[
     ("clamp", 3),
 ];
 
+/// Checks a call of `name` with `found` arguments against [`BUILTINS`].
+pub(crate) fn check_builtin(name: &str, found: usize) -> Result<(), EvalExprError> {
+    let expected = BUILTINS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, arity)| *arity)
+        .ok_or_else(|| EvalExprError::UnknownFunction(name.to_string()))?;
+    if found != expected {
+        return Err(EvalExprError::BadArity { function: name.to_string(), expected, found });
+    }
+    Ok(())
+}
+
 /// Applies a builtin by name. Returns `None` for unknown names or wrong
 /// arity.
 ///
@@ -213,18 +226,7 @@ impl Expr {
                 })
             }
             Expr::Call(name, args) => {
-                let expected = BUILTINS
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, arity)| *arity)
-                    .ok_or_else(|| EvalExprError::UnknownFunction(name.clone()))?;
-                if args.len() != expected {
-                    return Err(EvalExprError::BadArity {
-                        function: name.clone(),
-                        expected,
-                        found: args.len(),
-                    });
-                }
+                check_builtin(name, args.len())?;
                 let mut xs = Vec::with_capacity(args.len());
                 for arg in args {
                     xs.push(arg.eval(env)?.as_f64());

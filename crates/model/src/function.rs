@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::expr::{parse_stmts, ParseExprError, Stmt};
+use crate::expr::{parse_stmts, EvalExprError, ParseExprError, Stmt};
 use crate::DataType;
 
 /// The body and signature of a MATLAB Function block.
@@ -85,6 +85,9 @@ impl FunctionDef {
     ///
     /// Returns [`ValidateFunctionError`] describing the first problem found.
     pub fn validate(&self) -> Result<(), ValidateFunctionError> {
+        for stmt in &self.body {
+            stmt.check_calls().map_err(ValidateFunctionError::BadCall)?;
+        }
         let mut defined: BTreeSet<String> =
             self.inputs.iter().chain(&self.outputs).map(|(n, _)| n.clone()).collect();
         let mut maybe_assigned = BTreeSet::new();
@@ -148,6 +151,9 @@ pub enum ValidateFunctionError {
     UndefinedVariable(String),
     /// A declared output is never assigned.
     UnassignedOutput(String),
+    /// The body calls an unknown function, or a builtin with the wrong
+    /// number of arguments.
+    BadCall(EvalExprError),
 }
 
 impl fmt::Display for ValidateFunctionError {
@@ -159,6 +165,7 @@ impl fmt::Display for ValidateFunctionError {
             ValidateFunctionError::UnassignedOutput(name) => {
                 write!(f, "output `{name}` is never assigned")
             }
+            ValidateFunctionError::BadCall(e) => write!(f, "bad call in function body: {e}"),
         }
     }
 }
@@ -220,6 +227,30 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f.validate().unwrap_err(), ValidateFunctionError::UnassignedOutput("z".into()));
+    }
+
+    #[test]
+    fn validate_rejects_unknown_or_misarity_calls() {
+        let f = FunctionDef::parse(
+            &[("u", DataType::F64)],
+            &[("y", DataType::F64)],
+            "if (u > 0) { y = nosuch(u); } else { y = u; }",
+        )
+        .unwrap();
+        assert_eq!(
+            f.validate().unwrap_err(),
+            ValidateFunctionError::BadCall(EvalExprError::UnknownFunction("nosuch".into()))
+        );
+        let f = FunctionDef::parse(&[("u", DataType::F64)], &[("y", DataType::F64)], "y = abs();")
+            .unwrap();
+        assert_eq!(
+            f.validate().unwrap_err(),
+            ValidateFunctionError::BadCall(EvalExprError::BadArity {
+                function: "abs".into(),
+                expected: 1,
+                found: 0
+            })
+        );
     }
 
     #[test]

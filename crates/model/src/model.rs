@@ -569,6 +569,8 @@ impl Model {
                                 )));
                             }
                         }
+                        cond.check_calls()
+                            .map_err(|e| bad(format!("bad call in condition: {e}")))?;
                     }
                 }
                 BlockKind::SwitchCase { cases, .. } if cases.is_empty() => {
@@ -935,6 +937,29 @@ mod tests {
         b.connect(iff, 0, t, 0); // action into a Terminator: invalid
         let err = b.finish().unwrap_err();
         assert!(matches!(err, ModelError::BadActionWiring { .. }), "{err}");
+    }
+
+    #[test]
+    fn if_conditions_must_call_known_builtins() {
+        use crate::expr::parse_expr;
+        for (cond, needle) in
+            [("nosuch(u1) > 0", "unknown function `nosuch`"), ("max(u1) > 0", "`max` expects 2")]
+        {
+            let mut b = ModelBuilder::new("m");
+            let u = b.inport("u", DataType::F64);
+            let iff = b.add(
+                "if",
+                BlockKind::If {
+                    num_inputs: 1,
+                    conditions: vec![parse_expr(cond).unwrap()],
+                    has_else: false,
+                },
+            );
+            b.connect(u, 0, iff, 0);
+            let err = b.finish().unwrap_err();
+            assert!(matches!(err, ModelError::BadParameter { .. }), "{cond}: {err}");
+            assert!(err.to_string().contains(needle), "{cond}: {err}");
+        }
     }
 
     #[test]

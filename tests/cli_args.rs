@@ -1,7 +1,7 @@
 //! The `cftcg` binary refuses what it cannot honour with a message and a
 //! plain failure exit, never a silent default or a panic: unknown flags,
-//! value flags without a value, and a campaign recorded against another
-//! model.
+//! value flags without a value, a campaign recorded against another model,
+//! and a model calling a function that is not a builtin.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -77,4 +77,21 @@ fn another_models_campaign_is_refused() {
     // The campaign still loads against its own model.
     let out = cftcg(&["explain", &model("solarpv"), campaign]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn models_calling_unknown_or_misarity_functions_are_refused() {
+    let text = std::fs::read_to_string(model("solarpv")).expect("SolarPV model");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    for (guard, needles) in [
+        ("nosuch(p) &gt; 100", &["unknown function `nosuch`"][..]),
+        ("max(p, 1, 2, 3) &gt; 100", &["`max` expects 2 argument(s), found 4"][..]),
+    ] {
+        let bad = text.replacen("guard=\"p &gt; 100\"", &format!("guard=\"{guard}\""), 1);
+        assert_ne!(bad, text, "SolarPV guard not found");
+        let path = dir.join("cli_args_bad_call.mdlx");
+        std::fs::write(&path, bad).expect("write model");
+        let out = cftcg(&["fuzz", path.to_str().unwrap(), "--budget-ms", "50"]);
+        assert_refused(&out, needles);
+    }
 }

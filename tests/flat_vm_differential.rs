@@ -16,6 +16,7 @@
 
 use cftcg::codegen::{compile, CompiledModel, Engine, Executor, TestCase};
 use cftcg::coverage::{AssertionId, BranchId, ConditionId, DecisionId, Recorder};
+use cftcg::model::{BlockKind, DataType, ModelBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -208,4 +209,87 @@ fn optimizer_reduces_benchmark_instruction_counts() {
         after += stats.instrs_after_dce;
     }
     assert!(after < before, "mid-end removed nothing across the corpus ({before} -> {after})");
+}
+
+/// Asserts the JIT tier is live whenever this build supports it, so the
+/// engine comparisons below cannot silently degrade to flat-vs-flat.
+fn assert_jit_live(compiled: &CompiledModel) {
+    if Engine::jit_supported() {
+        assert_eq!(Executor::new_jit(compiled).engine(), Engine::Jit, "jit tier unavailable");
+    }
+}
+
+/// A `double` inport converted to every data type, one outport each.
+fn cast_model() -> CompiledModel {
+    let mut b = ModelBuilder::new("Casts");
+    let u = b.inport("u", DataType::F64);
+    for ty in DataType::ALL {
+        let dtc = b.add(format!("to_{}", ty.name()), BlockKind::DataTypeConversion { to: ty });
+        let y = b.outport(format!("y_{}", ty.name()));
+        b.wire(u, dtc);
+        b.wire(dtc, y);
+    }
+    compile(&b.finish().expect("cast model is valid")).expect("cast model compiles")
+}
+
+/// The saturating-cast edge values: NaNs of both signs (quiet and
+/// signalling), signed zeros, rounding ties and near-ties, infinities,
+/// extremes, subnormals, and every type's bounds ±0.5 and ±1.
+fn cast_edge_values() -> Vec<f64> {
+    let mut xs = vec![
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7FF0_0000_0000_0001),
+        f64::from_bits(0xFFF4_0000_0000_0000),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+    ];
+    for x in [0.0, 0.5, 1.5, 2.5, 0.49999999999999994, 126.5, 127.5, 255.5, 65535.5] {
+        xs.extend([x, -x]);
+    }
+    xs.extend([-f64::MIN_POSITIVE, -f64::from_bits(1), -f64::from_bits(0x000F_FFFF_FFFF_FFFF)]);
+    for ty in DataType::ALL {
+        for bound in [ty.min_f64(), ty.max_f64()] {
+            xs.extend([-1.0, -0.5, 0.5, 1.0].map(|d| bound + d));
+        }
+    }
+    xs
+}
+
+fn f64_case(xs: impl IntoIterator<Item = f64>) -> TestCase {
+    TestCase::new(xs.into_iter().flat_map(f64::to_le_bytes).collect())
+}
+
+#[test]
+fn saturating_casts_are_bit_identical_on_edge_values() {
+    let compiled = cast_model();
+    assert_jit_live(&compiled);
+    assert_case_equivalent(&compiled, &f64_case(cast_edge_values()), "cast edge values");
+    let mut rng = SmallRng::seed_from_u64(0xCA57);
+    let random = f64_case((0..100_000).map(|_| f64::from_bits(rng.random::<u64>())));
+    assert_case_equivalent(&compiled, &random, "cast random bit patterns");
+}
+
+#[test]
+fn tuple_decode_is_bit_identical_for_every_dtype() {
+    let mut b = ModelBuilder::new("Decode");
+    for ty in DataType::ALL {
+        let u = b.inport(format!("u_{}", ty.name()), ty);
+        let y = b.outport(format!("y_{}", ty.name()));
+        b.wire(u, y);
+    }
+    let compiled = compile(&b.finish().expect("decode model is valid")).expect("compiles");
+    assert_jit_live(&compiled);
+    let size = compiled.layout().tuple_size();
+    // Every uniform fill: Bool bytes beyond 0/1 and negative I8/I16/I32.
+    let fills = TestCase::new((0..=255u8).flat_map(|b| vec![b; size]).collect());
+    assert_case_equivalent(&compiled, &fills, "uniform byte fills");
+    let mut rng = SmallRng::seed_from_u64(0xDEC0DE);
+    let random = TestCase::new((0..size * 4096).map(|_| rng.random::<u8>()).collect());
+    assert_case_equivalent(&compiled, &random, "random tuples");
 }
