@@ -4,6 +4,13 @@
 //! `results/BENCH_vm.json`: `run_case` iterations/s per engine, the
 //! speedups, and the mid-end's per-pass instruction/register reductions.
 //!
+//! Two more columns measure the JIT the way the fuzz loop runs it, on the
+//! loop's own kind of input — the suite a fixed-seed campaign emits — under
+//! a loop-shaped recorder (Algorithm 1's branch flags plus a TORC ring
+//! deduplicated by a `CompareTable`): once with the recorder exposing its
+//! compare table to the JIT (`Recorder::compare_table`), once without. The
+//! native code size per model is printed beside them.
+//!
 //! ```sh
 //! cargo run --release -p cftcg-bench --bin vm_throughput
 //! cargo run --release -p cftcg-bench --bin vm_throughput -- --check
@@ -14,8 +21,10 @@
 //! reference walker on *every* model, and at least 2× on SolarPV (the
 //! paper's throughput showcase model); when the JIT tier is live, it must
 //! additionally be at least as fast as the flat VM on every model and at
-//! least 2× on SolarPV. On hosts without the JIT (non-x86-64, or a
-//! `--no-default-features` build) the JIT gates are skipped gracefully.
+//! least 2× on SolarPV, and on SolarPV the loop-shaped rate with the
+//! compare-table seam must be at least the rate without it. On hosts
+//! without the JIT (non-x86-64, or a `--no-default-features` build) the
+//! JIT gates are skipped gracefully.
 //!
 //! Besides the flat `results/BENCH_vm.json` snapshot (clobbered per run),
 //! every run appends a timestamped record to `results/history/vm.jsonl`;
@@ -26,7 +35,8 @@
 use std::time::{Duration, Instant};
 
 use cftcg_codegen::{compile, CompiledModel, Engine, Executor, TestCase};
-use cftcg_coverage::BranchBitmap;
+use cftcg_coverage::{BranchBitmap, BranchId, CompareTable, Recorder};
+use cftcg_fuzz::{FuzzConfig, Fuzzer};
 
 /// Ticks per measured case: long enough that per-case reset cost is noise.
 const CASE_TICKS: usize = 64;
@@ -69,12 +79,101 @@ fn slice_rate<R: cftcg_coverage::Recorder>(
     cases as f64 / started.elapsed().as_secs_f64()
 }
 
+/// Executions of the fixed-seed campaign whose emitted suite feeds the
+/// loop-shaped columns.
+const SUITE_EXECUTIONS: u64 = 3_000;
+
+/// The fuzz loop's recorder shape: Algorithm 1's branch flags plus a TORC
+/// ring of admissible compare pairs, deduplicated by a [`CompareTable`].
+/// With `SEAM` the table is exposed to the JIT, which then calls back only
+/// for pairs the ring does not hold yet.
+struct LoopShaped<const SEAM: bool> {
+    flags: BranchBitmap,
+    table: CompareTable,
+    ring: Vec<(f64, f64)>,
+    next_evict: usize,
+}
+
+impl<const SEAM: bool> LoopShaped<SEAM> {
+    /// The fuzz loop's TORC ring size.
+    const CAPACITY: usize = 512;
+
+    fn new(branches: usize) -> Self {
+        LoopShaped {
+            flags: BranchBitmap::new(branches),
+            table: CompareTable::new(),
+            ring: Vec::new(),
+            next_evict: 0,
+        }
+    }
+}
+
+impl<const SEAM: bool> Recorder for LoopShaped<SEAM> {
+    const OBSERVES_CONDITIONS: bool = false;
+    const OBSERVES_DECISIONS: bool = false;
+
+    fn branch(&mut self, id: BranchId) {
+        self.flags.branch(id);
+    }
+
+    fn branch_flags(&mut self) -> Option<&mut [u8]> {
+        self.flags.branch_flags()
+    }
+
+    fn compare(&mut self, lhs: f64, rhs: f64) {
+        if !CompareTable::admissible(lhs, rhs) || !self.table.insert(lhs, rhs) {
+            return;
+        }
+        if self.ring.len() == Self::CAPACITY {
+            let (l, r) = std::mem::replace(&mut self.ring[self.next_evict], (lhs, rhs));
+            self.table.remove(l, r);
+            self.next_evict = (self.next_evict + 1) % Self::CAPACITY;
+        } else {
+            self.ring.push((lhs, rhs));
+        }
+    }
+
+    fn compare_table(&mut self) -> Option<&CompareTable> {
+        SEAM.then_some(&self.table)
+    }
+}
+
+/// Ticks/s of one executor replaying `suite` round-robin over one `slice`.
+fn suite_slice_rate<R: Recorder>(
+    exec: &mut Executor<'_>,
+    suite: &[TestCase],
+    recorder: &mut R,
+    slice: Duration,
+) -> f64 {
+    let started = Instant::now();
+    let mut ticks = 0usize;
+    while started.elapsed() < slice {
+        for case in suite {
+            ticks += exec.run_case(case, recorder);
+        }
+    }
+    ticks as f64 / started.elapsed().as_secs_f64()
+}
+
+/// Loop-shaped JIT rates on a campaign's emitted suite.
+struct LoopRates {
+    /// Ticks/s with the recorder's compare table exposed to the JIT.
+    seam: f64,
+    /// Ticks/s with the same recorder, table not exposed.
+    no_seam: f64,
+    suite_cases: usize,
+    suite_ticks: usize,
+    code_bytes: usize,
+}
+
 struct Row {
     model: &'static str,
     reference: f64,
     flat: f64,
     /// Best JIT slice, or `None` when the tier is unavailable on this build.
     jit: Option<f64>,
+    /// Loop-shaped JIT rates, or `None` when the tier is unavailable.
+    looped: Option<LoopRates>,
 }
 
 fn main() {
@@ -102,8 +201,23 @@ fn main() {
             jit.run_case(&case, &mut BranchBitmap::new(branches));
         }
 
+        // The loop's own inputs: the suite a fixed-seed JIT campaign emits.
+        let suite = if jit_live {
+            let config = FuzzConfig { seed: 1, engine: Some(Engine::Jit), ..FuzzConfig::default() };
+            Fuzzer::new(&compiled, config).run_executions(SUITE_EXECUTIONS).suite
+        } else {
+            Vec::new()
+        };
+        let (mut with_seam, mut without_seam) =
+            (LoopShaped::<true>::new(branches), LoopShaped::<false>::new(branches));
+        for case in &suite {
+            jit.run_case(case, &mut with_seam);
+            jit.run_case(case, &mut without_seam);
+        }
+
         let slice = budget / ROUNDS;
         let (mut ref_rate, mut flat_rate, mut jit_rate) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut seam_rate, mut no_seam_rate) = (0.0f64, 0.0f64);
         for _ in 0..ROUNDS {
             ref_rate = ref_rate.max(slice_rate(
                 &mut reference,
@@ -125,7 +239,20 @@ fn main() {
                     slice,
                 ));
             }
+            if !suite.is_empty() {
+                seam_rate =
+                    seam_rate.max(suite_slice_rate(&mut jit, &suite, &mut with_seam, slice));
+                no_seam_rate =
+                    no_seam_rate.max(suite_slice_rate(&mut jit, &suite, &mut without_seam, slice));
+            }
         }
+        let looped = compiled.jit_stats().filter(|_| !suite.is_empty()).map(|stats| LoopRates {
+            seam: seam_rate,
+            no_seam: no_seam_rate,
+            suite_cases: suite.len(),
+            suite_ticks: suite.iter().map(|c| compiled.layout().split(&c.bytes).len()).sum(),
+            code_bytes: stats.code_bytes,
+        });
 
         let stats = compiled.opt_stats();
         let (flat_ops, probe_ops) = compiled.flat_lens();
@@ -135,9 +262,21 @@ fn main() {
         } else {
             String::new()
         };
+        let loop_line = match &looped {
+            Some(l) => format!(
+                "\n            loop-shaped jit on {} suite cases: {:.0} ticks/s with the \
+                 compare-table seam, {:.0} without (x{:.2}); code {} bytes",
+                l.suite_cases,
+                l.seam,
+                l.no_seam,
+                l.seam / l.no_seam,
+                l.code_bytes
+            ),
+            None => String::new(),
+        };
         println!(
             "  {name:>8}: {ref_rate:>9.0} -> {flat_rate:>9.0} cases/s (x{:.2}){jit_col}, \
-             instrs {} -> {} (lvn {}, dce -{}), regs {} -> {}",
+             instrs {} -> {} (lvn {}, dce -{}), regs {} -> {}{loop_line}",
             flat_rate / ref_rate,
             stats.instrs_before,
             stats.instrs_after_dce,
@@ -154,10 +293,27 @@ fn main() {
         } else {
             "\"jit_cases_per_sec\": null, \"jit_speedup\": null, ".to_string()
         };
+        let loop_fields = match &looped {
+            Some(l) => format!(
+                "\"jit_code_bytes\": {}, \"loop_suite_cases\": {}, \"loop_suite_ticks\": {}, \
+                 \"loop_seam_ticks_per_sec\": {:.1}, \"loop_no_seam_ticks_per_sec\": {:.1}, \
+                 \"loop_seam_speedup\": {:.3}, ",
+                l.code_bytes,
+                l.suite_cases,
+                l.suite_ticks,
+                l.seam,
+                l.no_seam,
+                l.seam / l.no_seam
+            ),
+            None => "\"jit_code_bytes\": null, \"loop_suite_cases\": null, \
+                     \"loop_suite_ticks\": null, \"loop_seam_ticks_per_sec\": null, \
+                     \"loop_no_seam_ticks_per_sec\": null, \"loop_seam_speedup\": null, "
+                .to_string(),
+        };
         entries.push(format!(
             "    {{\"model\": \"{name}\", \"reference_cases_per_sec\": {ref_rate:.1}, \
              \"flat_cases_per_sec\": {flat_rate:.1}, \
-             {jit_fields}\
+             {jit_fields}{loop_fields}\
              \"speedup\": {:.3}, \"case_ticks\": {CASE_TICKS}, \
              \"opt\": {{\"instrs_before\": {}, \"instrs_after_lvn\": {}, \
              \"instrs_after_dce\": {}, \"instrs_removed\": {}, \"consts_folded\": {}, \
@@ -182,6 +338,7 @@ fn main() {
             reference: ref_rate,
             flat: flat_rate,
             jit: jit_live.then_some(jit_rate),
+            looped,
         });
     }
 
@@ -211,6 +368,10 @@ fn main() {
         throughput.push((format!("{}/flat", row.model), row.flat));
         if let Some(jit) = row.jit {
             throughput.push((format!("{}/jit", row.model), jit));
+        }
+        if let Some(l) = &row.looped {
+            throughput.push((format!("{}/loop_seam", row.model), l.seam));
+            throughput.push((format!("{}/loop_no_seam", row.model), l.no_seam));
         }
     }
     let record = cftcg_compare::HistoryRecord {
@@ -264,6 +425,15 @@ fn main() {
                         ));
                     }
                 }
+                if let Some(l) = &solar.looped {
+                    if l.seam < l.no_seam {
+                        violations.push(format!(
+                            "SolarPV: loop-shaped JIT slower with the compare-table seam \
+                             ({:.0} vs {:.0} ticks/s)",
+                            l.seam, l.no_seam
+                        ));
+                    }
+                }
             }
         } else {
             println!(
@@ -281,7 +451,7 @@ fn main() {
         if jit_checked {
             println!(
                 "vm_throughput --check passed: flat >= reference and jit >= flat everywhere, \
-                 SolarPV >= 2x on both tiers"
+                 SolarPV >= 2x on both tiers, SolarPV loop-shaped seam >= no seam"
             );
         } else {
             println!("vm_throughput --check passed: flat >= reference everywhere, SolarPV >= 2x");

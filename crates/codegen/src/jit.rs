@@ -36,6 +36,7 @@
 //! | `0x28` | `vt`           | the [`RecorderVt`]                       |
 //! | `0x30` | `branch_flags` | dense branch bytes, or null              |
 //! | `0x38` | `tuple`        | raw input tuple to decode, or null       |
+//! | `0x40` | `compare_table`| [`CompareTable`] slots, or null          |
 //!
 //! # Inport decode prelude
 //!
@@ -73,7 +74,7 @@
 //! process (Rust's `extern` panic boundary): generated frames carry no
 //! unwind tables, so unwinding through them would be undefined behavior.
 //!
-//! Two fast paths keep instrumented execution cheap, both driven by
+//! Three fast paths keep instrumented execution cheap, all driven by
 //! promises on the [`Recorder`] trait (skipping a promised no-op is
 //! observationally identical, so the event-sequence contract is
 //! untouched):
@@ -89,6 +90,17 @@
 //!   `flags[id] = 1`, no call at all. The run entry validates the
 //!   flags length against the program's branch-id bound once, so the
 //!   generated stores need no per-probe bounds checks.
+//! * **Inline compare dedup** — a recorder exposing a
+//!   [`compare_table`](Recorder::compare_table) (the fuzz loop's TORC
+//!   does) promises `compare` is a no-op for inadmissible pairs and pairs
+//!   the table holds. A compare site then tests admission on the operand
+//!   bits and probes the pair's home slot inline (the table's own hash
+//!   constants, read from RIP-relative constants after the code); a hit
+//!   costs no call. Everything else calls one stub shared by the program,
+//!   which walks the probe run and calls the recorder only when the run
+//!   ends at an empty slot — so every admission still runs the recorder's
+//!   own `compare`, and ring order and eviction cannot change. A null
+//!   table sends every event through the stub to the vtable slot.
 //!
 //! # Fallback policy
 //!
@@ -101,7 +113,9 @@
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
-use cftcg_coverage::{AssertionId, BranchId, ConditionId, DecisionId, Recorder};
+use cftcg_coverage::{
+    AssertionId, BranchId, CompareSlot, CompareTable, ConditionId, DecisionId, Recorder,
+};
 use cftcg_model::interp::{lookup1d, lookup2d};
 use cftcg_model::DataType;
 
@@ -221,12 +235,20 @@ pub(crate) struct JitCtx {
     /// Raw input tuple the entry prelude decodes into `inputs`, or null
     /// when the caller filled the inputs plane itself.
     tuple: *const u8, // 0x38
+    /// The slots of the recorder's [`CompareTable`]
+    /// ([`Recorder::compare_table`]), or null to deliver every compare
+    /// event through the vtable.
+    compare_table: *const CompareSlot, // 0x40
 }
 
 const CTX_RECORDER: i32 = 0x20;
 const CTX_VT: i32 = 0x28;
 const CTX_FLAGS: i32 = 0x30;
 const CTX_TUPLE: i32 = 0x38;
+const CTX_COMPARE_TABLE: i32 = 0x40;
+
+// Compare sites scale a slot index by 16 (`shl 4`) into a byte offset.
+const _: () = assert!(std::mem::size_of::<CompareSlot>() == 16);
 
 /// Fixed-ABI probe dispatch table: one `extern "sysv64"` trampoline per
 /// recorder hook, monomorphized over the concrete recorder type. Entries
@@ -321,6 +343,7 @@ const RAX: u8 = 0;
 const RCX: u8 = 1;
 const RDX: u8 = 2;
 const RBX: u8 = 3;
+const RSP: u8 = 4;
 const RSI: u8 = 6;
 const RDI: u8 = 7;
 const R8: u8 = 8;
@@ -339,7 +362,13 @@ const CMP_LE: u8 = 2;
 const CMP_NEQ: u8 = 4;
 const CMP_ORD: u8 = 7;
 
+// Condition nibbles of `jcc rel8` (`0x70 | cc`).
+const CC_E: u8 = 0x4;
+const CC_NE: u8 = 0x5;
+const CC_S: u8 = 0x8;
+
 const F64_ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
+const F64_INF_BITS: u64 = 0x7FF0_0000_0000_0000;
 const F64_SIGN_BIT: u64 = 0x8000_0000_0000_0000;
 const F64_HALF_BITS: u64 = 0x3FE0_0000_0000_0000;
 const F64_NEG_HALF_BITS: u64 = 0xBFE0_0000_0000_0000;
@@ -353,11 +382,19 @@ struct Asm {
     labels: Vec<usize>,
     /// `(offset_of_rel32, target_op_index)` pairs patched at the end.
     fixups: Vec<(usize, usize)>,
+    /// `(offset_of_disp32, value)`: RIP-relative reads of 8-byte
+    /// constants, laid out after the code by [`Asm::emit_const_pool`].
+    rip_consts: Vec<(usize, u64)>,
 }
 
 impl Asm {
     fn new() -> Asm {
-        Asm { code: Vec::with_capacity(4096), labels: Vec::new(), fixups: Vec::new() }
+        Asm {
+            code: Vec::with_capacity(4096),
+            labels: Vec::new(),
+            fixups: Vec::new(),
+            rip_consts: Vec::new(),
+        }
     }
 
     fn u8(&mut self, b: u8) {
@@ -659,8 +696,14 @@ impl Asm {
 
     /// Binds a local forward jump to the current position.
     fn bind_fwd(&mut self, pos: usize) {
-        let rel = self.code.len() as i64 - (pos as i64 + 4);
-        let rel32 = i32::try_from(rel).expect("local skip distance fits rel32");
+        self.patch_rel32(pos, self.code.len());
+    }
+
+    /// Points the rel32 field at `pos` (which ends its instruction) at the
+    /// code offset `target`.
+    fn patch_rel32(&mut self, pos: usize, target: usize) {
+        let rel = target as i64 - (pos as i64 + 4);
+        let rel32 = i32::try_from(rel).expect("code offsets fit rel32");
         self.code[pos..pos + 4].copy_from_slice(&rel32.to_le_bytes());
     }
 
@@ -702,6 +745,140 @@ impl Asm {
         self.modrm_rr(dst, src);
     }
 
+    /// `op r64, [base + index + disp8]` for the `r, r/m` forms `op`:
+    /// `mov` (8B), `cmp` (3B), `or` (0B).
+    fn alu_r_mem_idx(&mut self, op: u8, r: u8, base: u8, index: u8, disp: i8) {
+        debug_assert!(base & 7 != 5 && index != RSP, "plain SIB base and index");
+        self.u8(0x48 | (u8::from(r >= 8) << 2) | (u8::from(index >= 8) << 1) | u8::from(base >= 8));
+        self.u8(op);
+        let md = if disp == 0 { 0b00 } else { 0b01 };
+        self.u8((md << 6) | ((r & 7) << 3) | 0b100);
+        self.u8(((index & 7) << 3) | (base & 7));
+        if disp != 0 {
+            self.u8(disp as u8);
+        }
+    }
+
+    /// `lea dst, [src + src]` — `2 * src`.
+    fn lea_double(&mut self, dst: u8, src: u8) {
+        debug_assert!(src & 7 != 5 && src != RSP, "plain SIB base and index");
+        let ext = u8::from(src >= 8);
+        self.u8(0x48 | (u8::from(dst >= 8) << 2) | (ext << 1) | ext);
+        self.u8(0x8D);
+        self.u8(((dst & 7) << 3) | 0b100);
+        self.u8(((src & 7) << 3) | (src & 7));
+    }
+
+    /// `cmp a, b` (64-bit; flags from `a - b`).
+    fn cmp_r_r(&mut self, a: u8, b: u8) {
+        self.rex(true, b, a);
+        self.u8(0x39);
+        self.modrm_rr(b, a);
+    }
+
+    /// `cmovb dst, src` (64-bit).
+    fn cmovb_r_r(&mut self, dst: u8, src: u8) {
+        self.rex(true, dst, src);
+        self.u8(0x0F);
+        self.u8(0x42);
+        self.modrm_rr(dst, src);
+    }
+
+    /// `imul dst, qword [rip + const]` — `value` joins the constant pool.
+    fn imul_r_const(&mut self, dst: u8, value: u64) {
+        self.rex(true, dst, 0);
+        self.u8(0x0F);
+        self.u8(0xAF);
+        self.u8(((dst & 7) << 3) | 0b101);
+        self.rip_consts.push((self.code.len(), value));
+        self.u32(0);
+    }
+
+    /// `cmp r, qword [rip + const]` — `value` joins the constant pool.
+    fn cmp_r_const(&mut self, r: u8, value: u64) {
+        self.rex(true, r, 0);
+        self.u8(0x3B);
+        self.u8(((r & 7) << 3) | 0b101);
+        self.rip_consts.push((self.code.len(), value));
+        self.u32(0);
+    }
+
+    /// `xor dst, src` (64-bit)
+    fn xor_r_r(&mut self, dst: u8, src: u8) {
+        self.rex(true, src, dst);
+        self.u8(0x31);
+        self.modrm_rr(src, dst);
+    }
+
+    /// `dec r64`
+    fn dec_r(&mut self, r: u8) {
+        self.rex(true, 0, r);
+        self.u8(0xFF);
+        self.modrm_rr(1, r);
+    }
+
+    /// `shr r64, imm8`
+    fn shr_r_imm8(&mut self, r: u8, imm: u8) {
+        self.rex(true, 0, r);
+        self.u8(0xC1);
+        self.modrm_rr(5, r);
+        self.u8(imm);
+    }
+
+    /// `shl r32, imm8`
+    fn shl_r32_imm8(&mut self, r: u8, imm: u8) {
+        self.rex(false, 0, r);
+        self.u8(0xC1);
+        self.modrm_rr(4, r);
+        self.u8(imm);
+    }
+
+    /// `add`/`and`/`sub r32, imm32` (`ext` = ModRM.reg: 0 add, 4 and, 5 sub).
+    fn alu_r32_imm32(&mut self, ext: u8, r: u8, imm: u32) {
+        self.rex(false, 0, r);
+        self.u8(0x81);
+        self.modrm_rr(ext, r);
+        self.u32(imm);
+    }
+
+    /// `add`/`sub r64, imm8` (`ext` = ModRM.reg: 0 add, 5 sub).
+    fn alu_r_imm8(&mut self, ext: u8, r: u8, imm: i8) {
+        self.rex(true, 0, r);
+        self.u8(0x83);
+        self.modrm_rr(ext, r);
+        self.u8(imm as u8);
+    }
+
+    /// `call rel32` to a not-yet-emitted local label.
+    fn call_fwd(&mut self) -> usize {
+        self.u8(0xE8);
+        let pos = self.code.len();
+        self.u32(0);
+        pos
+    }
+
+    /// `jcc rel8` (condition nibble `cc`) to a not-yet-bound local label,
+    /// bound by [`Asm::bind8`].
+    fn jcc8_fwd(&mut self, cc: u8) -> usize {
+        self.u8(0x70 | cc);
+        self.code.push(0);
+        self.code.len() - 1
+    }
+
+    /// Binds a `rel8` forward jump to the current position.
+    fn bind8(&mut self, pos: usize) {
+        let rel = self.code.len() - (pos + 1);
+        self.code[pos] =
+            u8::try_from(rel).ok().filter(|&r| r <= 127).expect("short jump fits rel8");
+    }
+
+    /// `jmp rel8` back to `target`.
+    fn jmp8_back(&mut self, target: usize) {
+        let rel = target as i64 - (self.code.len() as i64 + 2);
+        self.u8(0xEB);
+        self.u8(i8::try_from(rel).expect("short jump fits rel8") as u8);
+    }
+
     fn push_r(&mut self, r: u8) {
         self.rex(false, 0, r);
         self.u8(0x50 | (r & 7));
@@ -728,10 +905,30 @@ impl Asm {
     }
 
     fn patch_fixups(&mut self) {
-        for &(pos, target) in &self.fixups {
-            let rel = self.labels[target] as i64 - (pos as i64 + 4);
-            let rel32 = i32::try_from(rel).expect("forward jump distance fits rel32");
-            self.code[pos..pos + 4].copy_from_slice(&rel32.to_le_bytes());
+        for (pos, target) in std::mem::take(&mut self.fixups) {
+            self.patch_rel32(pos, self.labels[target]);
+        }
+    }
+
+    /// Lays out every distinct RIP-relative constant once, 8-byte aligned
+    /// after the code, and patches the reads (each disp32 ends its
+    /// instruction, so RIP is the byte after it).
+    fn emit_const_pool(&mut self) {
+        let mut pool: Vec<(u64, usize)> = Vec::new();
+        while !self.code.len().is_multiple_of(8) {
+            self.u8(0xCC); // int3: never executed
+        }
+        for (pos, value) in std::mem::take(&mut self.rip_consts) {
+            let at = match pool.iter().find(|&&(v, _)| v == value) {
+                Some(&(_, at)) => at,
+                None => {
+                    let at = self.code.len();
+                    self.u64(value);
+                    pool.push((value, at));
+                    at
+                }
+            };
+            self.patch_rel32(pos, at);
         }
     }
 }
@@ -765,6 +962,8 @@ struct Lowerer<'p> {
     /// any store to `regs[r]` that bypasses `xmm0`, and at every control
     /// flow merge point (jump targets start with an empty cache).
     cached: Option<u16>,
+    /// rel32 positions of the `call`s into the shared compare stub.
+    compare_calls: Vec<usize>,
 }
 
 impl<'p> Lowerer<'p> {
@@ -1023,15 +1222,100 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    /// `compare(regs[lhs], regs[rhs])` recorder event.
+    /// `compare(regs[lhs], regs[rhs])` recorder event. A null vtable slot
+    /// skips the whole site. With a compare table, admission and the
+    /// home-slot hit are tested inline; anything else calls the shared
+    /// stub ([`Lowerer::compare_stub`]) with `r10` = the slot, `rcx`/`rdx` =
+    /// the operand bits, `rsi` = the table (or null) and `rax` = the home
+    /// slot's byte offset. Clobbers every scratch register.
     fn compare_event(&mut self, lhs: u16, rhs: u16) {
-        let skip = self.begin_event(VT_COMPARE);
-        self.load_recorder_rdi();
-        self.asm.movsd_load(0, RBX, slot(lhs));
-        self.asm.movsd_load(1, RBX, slot(rhs));
         self.clobber_xmm0();
-        self.call_event();
-        self.end_event(skip);
+        let a = &mut self.asm;
+        a.mov_r_mem(R10, R15, CTX_VT);
+        a.mov_r_mem(R10, R10, VT_COMPARE);
+        a.test_r(R10, R10);
+        let unobserved = a.jcc8_fwd(CC_E);
+        a.mov_r_mem(RCX, RBX, slot(lhs));
+        a.mov_r_mem(RDX, RBX, slot(rhs));
+        a.mov_r_mem(RSI, R15, CTX_COMPARE_TABLE);
+        a.test_r(RSI, RSI);
+        let no_table = a.jcc8_fwd(CC_E);
+        // Admission on the bit patterns. Equal bits are equal operands;
+        // otherwise, with `m` = twice the larger magnitude's bits (sign
+        // shifted out), `1 < |x| < inf` is `ONE2 < m < INF2`. The test
+        // `((m - 1) >> 32) - (ONE2 >> 32) >= 0` is exact at the low end and
+        // also admits `m == INF2` — a ±inf operand — which the stub rejects.
+        a.cmp_r_r(RCX, RDX);
+        let equal = a.jcc8_fwd(CC_E);
+        a.lea_double(RAX, RCX);
+        a.lea_double(RDI, RDX);
+        a.cmp_r_r(RAX, RDI);
+        a.cmovb_r_r(RAX, RDI);
+        a.dec_r(RAX);
+        a.shr_r_imm8(RAX, 32);
+        a.alu_r32_imm32(5, RAX, ((F64_ONE_BITS << 1) >> 32) as u32);
+        let trivial = a.jcc8_fwd(CC_S);
+        // Home slot: `CompareTable`'s multiply-shift hash, scaled to bytes.
+        a.mov_r_r(RAX, RCX);
+        a.imul_r_const(RAX, CompareTable::MUL_LHS);
+        a.xor_r_r(RAX, RDX);
+        a.imul_r_const(RAX, CompareTable::MUL_MIX);
+        a.shr_r_imm8(RAX, (64 - CompareTable::SLOT_BITS) as u8);
+        a.shl_r32_imm8(RAX, 4);
+        a.alu_r_mem_idx(0x3B, RCX, RSI, RAX, 0);
+        let lhs_differs = a.jcc8_fwd(CC_NE);
+        a.alu_r_mem_idx(0x3B, RDX, RSI, RAX, 8);
+        let hit = a.jcc8_fwd(CC_E);
+        a.bind8(no_table);
+        a.bind8(lhs_differs);
+        let call = a.call_fwd();
+        for skip in [unobserved, equal, trivial, hit] {
+            a.bind8(skip);
+        }
+        self.compare_calls.push(call);
+    }
+
+    /// The stub shared by every compare site (see
+    /// [`Lowerer::compare_event`]), emitted after the epilogue. With no
+    /// table it calls the recorder. With a table it rejects a ±inf
+    /// operand, walks the probe run from the home slot, and calls the
+    /// recorder only when the run ends at an empty slot — so exactly the
+    /// admissible pairs the table does not hold reach the recorder.
+    fn compare_stub(&mut self) {
+        let a = &mut self.asm;
+        a.test_r(RSI, RSI);
+        let no_table = a.jcc8_fwd(CC_E);
+        a.lea_double(RDI, RCX);
+        a.lea_double(R8, RDX);
+        a.cmp_r_r(RDI, R8);
+        a.cmovb_r_r(RDI, R8);
+        a.cmp_r_const(RDI, F64_INF_BITS << 1);
+        let infinite = a.jcc8_fwd(CC_E);
+        let walk = a.code.len();
+        a.alu_r_mem_idx(0x3B, RCX, RSI, RAX, 0);
+        let lhs_differs = a.jcc8_fwd(CC_NE);
+        a.alu_r_mem_idx(0x3B, RDX, RSI, RAX, 8);
+        let found = a.jcc8_fwd(CC_E);
+        a.bind8(lhs_differs);
+        a.alu_r_mem_idx(0x8B, RDI, RSI, RAX, 0);
+        a.alu_r_mem_idx(0x0B, RDI, RSI, RAX, 8);
+        let empty = a.jcc8_fwd(CC_E);
+        a.alu_r32_imm32(0, RAX, 16);
+        a.alu_r32_imm32(4, RAX, (CompareTable::SLOTS * 16 - 1) as u32);
+        a.jmp8_back(walk);
+
+        a.bind8(no_table);
+        a.bind8(empty);
+        a.movq_x_r(0, RCX);
+        a.movq_x_r(1, RDX);
+        a.mov_r_mem(RDI, R15, CTX_RECORDER);
+        // The stub's own return address unaligned the stack.
+        a.alu_r_imm8(5, RSP, 8);
+        a.call_r(R10);
+        a.alu_r_imm8(0, RSP, 8);
+        a.bind8(infinite);
+        a.bind8(found);
+        a.u8(0xC3); // ret
     }
 
     /// `condition(cond, regs[src] != 0)` recorder event.
@@ -1482,6 +1766,7 @@ fn emit_program(
         jump_targets: HashSet::new(),
         branch_bound: 0,
         cached: None,
+        compare_calls: Vec::new(),
     };
 
     // Prologue: 5 pushes after the call leave rsp 16-aligned for the body,
@@ -1514,6 +1799,14 @@ fn emit_program(
     }
     lw.asm.u8(0xC3); // ret
 
+    if !lw.compare_calls.is_empty() {
+        let stub = lw.asm.code.len();
+        lw.compare_stub();
+        for &call in &lw.compare_calls {
+            lw.asm.patch_rel32(call, stub);
+        }
+    }
+    lw.asm.emit_const_pool();
     lw.asm.patch_fixups();
     let code_len = lw.asm.code.len();
     let blocks = lw.jump_targets.len() + 1;
@@ -1593,6 +1886,11 @@ pub(crate) fn run_jit<R: Recorder>(
     } else {
         std::ptr::null_mut()
     };
+    let compare_table = if R::OBSERVES_COMPARES {
+        recorder.compare_table().map_or(std::ptr::null(), |t| t.slots().as_ptr())
+    } else {
+        std::ptr::null()
+    };
     let vt = RecorderVt::of::<R>();
     let ctx = JitCtx {
         regs: regs.as_mut_ptr(),
@@ -1603,6 +1901,7 @@ pub(crate) fn run_jit<R: Recorder>(
         vt: &vt,
         branch_flags,
         tuple,
+        compare_table,
     };
     (code.entry())(&ctx);
 }

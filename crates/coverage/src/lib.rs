@@ -17,6 +17,8 @@
 //!   per-iteration branch array of Algorithm 1) and the replay-time
 //!   [`FullTracker`] that additionally records condition values and
 //!   decision evaluation vectors;
+//! * [`CompareTable`], the exact dedup set of a fuzzer's table of recent
+//!   compares, laid out for native code to probe without calling back;
 //! * [`CoverageReport`], the DC/CC/MCDC percentages computed from a
 //!   [`FullTracker`] — the common yardstick every generator in this
 //!   reproduction is scored with, like the paper replaying CSV test cases
@@ -47,12 +49,14 @@
 //! in this IR are side-effect-free), so masking from `&&`/`||`
 //! short-circuiting does not hide vectors.
 
+mod compare;
 mod frontier;
 mod map;
 mod provenance;
 mod recorder;
 mod report;
 
+pub use compare::{CompareSlot, CompareTable};
 pub use frontier::{frontier, FrontierCause, FrontierEntry};
 pub use map::{
     AssertionId, BranchId, BranchInfo, ConditionId, ConditionInfo, DecisionId, DecisionInfo,

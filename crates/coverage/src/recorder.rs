@@ -2,6 +2,7 @@
 
 use std::collections::HashSet;
 
+use crate::compare::CompareTable;
 use crate::map::{AssertionId, BranchId, ConditionId, DecisionId, InstrumentationMap};
 
 /// Receives probe events from executing instrumented code.
@@ -73,6 +74,23 @@ pub trait Recorder {
         let _ = (lhs, rhs);
     }
 
+    /// Compare-table seam for native back-ends — the
+    /// [`branch_flags`](Recorder::branch_flags) analogue for compares.
+    ///
+    /// A recorder may expose a [`CompareTable`] here when its
+    /// [`Recorder::compare`] is a no-op whenever
+    /// `!CompareTable::admissible(lhs, rhs)` or the table holds
+    /// `(lhs.to_bits(), rhs.to_bits())`. The JIT then tests admission and
+    /// probes the table inline, and calls back only for admissible pairs
+    /// the table does not hold. The exposed table must stay valid and
+    /// un-moved across any interleaving of this recorder's other event
+    /// methods for the duration of a run (`compare` itself may insert and
+    /// remove keys). Ignored when [`Recorder::OBSERVES_COMPARES`] is
+    /// `false`. Default: no fast path.
+    fn compare_table(&mut self) -> Option<&CompareTable> {
+        None
+    }
+
     /// A run-time assertion evaluated with the given result (`false` is a
     /// violation — Simulink's Assertion block in warn-and-continue mode).
     fn assertion(&mut self, id: AssertionId, passed: bool) {
@@ -99,26 +117,23 @@ impl Recorder for NullRecorder {
 /// iteration by the fuzz driver.
 ///
 /// Each flag is a 0/1 byte, so a native back-end records a hit as a plain
-/// byte store (see [`Recorder::branch_flags`]). The bytes are zero-padded
-/// to whole 8-byte words and every whole-bitmap operation runs a `u64`
-/// word at a time: with every byte 0 or 1, `count_ones` of a word counts
-/// its set flags. The padding is never visible — [`len`](Self::len),
-/// [`as_slice`](Self::as_slice), [`set_indices`](Self::set_indices) and
-/// the flags seam cover the real slots only, and padding bytes stay zero.
+/// byte store (see [`Recorder::branch_flags`]). The bytes are stored as
+/// whole `u64` words, zero-padded past the last slot, and every
+/// whole-bitmap operation is a plain loop over those words: with every
+/// byte 0 or 1, `count_ones` of a word counts its set flags. Flag `i` is
+/// byte `i % 8` of word `i / 8` in memory order — the word's bits
+/// `8 * (i % 8)..` once read as little-endian. The padding is never
+/// visible — [`len`](Self::len), [`as_slice`](Self::as_slice),
+/// [`set_indices`](Self::set_indices) and the flags seam cover the real
+/// slots only, and padding bytes stay zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchBitmap {
-    bytes: Vec<u8>,
+    words: Vec<u64>,
     len: usize,
 }
 
-/// Bytes per bookkeeping word.
+/// Flags per bookkeeping word.
 const WORD: usize = 8;
-
-/// Loads one 8-byte chunk as a word (byte `i` lands in bits `8i..8i+8`).
-#[inline]
-fn word(chunk: &[u8]) -> u64 {
-    u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
-}
 
 /// Words [`BranchBitmap::commit_tick`] sums per byte lane before folding:
 /// each word adds 0 or 1 to a lane, so 255 words cannot carry out of one.
@@ -137,7 +152,7 @@ fn lane_sum(lanes: u64) -> usize {
 impl BranchBitmap {
     /// Creates a cleared bitmap with `branch_count` slots.
     pub fn new(branch_count: usize) -> Self {
-        BranchBitmap { bytes: vec![0; branch_count.div_ceil(WORD) * WORD], len: branch_count }
+        BranchBitmap { words: vec![0; branch_count.div_ceil(WORD)], len: branch_count }
     }
 
     /// Number of slots.
@@ -152,7 +167,7 @@ impl BranchBitmap {
 
     /// Clears all flags (start of a model iteration, Algorithm 1 line 11).
     pub fn clear(&mut self) {
-        self.bytes.fill(0);
+        self.words.fill(0);
     }
 
     /// Whether branch `i` was hit this iteration.
@@ -162,12 +177,15 @@ impl BranchBitmap {
 
     /// The flags as 0/1 bytes, one per slot.
     pub fn as_slice(&self) -> &[u8] {
-        &self.bytes[..self.len]
+        // SAFETY: `u8` has no alignment or validity requirement, and the
+        // view covers the words' own bytes (`len <= 8 * words.len()`).
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
     }
 
-    /// The padded buffer as words.
-    fn words(&self) -> impl Iterator<Item = u64> + '_ {
-        self.bytes.chunks_exact(WORD).map(word)
+    /// The flags as mutable 0/1 bytes, one per slot (padding excluded).
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        // SAFETY: as in `as_slice`; every byte value is a valid `u64` byte.
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
     }
 
     /// Panics unless `other` has as many slots as `self`.
@@ -177,7 +195,7 @@ impl BranchBitmap {
 
     /// Number of branches hit this iteration.
     pub fn count(&self) -> usize {
-        self.words().map(|w| w.count_ones() as usize).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of positions where `self` and `other` differ — the
@@ -189,7 +207,7 @@ impl BranchBitmap {
     /// Panics when the bitmaps have different lengths.
     pub fn diff_count(&self, other: &BranchBitmap) -> usize {
         self.check_len(other);
-        self.words().zip(other.words()).map(|(a, b)| (a ^ b).count_ones() as usize).sum()
+        self.words.iter().zip(&other.words).map(|(a, b)| (a ^ b).count_ones() as usize).sum()
     }
 
     /// ORs this iteration's hits into `total`, returning how many branches
@@ -201,10 +219,9 @@ impl BranchBitmap {
     pub fn merge_into(&self, total: &mut BranchBitmap) -> usize {
         self.check_len(total);
         let mut new_hits = 0;
-        for (c, t) in self.bytes.chunks_exact(WORD).zip(total.bytes.chunks_exact_mut(WORD)) {
-            let (c, old) = (word(c), word(t));
-            new_hits += (c & !old).count_ones() as usize;
-            t.copy_from_slice(&(old | c).to_le_bytes());
+        for (t, &c) in total.words.iter_mut().zip(&self.words) {
+            new_hits += (c & !*t).count_ones() as usize;
+            *t |= c;
         }
         new_hits
     }
@@ -229,31 +246,29 @@ impl BranchBitmap {
     ) -> (usize, usize) {
         self.check_len(total);
         self.check_len(last);
+        // An indexed loop over equal-length slices: the compiler drops the
+        // bounds checks, and it measured faster than zipped iterators.
+        let n = self.words.len();
+        let (curr, total, last) =
+            (&mut self.words[..], &mut total.words[..n], &mut last.words[..n]);
         let (mut new_hits, mut diffs) = (0, 0);
-        let span = LANE_WORDS * WORD;
-        let chunks = self
-            .bytes
-            .chunks_mut(span)
-            .zip(total.bytes.chunks_mut(span))
-            .zip(last.bytes.chunks_mut(span));
-        for ((curr, total), last) in chunks {
+        let mut start = 0;
+        while start < n {
+            let end = n.min(start + LANE_WORDS);
             // Every flag byte is 0 or 1, so these words hold 0/1 per byte
             // lane and add lane-wise without carries.
             let (mut new_lanes, mut diff_lanes) = (0u64, 0u64);
-            let words = curr
-                .chunks_exact_mut(WORD)
-                .zip(total.chunks_exact_mut(WORD))
-                .zip(last.chunks_exact_mut(WORD));
-            for ((c, t), l) in words {
-                let (cw, tw, lw) = (word(c), word(t), word(l));
-                new_lanes += cw & !tw;
-                diff_lanes += cw ^ lw;
-                t.copy_from_slice(&(tw | cw).to_le_bytes());
-                l.copy_from_slice(c);
-                c.fill(0);
+            for i in start..end {
+                let (c, t, l) = (curr[i], total[i], last[i]);
+                new_lanes += c & !t;
+                diff_lanes += c ^ l;
+                total[i] = t | c;
+                last[i] = c;
+                curr[i] = 0;
             }
             new_hits += lane_sum(new_lanes);
             diffs += lane_sum(diff_lanes);
+            start = end;
         }
         (new_hits, diffs)
     }
@@ -266,7 +281,7 @@ impl BranchBitmap {
     /// Panics when the bitmaps have different lengths.
     pub fn copy_from(&mut self, other: &BranchBitmap) {
         other.check_len(self);
-        self.bytes.copy_from_slice(&other.bytes);
+        self.words.copy_from_slice(&other.words);
     }
 
     /// ORs `other`'s flags into this bitmap, returning how many were newly
@@ -289,12 +304,14 @@ impl BranchBitmap {
     /// Panics when the bitmaps have different lengths.
     pub fn new_vs(&self, baseline: &BranchBitmap) -> usize {
         self.check_len(baseline);
-        self.words().zip(baseline.words()).map(|(s, b)| (s & !b).count_ones() as usize).sum()
+        self.words.iter().zip(&baseline.words).map(|(s, b)| (s & !b).count_ones() as usize).sum()
     }
 
     /// Indices of the set branches, ascending.
     pub fn set_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words().enumerate().flat_map(|(w, mut bits)| {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            // Memory byte `k` is bits `8k..8k+8` of the little-endian value.
+            let mut bits = u64::from_le(word);
             std::iter::from_fn(move || {
                 (bits != 0).then(|| {
                     let i = w * WORD + bits.trailing_zeros() as usize / 8;
@@ -313,8 +330,8 @@ impl BranchBitmap {
     /// Panics when `mask` has a different length.
     pub fn retain_mask(&mut self, mask: &BranchBitmap) {
         self.check_len(mask);
-        for (t, m) in self.bytes.chunks_exact_mut(WORD).zip(mask.bytes.chunks_exact(WORD)) {
-            t.copy_from_slice(&(word(t) & word(m)).to_le_bytes());
+        for (t, &m) in self.words.iter_mut().zip(&mask.words) {
+            *t &= m;
         }
     }
 }
@@ -322,10 +339,12 @@ impl BranchBitmap {
 /// Collects one slot per flag, set where the flag is `true`.
 impl FromIterator<bool> for BranchBitmap {
     fn from_iter<I: IntoIterator<Item = bool>>(flags: I) -> Self {
-        let mut bytes: Vec<u8> = flags.into_iter().map(u8::from).collect();
-        let len = bytes.len();
-        bytes.resize(len.div_ceil(WORD) * WORD, 0);
-        BranchBitmap { bytes, len }
+        let flags: Vec<bool> = flags.into_iter().collect();
+        let mut bitmap = BranchBitmap::new(flags.len());
+        for (byte, flag) in bitmap.as_mut_slice().iter_mut().zip(flags) {
+            *byte = u8::from(flag);
+        }
+        bitmap
     }
 }
 
@@ -337,11 +356,11 @@ impl Recorder for BranchBitmap {
     const OBSERVES_ASSERTIONS: bool = false;
 
     fn branch(&mut self, id: BranchId) {
-        self.bytes[..self.len][id.index()] = 1;
+        self.as_mut_slice()[id.index()] = 1;
     }
 
     fn branch_flags(&mut self) -> Option<&mut [u8]> {
-        Some(&mut self.bytes[..self.len])
+        Some(self.as_mut_slice())
     }
 }
 

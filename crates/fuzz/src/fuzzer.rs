@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cftcg_codegen::{CompiledModel, Engine, Executor, TestCase};
-use cftcg_coverage::{BranchBitmap, FirstHit, FullTracker, ProvenanceTracker};
+use cftcg_coverage::{BranchBitmap, CompareTable, FirstHit, FullTracker, ProvenanceTracker};
 use cftcg_telemetry::{
     Event, PlateauGoal, ShardStats, SpanKind, SpanSampler, SpanTrace, Telemetry, YieldOutcome,
     PLATEAU_FRONTIER_CAP,
@@ -30,13 +30,15 @@ use crate::plateau::PlateauDetector;
 /// *current* frontier instead of freezing on whatever the first 512 were.
 ///
 /// Every admissible compare a model executes probes the dedup set, so it
-/// is a small fixed-size table ([`PairSet`]) rather than a general hashed
-/// collection — like LibFuzzer's own table of recent compares.
+/// is a small fixed-size [`CompareTable`] rather than a general hashed
+/// collection — like LibFuzzer's own table of recent compares. The fuzz
+/// loop's recorder exposes that table to the JIT, which skips the compares
+/// it already holds without calling back.
 #[derive(Debug, Clone)]
 pub(crate) struct Torc {
     pub(crate) pairs: Vec<(f64, f64)>,
     /// The bit patterns of exactly the pairs in `pairs`.
-    seen: PairSet,
+    seen: CompareTable,
     /// Ring cursor: the slot the next eviction replaces (oldest entry).
     next_evict: usize,
     /// When set, newly admitted pairs are also copied to `fresh` for the
@@ -51,27 +53,23 @@ impl Torc {
     pub(crate) fn new() -> Self {
         Torc {
             pairs: Vec::new(),
-            seen: PairSet::new(),
+            seen: CompareTable::new(),
             next_evict: 0,
             track_fresh: false,
             fresh: Vec::new(),
         }
     }
 
-    /// The admission filter. Equal operands carry no information;
-    /// non-finite values cannot be injected meaningfully; trivial pairs
-    /// (both tiny) are already in the interesting-constant table.
-    pub(crate) fn admissible(lhs: f64, rhs: f64) -> bool {
-        lhs.is_finite() && rhs.is_finite() && lhs != rhs && !(lhs.abs() <= 1.0 && rhs.abs() <= 1.0)
-    }
-
+    /// Admits `(lhs, rhs)` under [`CompareTable::admissible`] unless the
+    /// ring already holds it — and changes nothing otherwise, the promise
+    /// [`LoopRecorder`]'s compare-table seam rests on.
     pub(crate) fn push(&mut self, lhs: f64, rhs: f64) {
-        if !Self::admissible(lhs, rhs) || !self.seen.insert(PairSet::key(lhs, rhs)) {
+        if !CompareTable::admissible(lhs, rhs) || !self.seen.insert(lhs, rhs) {
             return;
         }
         if self.pairs.len() >= Self::CAPACITY {
             let (old_l, old_r) = self.pairs[self.next_evict];
-            self.seen.remove(PairSet::key(old_l, old_r));
+            self.seen.remove(old_l, old_r);
             self.pairs[self.next_evict] = (lhs, rhs);
             self.next_evict = (self.next_evict + 1) % Self::CAPACITY;
         } else {
@@ -105,84 +103,9 @@ impl Torc {
     }
 }
 
-/// The TORC ring's exact dedup set: a fixed open-addressed table of
-/// `(lhs.to_bits(), rhs.to_bits())` keys with a multiply-shift hash,
-/// linear probing and backward-shift deletion (no tombstones, so probe
-/// runs never grow with eviction churn). It holds at most
-/// `Torc::CAPACITY + 1` keys (a push inserts before it evicts), so the load
-/// stays at or below one half. The key `(0, 0)` — the pair `(0.0, 0.0)` —
-/// marks an empty slot: the admission filter rejects it (equal operands).
-#[derive(Debug, Clone)]
-struct PairSet {
-    slots: Vec<(u64, u64)>,
-}
-
-// Probe runs end at an empty slot, so the table must never fill.
-const _: () = assert!(2 * Torc::CAPACITY <= PairSet::MASK + 1);
-
-impl PairSet {
-    const SLOT_BITS: u32 = 10;
-    const MASK: usize = (1 << Self::SLOT_BITS) - 1;
-    const EMPTY: (u64, u64) = (0, 0);
-
-    fn new() -> Self {
-        PairSet { slots: vec![Self::EMPTY; Self::MASK + 1] }
-    }
-
-    fn key(lhs: f64, rhs: f64) -> (u64, u64) {
-        (lhs.to_bits(), rhs.to_bits())
-    }
-
-    /// The home slot of `key`: the top bits of a two-round multiply mix.
-    fn home(key: (u64, u64)) -> usize {
-        let mixed =
-            (key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ key.1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        (mixed >> (64 - Self::SLOT_BITS)) as usize
-    }
-
-    /// The slot holding `key`, or the empty slot ending its probe run.
-    fn find(&self, key: (u64, u64)) -> usize {
-        let mut i = Self::home(key);
-        while self.slots[i] != key && self.slots[i] != Self::EMPTY {
-            i = (i + 1) & Self::MASK;
-        }
-        i
-    }
-
-    /// Inserts `key`; `false` when it was already present.
-    fn insert(&mut self, key: (u64, u64)) -> bool {
-        debug_assert_ne!(key, Self::EMPTY, "the empty marker is not a key");
-        let i = self.find(key);
-        if self.slots[i] == key {
-            return false;
-        }
-        self.slots[i] = key;
-        true
-    }
-
-    /// Removes `key`, which must be present, then shifts later members of
-    /// its probe run back so every key stays reachable from its home slot.
-    fn remove(&mut self, key: (u64, u64)) {
-        let mut hole = self.find(key);
-        debug_assert_eq!(self.slots[hole], key, "removing an absent key");
-        let mut j = hole;
-        loop {
-            j = (j + 1) & Self::MASK;
-            let next = self.slots[j];
-            if next == Self::EMPTY {
-                break;
-            }
-            // `next` may fill the hole when the hole lies on its probe path,
-            // i.e. no further from `j` than its home slot is.
-            let from_home = j.wrapping_sub(Self::home(next)) & Self::MASK;
-            if from_home >= (j.wrapping_sub(hole) & Self::MASK) {
-                self.slots[hole] = next;
-                hole = j;
-            }
-        }
-        self.slots[hole] = Self::EMPTY;
-    }
-}
+// Probe runs end at an empty slot, so the table must never fill: it holds
+// at most `Torc::CAPACITY + 1` keys (a push inserts before it evicts).
+const _: () = assert!(2 * Torc::CAPACITY <= CompareTable::SLOTS);
 
 /// The fuzz loop's in-execution recorder: Algorithm 1's branch bitmap plus
 /// the TORC ring and assertion-violation flags.
@@ -210,6 +133,13 @@ impl cftcg_coverage::Recorder for LoopRecorder<'_> {
     #[inline]
     fn compare(&mut self, lhs: f64, rhs: f64) {
         self.torc.push(lhs, rhs);
+    }
+
+    /// `Torc::push` is a no-op for inadmissible pairs and pairs the ring
+    /// holds, and the table lives as long as the fuzzer.
+    #[inline]
+    fn compare_table(&mut self) -> Option<&CompareTable> {
+        Some(&self.torc.seen)
     }
 
     #[inline]

@@ -34,4 +34,4 @@ mod parser;
 
 pub use ast::{format_stmts, BinOp, Expr, Stmt, UnaryOp};
 pub use eval::{apply_builtin, exec_stmts, DynEnv, EvalExprError, ExprEnv, MapEnv, BUILTINS};
-pub use parser::{parse_expr, parse_stmts, ParseExprError};
+pub use parser::{parse_expr, parse_stmts, ParseExprError, MAX_DEPTH};

@@ -35,11 +35,21 @@ impl fmt::Display for ParseExprError {
 
 impl Error for ParseExprError {}
 
+/// Deepest nesting the parser accepts: at most this many nested groups
+/// (parentheses, call argument lists, prefix operators, `if` statements)
+/// around any token, and at most this many operator and call nodes on any
+/// root-to-leaf path of a built expression. Deeper input is a
+/// [`ParseExprError`] rather than a stack overflow, and no deeper tree is
+/// ever built, so recursive passes over the AST (evaluation, lowering,
+/// printing, drop) stay bounded too.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a single expression.
 ///
 /// # Errors
 ///
-/// Returns [`ParseExprError`] on malformed input or trailing tokens.
+/// Returns [`ParseExprError`] on malformed input, trailing tokens, or
+/// nesting deeper than [`MAX_DEPTH`].
 ///
 /// ```
 /// # use cftcg_model::expr::parse_expr;
@@ -48,7 +58,7 @@ impl Error for ParseExprError {}
 /// ```
 pub fn parse_expr(src: &str) -> Result<Expr, ParseExprError> {
     let tokens = tokenize(src).map_err(|(offset, message)| ParseExprError { message, offset })?;
-    let mut p = Parser { tokens, pos: 0, src_len: src.len() };
+    let mut p = Parser::new(tokens, src.len());
     let expr = p.expr()?;
     p.expect_end()?;
     Ok(expr)
@@ -58,7 +68,8 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseExprError> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseExprError`] on malformed input.
+/// Returns [`ParseExprError`] on malformed input or nesting deeper than
+/// [`MAX_DEPTH`].
 ///
 /// ```
 /// # use cftcg_model::expr::parse_stmts;
@@ -67,7 +78,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseExprError> {
 /// ```
 pub fn parse_stmts(src: &str) -> Result<Vec<Stmt>, ParseExprError> {
     let tokens = tokenize(src).map_err(|(offset, message)| ParseExprError { message, offset })?;
-    let mut p = Parser { tokens, pos: 0, src_len: src.len() };
+    let mut p = Parser::new(tokens, src.len());
     let stmts = p.stmt_list_until_end()?;
     Ok(stmts)
 }
@@ -76,9 +87,44 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     src_len: usize,
+    /// Groups open at `pos` (see [`MAX_DEPTH`]).
+    nesting: usize,
+    /// Operator/call nodes on the longest path of the expression parsed
+    /// last (0 for a leaf).
+    height: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Spanned>, src_len: usize) -> Self {
+        Parser { tokens, pos: 0, src_len, nesting: 0, height: 0 }
+    }
+
+    fn too_deep(&self) -> ParseExprError {
+        self.error(format!("expression nests deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Runs `parse` one group deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseExprError>,
+    ) -> Result<T, ParseExprError> {
+        if self.nesting == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    /// The height of a node over children at most `child` high.
+    fn node_height(&self, child: usize) -> Result<usize, ParseExprError> {
+        if child == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(child + 1)
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|s| &s.token)
     }
@@ -135,24 +181,31 @@ impl Parser {
 
     fn or_expr(&mut self) -> Result<Expr, ParseExprError> {
         let mut lhs = self.and_expr()?;
+        let mut height = self.height;
         while self.eat(&Token::OrOr) {
             let rhs = self.and_expr()?;
+            height = self.node_height(height.max(self.height))?;
             lhs = Expr::bin(BinOp::Or, lhs, rhs);
         }
+        self.height = height;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseExprError> {
         let mut lhs = self.cmp_expr()?;
+        let mut height = self.height;
         while self.eat(&Token::AndAnd) {
             let rhs = self.cmp_expr()?;
+            height = self.node_height(height.max(self.height))?;
             lhs = Expr::bin(BinOp::And, lhs, rhs);
         }
+        self.height = height;
         Ok(lhs)
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, ParseExprError> {
         let lhs = self.add_expr()?;
+        let lhs_height = self.height;
         let op = match self.peek() {
             Some(Token::Lt) => BinOp::Lt,
             Some(Token::Le) => BinOp::Le,
@@ -164,81 +217,97 @@ impl Parser {
         };
         self.pos += 1;
         let rhs = self.add_expr()?;
+        self.height = self.node_height(lhs_height.max(self.height))?;
         Ok(Expr::bin(op, lhs, rhs))
     }
 
     fn add_expr(&mut self) -> Result<Expr, ParseExprError> {
         let mut lhs = self.mul_expr()?;
+        let mut height = self.height;
         loop {
             let op = match self.peek() {
                 Some(Token::Plus) => BinOp::Add,
                 Some(Token::Minus) => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => break,
             };
             self.pos += 1;
             let rhs = self.mul_expr()?;
+            height = self.node_height(height.max(self.height))?;
             lhs = Expr::bin(op, lhs, rhs);
         }
+        self.height = height;
+        Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, ParseExprError> {
         let mut lhs = self.unary_expr()?;
+        let mut height = self.height;
         loop {
             let op = match self.peek() {
                 Some(Token::Star) => BinOp::Mul,
                 Some(Token::Slash) => BinOp::Div,
                 Some(Token::Percent) => BinOp::Rem,
-                _ => return Ok(lhs),
+                _ => break,
             };
             self.pos += 1;
             let rhs = self.unary_expr()?;
+            height = self.node_height(height.max(self.height))?;
             lhs = Expr::bin(op, lhs, rhs);
         }
+        self.height = height;
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseExprError> {
-        if self.eat(&Token::Minus) {
-            let inner = self.unary_expr()?;
-            // Fold negation of literals so `-1` is a literal, not an op.
-            if let Expr::Literal(Value::F64(x)) = inner {
-                return Ok(Expr::Literal(Value::F64(-x)));
-            }
-            return Ok(Expr::Unary(UnaryOp::Neg, Box::new(inner)));
+        let op = if self.eat(&Token::Minus) {
+            UnaryOp::Neg
+        } else if self.eat(&Token::Bang) {
+            UnaryOp::Not
+        } else {
+            return self.primary_expr();
+        };
+        let inner = self.nested(Self::unary_expr)?;
+        // Fold negation of literals so `-1` is a literal, not an op.
+        if let (UnaryOp::Neg, Expr::Literal(Value::F64(x))) = (op, &inner) {
+            return Ok(Expr::Literal(Value::F64(-x)));
         }
-        if self.eat(&Token::Bang) {
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Unary(UnaryOp::Not, Box::new(inner)));
-        }
-        self.primary_expr()
+        self.height = self.node_height(self.height)?;
+        Ok(Expr::Unary(op, Box::new(inner)))
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseExprError> {
+        self.height = 0;
         match self.bump() {
             Some(Token::Number(x)) => Ok(Expr::Literal(Value::F64(x))),
             Some(Token::True) => Ok(Expr::Literal(Value::Bool(true))),
             Some(Token::False) => Ok(Expr::Literal(Value::Bool(false))),
             Some(Token::Ident(name)) => {
                 if self.eat(&Token::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&Token::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.eat(&Token::RParen) {
-                                break;
+                    let (args, height) = self.nested(|p| {
+                        let (mut args, mut height) = (Vec::new(), 0);
+                        if !p.eat(&Token::RParen) {
+                            loop {
+                                args.push(p.expr()?);
+                                height = height.max(p.height);
+                                if p.eat(&Token::RParen) {
+                                    break;
+                                }
+                                p.expect(&Token::Comma)?;
                             }
-                            self.expect(&Token::Comma)?;
                         }
-                    }
+                        Ok((args, height))
+                    })?;
+                    self.height = self.node_height(height)?;
                     Ok(Expr::Call(name, args))
                 } else {
                     Ok(Expr::Var(name))
                 }
             }
-            Some(Token::LParen) => {
-                let inner = self.expr()?;
-                self.expect(&Token::RParen)?;
+            Some(Token::LParen) => self.nested(|p| {
+                let inner = p.expr()?;
+                p.expect(&Token::RParen)?;
                 Ok(inner)
-            }
+            }),
             Some(other) => Err(ParseExprError {
                 message: format!("unexpected token `{other}`"),
                 offset: self.tokens[self.pos - 1].offset,
@@ -259,7 +328,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, ParseExprError> {
         if self.eat(&Token::If) {
-            return self.if_stmt();
+            return self.nested(Self::if_stmt);
         }
         match self.bump() {
             Some(Token::Ident(name)) => {
@@ -283,7 +352,7 @@ impl Parser {
         let then_body = self.block()?;
         let else_body = if self.eat(&Token::Else) {
             if self.eat(&Token::If) {
-                vec![self.if_stmt()?] // `else if` chains
+                vec![self.nested(Self::if_stmt)?] // `else if` chains
             } else {
                 self.block()?
             }
@@ -399,6 +468,39 @@ mod tests {
         assert!(parse_stmts("if (a) x = 1;").is_err()); // missing braces
         assert!(parse_stmts("if (a) { x = 1;").is_err()); // unclosed block
         assert!(parse_stmts("1 = x;").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let parens = |n: usize| format!("{}x{}", "(".repeat(n), ")".repeat(n));
+        let calls = |n: usize| format!("{}x{}", "abs(".repeat(n), ")".repeat(n));
+        let chain = |n: usize| format!("x{}", "+x".repeat(n));
+        let prefixes = |n: usize, op: &str| format!("{}x", op.repeat(n));
+        let negated_literal = |n: usize| format!("{}1", "-".repeat(n));
+        let deep: [&dyn Fn(usize) -> String; 6] = [
+            &parens,
+            &calls,
+            &chain,
+            &|n| prefixes(n, "-"),
+            &|n| prefixes(n, "!"),
+            &negated_literal,
+        ];
+        for (i, text) in deep.iter().enumerate() {
+            assert!(parse_expr(&text(MAX_DEPTH)).is_ok(), "shape {i} at the limit");
+            let err = parse_expr(&text(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message().contains("deeper than 256"), "shape {i}: {err}");
+        }
+        let ifs = |n: usize| format!("{}y = 1;{}", "if (x) { ".repeat(n), "}".repeat(n));
+        let else_ifs = |n: usize| format!("if (x) {{}}{}", " else if (x) {}".repeat(n - 1));
+        for text in [ifs, else_ifs] {
+            assert!(parse_stmts(&text(MAX_DEPTH)).is_ok());
+            let err = parse_stmts(&text(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message().contains("deeper than 256"), "{err}");
+        }
+        // A chain's operators stack on top of its deepest operand.
+        let half = MAX_DEPTH / 2;
+        assert!(parse_expr(&format!("{}{}", "-".repeat(half), chain(half))).is_ok());
+        assert!(parse_expr(&format!("{}{}", "-".repeat(half), chain(half + 1))).is_err());
     }
 
     #[test]

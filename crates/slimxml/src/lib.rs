@@ -39,7 +39,7 @@
 mod parse;
 mod write;
 
-pub use parse::{parse, ParseXmlError};
+pub use parse::{parse, ParseXmlError, MAX_DEPTH};
 
 /// A parsed XML document: the optional declaration plus a single root element.
 #[derive(Debug, Clone, PartialEq, Eq)]

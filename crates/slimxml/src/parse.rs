@@ -40,6 +40,12 @@ impl fmt::Display for ParseXmlError {
 
 impl Error for ParseXmlError {}
 
+/// Deepest element nesting [`parse`] accepts (the root element is depth 1).
+/// Deeper input is a [`ParseXmlError`] rather than a stack overflow, and no
+/// deeper tree is ever built, so recursive passes over a parsed document
+/// (writing, comparison, drop, model loading) stay bounded too.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses an XML document from a string.
 ///
 /// Whitespace-only text between elements is discarded; any text node with
@@ -48,7 +54,8 @@ impl Error for ParseXmlError {}
 /// # Errors
 ///
 /// Returns [`ParseXmlError`] on malformed input: mismatched tags, unclosed
-/// elements, bad entities, stray content after the root element, and so on.
+/// elements, bad entities, stray content after the root element, elements
+/// nested deeper than [`MAX_DEPTH`], and so on.
 ///
 /// ```
 /// # use cftcg_slimxml::parse;
@@ -72,11 +79,13 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     saw_declaration: bool,
+    /// Elements open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { bytes: input.as_bytes(), pos: 0, saw_declaration: false }
+        Parser { bytes: input.as_bytes(), pos: 0, saw_declaration: false, depth: 0 }
     }
 
     fn error(&self, message: impl Into<String>) -> ParseXmlError {
@@ -195,6 +204,16 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_element(&mut self) -> Result<Element, ParseXmlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("elements nest deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let element = self.parse_element_body();
+        self.depth -= 1;
+        element
+    }
+
+    fn parse_element_body(&mut self) -> Result<Element, ParseXmlError> {
         self.expect("<")?;
         let name = self.parse_name()?;
         let mut element = Element::new(name);
@@ -449,6 +468,16 @@ mod tests {
         assert!(err.column() > 1);
         let shown = err.to_string();
         assert!(shown.contains("2:"), "{shown}");
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |n: usize| format!("{}{}", "<a x='1'>".repeat(n), "</a>".repeat(n));
+        let doc = parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(doc.root.name, "a");
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message().contains("deeper than 256"), "{err}");
+        assert_eq!(err.column(), 1 + 9 * MAX_DEPTH, "points at the first element too deep");
     }
 
     #[test]

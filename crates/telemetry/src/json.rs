@@ -30,10 +30,17 @@ pub enum Json {
 }
 
 impl Json {
+    /// Deepest array/object nesting [`Json::parse`] accepts. A deeper
+    /// document is a [`JsonError`] rather than a stack overflow, and no
+    /// deeper value is ever built, so recursive walks over a parsed value
+    /// (drop, clone, comparison) stay bounded too.
+    pub const MAX_DEPTH: usize = 256;
+
     /// Parses one complete JSON document. Trailing non-whitespace is an
-    /// error (each JSONL line must be exactly one value).
+    /// error (each JSONL line must be exactly one value), and so is nesting
+    /// deeper than [`Json::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -109,6 +116,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -150,8 +159,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == Json::MAX_DEPTH {
+                    return Err(self.error("arrays and objects nest deeper than Json::MAX_DEPTH"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a value")),
         }
@@ -345,6 +361,22 @@ mod tests {
         assert_eq!(arr[1], Json::Bool(true));
         assert_eq!(arr[2], Json::Null);
         assert_eq!(v.get("o").unwrap().get("k").unwrap().as_str(), Some("v"));
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}0{}", "{\"k\":".repeat(n), "}".repeat(n));
+        let mixed = |n: usize| format!("{}0{}", "{\"k\":[".repeat(n), "]}".repeat(n));
+        let half = Json::MAX_DEPTH / 2;
+        for doc in [arrays(Json::MAX_DEPTH), objects(Json::MAX_DEPTH), mixed(half)] {
+            assert!(Json::parse(&doc).is_ok(), "the limit itself parses");
+        }
+        let deeper = format!("[{}]", mixed(half));
+        for doc in [arrays(Json::MAX_DEPTH + 1), objects(Json::MAX_DEPTH + 1), deeper] {
+            let err = Json::parse(&doc).unwrap_err();
+            assert!(err.message.contains("MAX_DEPTH"), "{err}");
+        }
     }
 
     #[test]

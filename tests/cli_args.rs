@@ -1,7 +1,8 @@
 //! The `cftcg` binary refuses what it cannot honour with a message and a
 //! plain failure exit, never a silent default or a panic: unknown flags,
 //! value flags without a value, a campaign recorded against another model,
-//! and a model calling a function that is not a builtin.
+//! a model calling a function that is not a builtin, and input nested deeper
+//! than a parser's depth limit.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -93,5 +94,42 @@ fn models_calling_unknown_or_misarity_functions_are_refused() {
         std::fs::write(&path, bad).expect("write model");
         let out = cftcg(&["fuzz", path.to_str().unwrap(), "--budget-ms", "50"]);
         assert_refused(&out, needles);
+    }
+}
+
+#[test]
+fn deeply_nested_inputs_are_refused_not_overflowed() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_args_deep");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let write = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write input");
+        path.to_str().unwrap().to_string()
+    };
+
+    // A JSONL line of 200,000 open brackets.
+    let jsonl = write("deep.jsonl", "[".repeat(200_000) + "\n");
+    assert_refused(&cftcg(&["report", &jsonl]), &["MAX_DEPTH"]);
+
+    // A model file of 20,000 nested subsystems.
+    let level = "<block name=\"s\" kind=\"Subsystem\"><model name=\"m\">";
+    let xml = format!(
+        "<model name=\"Deep\">{}{}</model>",
+        level.repeat(20_000),
+        "</model></block>".repeat(20_000)
+    );
+    assert_refused(&cftcg(&["stats", &write("deep.mdlx", xml)]), &["deeper than 256"]);
+
+    // SolarPV chart guards of 20,000 parentheses and 200,000 minus signs.
+    let text = std::fs::read_to_string(model("solarpv")).expect("SolarPV model");
+    let guards = [
+        format!("{}p{} &gt; 100", "(".repeat(20_000), ")".repeat(20_000)),
+        format!("{}p &gt; 100", "-".repeat(200_000)),
+    ];
+    for (i, guard) in guards.iter().enumerate() {
+        let bad = text.replacen("guard=\"p &gt; 100\"", &format!("guard=\"{guard}\""), 1);
+        assert_ne!(bad, text, "SolarPV guard not found");
+        let path = write(&format!("deep_guard{i}.mdlx"), bad);
+        assert_refused(&cftcg(&["stats", &path]), &["deeper than 256"]);
     }
 }

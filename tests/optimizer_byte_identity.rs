@@ -70,41 +70,47 @@ fn reference_vm_campaign_is_byte_identical() {
 
 /// The JIT tier must be campaign-invisible: a `workers = 1` run with
 /// `engine: Jit` produces byte-for-byte the same `campaign.json` as one on
-/// the flat VM. On hosts without the JIT tier `Engine::Jit` falls back to
-/// the flat VM, so the test degrades to flat-vs-flat and still proves the
-/// engine knob itself does not perturb the campaign.
+/// the flat VM, on every bundled model — the JIT delivers compares through
+/// the fuzz loop's compare table (TCP's sequence-number guards and RAC's 68
+/// compare sites exercise it), branches as inline flag stores. On hosts
+/// without the JIT tier `Engine::Jit` falls back to the flat VM, so the
+/// test degrades to flat-vs-flat and still proves the engine knob itself
+/// does not perturb the campaign.
 #[test]
 fn jit_campaign_json_is_byte_identical_with_one_worker() {
     use cftcg::codegen::Engine;
 
-    let model = cftcg::benchmarks::by_name("SolarPV").expect("bundled benchmark");
-    let compiled = compile(&model).expect("benchmark compiles");
+    for model in cftcg::benchmarks::all() {
+        let name = model.name();
+        let compiled = compile(&model).expect("benchmark compiles");
+        let executions = if name == "SolarPV" { 2_500 } else { 1_500 };
 
-    let run = |engine: Engine| {
-        let config = ParallelFuzzConfig {
-            workers: 1,
-            sync_interval: 512,
-            fuzz: FuzzConfig { seed: 23, engine: Some(engine), ..FuzzConfig::default() },
-            ..ParallelFuzzConfig::default()
+        let run = |engine: Engine| {
+            let config = ParallelFuzzConfig {
+                workers: 1,
+                sync_interval: 512,
+                fuzz: FuzzConfig { seed: 23, engine: Some(engine), ..FuzzConfig::default() },
+                ..ParallelFuzzConfig::default()
+            };
+            ParallelFuzzer::new(&compiled, config).run_executions(executions)
         };
-        ParallelFuzzer::new(&compiled, config).run_executions(2_500)
-    };
 
-    let jit = run(Engine::Jit);
-    let flat = run(Engine::Flat);
-    assert_outcomes_identical(&jit, &flat, "SolarPV workers=1 jit");
+        let jit = run(Engine::Jit);
+        let flat = run(Engine::Flat);
+        assert_outcomes_identical(&jit, &flat, &format!("{name} workers=1 jit"));
 
-    let json = |outcome: FuzzOutcome| {
-        let generation: Generation = outcome.into();
-        let artifact =
-            CampaignArtifact::from_generation(model.name(), 23, 1, &generation, compiled.map());
-        strip_wallclock(artifact.to_json())
-    };
-    assert_eq!(
-        json(jit),
-        json(flat),
-        "SolarPV: campaign.json must be byte-identical regardless of engine"
-    );
+        let json = |outcome: FuzzOutcome| {
+            let generation: Generation = outcome.into();
+            let artifact =
+                CampaignArtifact::from_generation(name, 23, 1, &generation, compiled.map());
+            strip_wallclock(artifact.to_json())
+        };
+        assert_eq!(
+            json(jit),
+            json(flat),
+            "{name}: campaign.json must be byte-identical regardless of engine"
+        );
+    }
 }
 
 #[test]
