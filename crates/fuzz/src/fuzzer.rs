@@ -5,18 +5,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cftcg_codegen::{CompiledModel, Engine, Executor, TestCase};
-use cftcg_coverage::{BranchBitmap, CompareTable, FirstHit, FullTracker, ProvenanceTracker};
-use cftcg_telemetry::{
-    Event, PlateauGoal, ShardStats, SpanKind, SpanSampler, SpanTrace, Telemetry, YieldOutcome,
-    PLATEAU_FRONTIER_CAP,
-};
+use cftcg_coverage::{BranchBitmap, CompareTable, ProvenanceTracker};
+use cftcg_telemetry::{ShardStats, SpanKind, SpanSampler, SpanTrace, Telemetry, YieldOutcome};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
+use crate::campaign::{Campaign, Folding, ReportedCase, WorkerReport};
 use crate::corpus::{Corpus, CorpusEntry, CorpusInsertion};
-use crate::lineage::{Lineage, LineageOrigin, LineageRecord, SHARD_ID_STRIDE};
+use crate::lineage::{LineageOrigin, LineageRecord, SHARD_ID_STRIDE};
 use crate::mutate::{MutationKind, Mutator};
-use crate::plateau::PlateauDetector;
 
 /// LibFuzzer's table of recent compares, adapted to model fuzzing: a
 /// bounded *deduplicated* dictionary of comparison operand values mined
@@ -154,11 +151,11 @@ impl cftcg_coverage::Recorder for LoopRecorder<'_> {
 /// carrying the case's input bytes and stable case id.
 ///
 /// This is the seam the `trace` layer uses to capture sampled waveforms of
-/// interesting inputs *without* perturbing the run: the hook fires after
-/// the case is already booked (suite, coverage event, metadata), consumes
-/// no fuzzer RNG, and on parallel runs fires only on the coordinator — so
-/// fuzzing outcomes are byte-identical with or without a hook installed
-/// (enforced by test).
+/// interesting inputs *without* perturbing the run: the hook fires from the
+/// campaign fold after the case is already booked (suite, coverage event,
+/// metadata), consumes no fuzzer RNG, and never runs on a fuzzing shard's
+/// loop — so fuzzing outcomes are byte-identical with or without a hook
+/// installed (enforced by test).
 #[derive(Clone)]
 pub struct TraceHook(TraceHookFn);
 
@@ -220,7 +217,7 @@ pub struct FuzzConfig {
     /// trajectory, so runs stay byte-identical with or without it.
     pub telemetry: Option<Arc<Telemetry>>,
     /// Optional observer of coverage-earning cases (sampled waveform
-    /// capture). Never consulted on worker shards and never fed RNG, so it
+    /// capture). Called by the campaign fold only and never fed RNG, so it
     /// cannot change what the fuzzer produces.
     pub trace_hook: Option<TraceHook>,
     /// Optional shared span-event buffer for Chrome trace-event export
@@ -228,39 +225,31 @@ pub struct FuzzConfig {
     /// telemetry registry; like telemetry it only observes, so runs stay
     /// byte-identical with or without it.
     pub span_trace: Option<SpanTrace>,
-    /// Run cases on the reference tree-walking engine instead of the
-    /// optimized flat VM ([`Executor::new_reference`]). Slower; exists so
-    /// campaigns can be cross-checked byte-for-byte against the optimizer
-    /// (`tests/optimizer_byte_identity.rs`) — both settings must produce
-    /// identical outcomes and artifacts.
-    pub reference_vm: bool,
     /// Explicit execution engine. `None` (the default) resolves to the
-    /// fastest engine available on this build ([`Engine::best`]), or the
-    /// reference tree walker when [`FuzzConfig::reference_vm`] is set.
-    /// The `CFTCG_ENGINE` environment variable (`ref` | `flat` | `jit`)
-    /// overrides both — see [`FuzzConfig::resolved_engine`].
+    /// fastest engine available on this build ([`Engine::best`]). Every
+    /// engine produces identical outcomes and artifacts
+    /// (`tests/optimizer_byte_identity.rs` cross-checks the reference tree
+    /// walker against the optimized tiers). The `CFTCG_ENGINE` environment
+    /// variable (`ref` | `flat` | `jit`) overrides it — see
+    /// [`FuzzConfig::resolved_engine`].
     pub engine: Option<Engine>,
     /// Plateau-watch window, in executions. When set (and a telemetry
-    /// registry is attached), a [`PlateauDetector`] watches the covered-goal
+    /// registry is attached), a [`PlateauDetector`](crate::PlateauDetector) watches the covered-goal
     /// count and emits a `plateau` JSONL event — with a frontier diff naming
     /// the still-open goals — every time a full window passes without a
-    /// coverage gain. Pure integer bookkeeping on observation points the
-    /// loop already visits; the fuzzing trajectory is untouched.
+    /// coverage gain. Pure integer bookkeeping in the campaign fold; the
+    /// fuzzing trajectory is untouched.
     pub plateau_window: Option<u64>,
 }
 
 impl FuzzConfig {
     /// The engine a campaign with this config actually runs on. Precedence:
-    /// the `CFTCG_ENGINE` env var, then [`FuzzConfig::engine`], then
-    /// `reference_vm` (reference walker) or the best available tier. A
-    /// resolved `Jit` on a build without the JIT still falls back to the
-    /// flat VM inside [`Executor::with_engine`]; campaign artifacts are
-    /// byte-identical either way.
+    /// the `CFTCG_ENGINE` env var, then [`FuzzConfig::engine`], then the
+    /// best available tier. A resolved `Jit` on a build without the JIT
+    /// still falls back to the flat VM inside [`Executor::with_engine`];
+    /// campaign artifacts are byte-identical either way.
     pub fn resolved_engine(&self) -> Engine {
-        cftcg_codegen::resolve_engine(
-            self.engine,
-            if self.reference_vm { Engine::Reference } else { Engine::best() },
-        )
+        cftcg_codegen::resolve_engine(self.engine, Engine::best())
     }
 }
 
@@ -278,7 +267,6 @@ impl Default for FuzzConfig {
             telemetry: None,
             trace_hook: None,
             span_trace: None,
-            reference_vm: false,
             engine: None,
             plateau_window: None,
         }
@@ -320,7 +308,7 @@ pub struct FuzzOutcome {
     /// Forensic metadata of each suite entry (same length and order).
     pub suite_meta: Vec<CaseMeta>,
     /// The lineage DAG: one record per committed input, in mint order (see
-    /// [`Lineage`]); every suite entry's ancestry resolves here.
+    /// [`Lineage`](crate::Lineage)); every suite entry's ancestry resolves here.
     pub lineage: Vec<LineageRecord>,
     /// Per-goal first-hit provenance of the emitted suite. Its embedded
     /// tracker is the union of the suite's observations, so scoring it
@@ -373,12 +361,14 @@ impl FuzzOutcome {
     }
 }
 
-/// The model-oriented fuzzer.
+/// The model-oriented fuzzer: one shard of Algorithm 1 — pick, mutate,
+/// execute, collect coverage, keep interesting inputs. What it finds
+/// (coverage-earning cases, lineage, violations, stats) it queues for a
+/// campaign fold. A sequential fuzzer owns its campaign and folds in-thread
+/// after every batch; a parallel worker shard hands its reports to the
+/// coordinator's campaign instead.
 pub struct Fuzzer<'c> {
     exec: Executor<'c>,
-    /// The compiled model, kept for forensic replays (provenance absorbs
-    /// re-execute coverage-earning inputs with a [`FullTracker`]).
-    compiled: &'c CompiledModel,
     /// Cached copy of the compiled tuple layout (avoids cloning it on
     /// every execution just to iterate tuples).
     layout: cftcg_codegen::TupleLayout,
@@ -386,7 +376,7 @@ pub struct Fuzzer<'c> {
     corpus: Corpus,
     rng: SmallRng,
     config: FuzzConfig,
-    /// `g_TotalCov` of Algorithm 1.
+    /// `g_TotalCov` of Algorithm 1 (shard-local).
     total: BranchBitmap,
     /// `g_CurrCov`: this tick's hits, all clear between ticks.
     curr: BranchBitmap,
@@ -398,55 +388,57 @@ pub struct Fuzzer<'c> {
     torc: Torc,
     /// Per-assertion violation flags for the current execution.
     failed_assertions: Vec<bool>,
-    /// Assertion labels from the instrumentation map (for violation events).
-    assertion_labels: Vec<String>,
-    /// Assertions already reported, with their witness inputs.
+    /// Assertions this shard has already witnessed violated.
+    witnessed: Vec<bool>,
+    /// Found since the last report and moved out by
+    /// [`Fuzzer::take_report`]: coverage-earning cases, first-witness
+    /// violations, the executions at which external seeds were added, and
+    /// lineage records.
+    cases: Vec<ReportedCase>,
     violations: Vec<(usize, TestCase)>,
-    suite: Vec<TestCase>,
-    events: Vec<CoverageEvent>,
-    /// Forensic metadata per suite entry (lockstep with `suite`).
-    suite_meta: Vec<CaseMeta>,
+    seeds: Vec<u64>,
+    lineage: Vec<LineageRecord>,
     /// Shard id: 0 for sequential runs, the worker id on parallel shards.
     /// Lineage ids are minted as `shard * SHARD_ID_STRIDE + counter`.
     shard: usize,
     /// Shard-local counter of committed lineage records.
     next_case: u64,
-    /// The lineage DAG of every committed input.
-    lineage: Lineage,
-    /// Per-goal first-hit provenance (sequential runs only; on worker
-    /// shards the coordinator owns the global provenance).
-    provenance: ProvenanceTracker,
     executions: u64,
     iterations: u64,
     started: Instant,
     elapsed: Duration,
     /// Locally owned telemetry counters (lock-free; cumulative).
     stats: ShardStats,
-    /// Baseline of the last stats report, for delta computation.
+    /// Baseline of the last report, for delta computation.
     reported_stats: ShardStats,
-    /// Telemetry registry, shared with the campaign owner.
-    telemetry: Option<Arc<Telemetry>>,
     /// Per-execution latency timing (costs two clock reads per input), on
     /// only when a telemetry registry is attached.
     time_execs: bool,
-    /// Span-phase timing (mutation/execution/coverage/corpus attribution),
-    /// on when a telemetry registry or a span-trace buffer is attached —
-    /// otherwise the hot loop never reads the clock for spans.
+    /// Span-phase timing (mutation/execution/corpus attribution), on when a
+    /// telemetry registry or a span-trace buffer is attached — otherwise
+    /// the hot loop never reads the clock for spans.
     time_spans: bool,
     /// Sampling front end for the shared trace-event buffer, when attached.
     span_sampler: Option<SpanSampler>,
-    /// Plateau watcher (sequential runs with a telemetry registry and a
-    /// configured window only; on parallel shards the coordinator owns it).
-    plateau: Option<PlateauDetector>,
-    /// Set on parallel worker shards: record local stats but never emit
-    /// events or merge into the registry directly — the coordinator owns
-    /// the global view and folds worker deltas at sync rounds.
-    worker_mode: bool,
+    /// The sequential run's campaign; `None` on parallel worker shards.
+    campaign: Option<Campaign<'c>>,
 }
 
 impl<'c> Fuzzer<'c> {
     /// Creates a fuzzer over a compiled model.
     pub fn new(compiled: &'c CompiledModel, config: FuzzConfig) -> Self {
+        Fuzzer::build(compiled, config, None)
+    }
+
+    /// A parallel worker shard: lineage ids are minted under `worker`
+    /// (shard 0's coincide with a sequential run's — the `workers == 1`
+    /// byte-identity contract), fresh TORC pairs are tracked for the
+    /// coordinator, and the shard owns no campaign.
+    pub(crate) fn shard(compiled: &'c CompiledModel, config: FuzzConfig, worker: usize) -> Self {
+        Fuzzer::build(compiled, config, Some(worker))
+    }
+
+    fn build(compiled: &'c CompiledModel, config: FuzzConfig, worker: Option<usize>) -> Self {
         let branch_count = compiled.map().branch_count();
         let mut mutator = Mutator::new(compiled.layout().clone(), config.max_tuples);
         mutator.field_aware = config.field_aware;
@@ -459,21 +451,22 @@ impl<'c> Fuzzer<'c> {
             FeedbackMode::ModelLevel => None,
             FeedbackMode::CodeLevelOnly => Some(compiled.map().code_level_mask()),
         };
-        let telemetry = config.telemetry.clone();
-        if let Some(t) = &telemetry {
-            let labels: Vec<&str> = MutationKind::ALL.iter().map(|k| k.name()).collect();
-            t.set_operator_labels(&labels);
+        let shard = worker.unwrap_or(0);
+        let mut torc = Torc::new();
+        if worker.is_some() {
+            torc.enable_tracking();
         }
-        let time_execs = telemetry.is_some();
-        let span_sampler = config.span_trace.clone().map(|trace| SpanSampler::new(trace, 0));
+        let time_execs = config.telemetry.is_some();
+        let span_sampler =
+            config.span_trace.clone().map(|trace| SpanSampler::new(trace, shard as u32));
         let time_spans = time_execs || span_sampler.is_some();
-        let plateau = match (&telemetry, config.plateau_window) {
-            (Some(_), Some(window)) => Some(PlateauDetector::new(window)),
-            _ => None,
+        let campaign = match worker {
+            None => Some(Campaign::new(compiled, &config, 1, Folding::InThread)),
+            Some(_) => None,
         };
+        let assertions = compiled.map().assertion_count();
         Fuzzer {
             exec: Executor::with_engine(compiled, config.resolved_engine()),
-            compiled,
             layout: compiled.layout().clone(),
             mutator,
             corpus,
@@ -483,29 +476,25 @@ impl<'c> Fuzzer<'c> {
             curr: BranchBitmap::new(branch_count),
             last: BranchBitmap::new(branch_count),
             mask,
-            torc: Torc::new(),
-            failed_assertions: vec![false; compiled.map().assertion_count()],
-            assertion_labels: compiled.map().assertions().to_vec(),
+            torc,
+            failed_assertions: vec![false; assertions],
+            witnessed: vec![false; assertions],
+            cases: Vec::new(),
             violations: Vec::new(),
-            suite: Vec::new(),
-            events: Vec::new(),
-            suite_meta: Vec::new(),
-            shard: 0,
+            seeds: Vec::new(),
+            lineage: Vec::new(),
+            shard,
             next_case: 0,
-            lineage: Lineage::new(),
-            provenance: ProvenanceTracker::new(compiled.map()),
             executions: 0,
             iterations: 0,
             started: Instant::now(),
             elapsed: Duration::ZERO,
             stats: ShardStats::new(MutationKind::ALL.len()),
             reported_stats: ShardStats::new(MutationKind::ALL.len()),
-            telemetry,
             time_execs,
             time_spans,
             span_sampler,
-            plateau,
-            worker_mode: false,
+            campaign,
         }
     }
 
@@ -522,9 +511,14 @@ impl<'c> Fuzzer<'c> {
         }
     }
 
+    /// The sequential run's campaign.
+    fn campaign(&self) -> &Campaign<'c> {
+        self.campaign.as_ref().expect("only parallel worker shards fold elsewhere")
+    }
+
     /// The emitted test suite so far.
     pub fn suite(&self) -> &[TestCase] {
-        &self.suite
+        self.campaign().suite()
     }
 
     /// Adds an externally produced input (e.g. a constraint-solving
@@ -541,7 +535,7 @@ impl<'c> Fuzzer<'c> {
         let emitted = new_branches > 0;
         if emitted {
             self.stats.discoveries += 1;
-            self.emit_case(&bytes, case_id, &[], None, None);
+            self.emit_case(&bytes, case_id);
         }
         let insertion =
             self.corpus.insert(CorpusEntry { id: case_id, bytes, metric, new_branches });
@@ -561,20 +555,13 @@ impl<'c> Fuzzer<'c> {
             });
             self.next_case += 1;
         }
-        if !self.worker_mode {
-            if let Some(t) = &self.telemetry {
-                t.emit(&Event::SeedAdded {
-                    shard: 0,
-                    executions: self.executions,
-                    t: t.elapsed_s(),
-                });
-            }
-        }
+        self.seeds.push(self.executions);
+        self.fold();
     }
 
     /// Branches covered so far (under the configured feedback mask).
     pub fn covered_branches(&self) -> usize {
-        self.total.count()
+        self.campaign().covered()
     }
 
     /// Runs until `budget` wall-clock time has elapsed (cumulative across
@@ -584,17 +571,17 @@ impl<'c> Fuzzer<'c> {
         self.started = Instant::now() - self.elapsed;
         self.run_until(deadline);
         self.elapsed = self.started.elapsed();
-        self.flush_telemetry();
         self.outcome()
     }
 
     /// Runs executions until `deadline`, checking the clock between
-    /// *batches* rather than per input. The batch size adapts to the
-    /// model's execution cost — doubling while a batch finishes quickly,
-    /// halving when one overshoots — so the loop neither burns a clock
-    /// read per 100ns execution on small models nor overruns the deadline
-    /// by seconds on slow ones. Batching only affects when the clock is
-    /// consulted; the input sequence is identical for any batch schedule.
+    /// *batches* rather than per input, and folding after every batch. The
+    /// batch size adapts to the model's execution cost — doubling while a
+    /// batch finishes quickly, halving when one overshoots — so the loop
+    /// neither burns a clock read per 100ns execution on small models nor
+    /// overruns the deadline by seconds on slow ones. Batching only affects
+    /// when the clock is consulted; the input sequence is identical for any
+    /// batch schedule.
     pub(crate) fn run_until(&mut self, deadline: Instant) {
         /// Below this per-batch cost the clock overhead is noise: grow.
         const GROW_BELOW: Duration = Duration::from_millis(2);
@@ -612,7 +599,7 @@ impl<'c> Fuzzer<'c> {
             } else if took > SHRINK_ABOVE {
                 batch = (batch / 2).max(1);
             }
-            self.flush_telemetry();
+            self.fold();
         }
     }
 
@@ -621,82 +608,60 @@ impl<'c> Fuzzer<'c> {
     pub fn run_executions(&mut self, n: u64) -> FuzzOutcome {
         self.started = Instant::now() - self.elapsed;
         self.fuzz_batch(n);
+        self.fold();
         self.elapsed = self.started.elapsed();
-        self.flush_telemetry();
         self.outcome()
     }
 
-    /// Reports the stats delta since the last flush into the attached
-    /// registry and lets the status line tick. No-op on worker shards (the
-    /// coordinator folds their deltas) and without a registry.
-    fn flush_telemetry(&mut self) {
-        if self.worker_mode {
+    /// Folds everything found since the last fold into this run's own
+    /// campaign and lets the status line tick. A no-op on worker shards,
+    /// whose reports go to the coordinator.
+    fn fold(&mut self) {
+        if self.campaign.is_none() {
             return;
         }
-        if let Some(t) = self.telemetry.clone() {
-            let delta = self.take_stats_delta();
-            t.merge_shard(0, &delta, self.corpus.len());
-            t.set_corpus_seeds(0, self.corpus.seed_reports(self.executions));
+        let report = self.take_report();
+        if let Some(campaign) = &mut self.campaign {
+            campaign.fold(vec![report]);
+        }
+        if let Some(t) = &self.config.telemetry {
             t.status_tick(false);
         }
     }
 
-    /// Feeds the plateau watcher one execution's outcome and emits a
-    /// `plateau` event when a quiet window just completed, carrying a
-    /// frontier diff of the still-open goals and their classifications.
-    /// Costs one compare per execution when a watcher is armed (nothing
-    /// otherwise); the frontier walk only runs on a fire.
-    fn plateau_tick(&mut self, earned: bool) {
-        let Some(detector) = &mut self.plateau else {
-            return;
-        };
-        if !detector.tick(self.executions, earned) {
-            return;
-        }
-        let window = detector.window();
-        let Some(t) = &self.telemetry else {
-            return;
-        };
-        let entries = cftcg_coverage::frontier(self.compiled.map(), self.provenance.tracker());
-        let frontier: Vec<PlateauGoal> = entries
-            .iter()
-            .take(PLATEAU_FRONTIER_CAP)
-            .map(|e| PlateauGoal { label: e.label.clone(), cause: e.cause.tag().to_string() })
-            .collect();
-        t.emit(&Event::Plateau {
-            shard: self.shard,
+    /// Moves everything found since the previous report out of the shard
+    /// into a [`WorkerReport`], with the stats accumulated since then.
+    pub(crate) fn take_report(&mut self) -> WorkerReport {
+        let stats = self.stats.delta_since(&self.reported_stats);
+        self.reported_stats = self.stats.clone();
+        WorkerReport {
+            worker: self.shard,
+            cases: std::mem::take(&mut self.cases),
+            violations: std::mem::take(&mut self.violations),
+            seeds: std::mem::take(&mut self.seeds),
+            torc: self.torc.take_fresh(),
+            lineage: std::mem::take(&mut self.lineage),
             executions: self.executions,
-            window,
-            covered: self.total.count(),
-            total: self.total.len(),
-            open: entries.len() as u64,
-            frontier,
-            t: t.elapsed_s(),
-        });
+            iterations: self.iterations,
+            stats,
+            corpus_len: self.corpus.len(),
+            corpus_seeds: match self.config.telemetry {
+                Some(_) => self.corpus.seed_reports(self.executions),
+                None => Vec::new(),
+            },
+            done: false,
+        }
     }
 
     /// Assertion violations found so far: `(assertion index, first
     /// violating input)`.
     pub fn violations(&self) -> &[(usize, TestCase)] {
-        &self.violations
+        self.campaign().violations()
     }
 
     /// Snapshot of the current results.
     pub fn outcome(&self) -> FuzzOutcome {
-        FuzzOutcome {
-            suite: self.suite.clone(),
-            suite_meta: self.suite_meta.clone(),
-            lineage: self.lineage.records().to_vec(),
-            provenance: self.provenance.clone(),
-            violations: self.violations.clone(),
-            events: self.events.clone(),
-            executions: self.executions,
-            iterations: self.iterations,
-            branch_count: self.total.len(),
-            covered_branches: self.total.count(),
-            elapsed: self.elapsed,
-            yields: self.stats.yields.clone(),
-        }
+        self.campaign().outcome(self.elapsed)
     }
 
     /// Generates one input (seed selection + mutation), executes it with
@@ -744,38 +709,24 @@ impl<'c> Fuzzer<'c> {
             self.stats.discoveries += 1;
         }
 
-        // Report first-time assertion violations with their witness input.
+        // Queue first-time assertion violations with their witness input.
         let mut witnessed_violation = false;
         for i in 0..self.failed_assertions.len() {
-            if self.failed_assertions[i] && !self.violations.iter().any(|&(a, _)| a == i) {
+            if self.failed_assertions[i] && !self.witnessed[i] {
+                self.witnessed[i] = true;
                 self.violations.push((i, TestCase::new(data.clone())));
                 self.stats.violations += 1;
                 witnessed_violation = true;
-                if !self.worker_mode {
-                    if let Some(t) = &self.telemetry {
-                        t.emit(&Event::Violation {
-                            shard: 0,
-                            assertion: i,
-                            label: self.assertion_labels.get(i).cloned().unwrap_or_default(),
-                            t: t.elapsed_s(),
-                        });
-                    }
-                }
             }
         }
         let case_id = self.shard as u64 * SHARD_ID_STRIDE + self.next_case;
         // The crossover partner only enters the lineage when the operator
         // chain actually consulted it.
         let crossover = if ops.contains(&MutationKind::TuplesCrossOver) { other_id } else { None };
-        if new_branches > 0 {
-            // Algorithm 1 line 16: output the test case.
-            let coverage_start = if self.time_spans { Some(Instant::now()) } else { None };
-            self.emit_case(&data, case_id, &ops, parent, crossover);
-            if let Some(start) = coverage_start {
-                self.note_span(SpanKind::CoverageUpdate, start);
-            }
+        if earned {
+            self.emit_case(&data, case_id);
         }
-        let mut committed = new_branches > 0;
+        let mut committed = earned;
         let mut inserted = false;
         if new_branches > 0 || metric > 0 {
             let insert_start = if self.time_spans { Some(Instant::now()) } else { None };
@@ -831,100 +782,28 @@ impl<'c> Fuzzer<'c> {
             });
             self.next_case += 1;
         }
-        self.plateau_tick(earned);
     }
 
-    /// Emits `data` as a test case: suite entry, coverage event, forensic
-    /// metadata, per-goal first-hit provenance, and (sequential runs) the
-    /// `new-coverage` / `case-lineage` telemetry events. Worker shards only
-    /// record the local artifacts — the coordinator owns global provenance.
-    fn emit_case(
-        &mut self,
-        data: &[u8],
-        case_id: u64,
-        ops: &[MutationKind],
-        parent: Option<u64>,
-        crossover: Option<u64>,
-    ) {
-        let elapsed = self.started.elapsed();
-        self.suite.push(TestCase::new(data.to_vec()));
-        self.events.push(CoverageEvent {
-            elapsed,
+    /// Algorithm 1 line 16: outputs `data` as a test case — queued, with its
+    /// discovery time and execution count, for the campaign fold, which
+    /// decides global novelty and books it.
+    fn emit_case(&mut self, data: &[u8], case: u64) {
+        self.cases.push(ReportedCase {
+            bytes: data.to_vec(),
+            case,
+            elapsed: self.started.elapsed(),
             executions: self.executions,
-            covered_branches: self.total.count(),
         });
-        self.suite_meta.push(CaseMeta {
-            case: case_id,
-            shard: self.shard,
-            executions: self.executions,
-            covered_branches: self.total.count(),
-        });
-        if self.worker_mode {
-            return;
-        }
-        if let Some(hook) = &self.config.trace_hook {
-            hook.call(data, case_id);
-        }
-        let case_tracker = self.case_tracker(data);
-        let hit = FirstHit {
-            executions: self.executions,
-            elapsed,
-            shard: self.shard,
-            case: case_id,
-            ops: ops.iter().map(|k| k.index() as u8).collect(),
-        };
-        self.provenance.absorb(self.compiled.map(), &case_tracker, &hit);
-        if let Some(t) = &self.telemetry {
-            t.emit(&Event::NewCoverage {
-                shard: 0,
-                executions: self.executions,
-                covered: self.total.count(),
-                total: self.total.len(),
-                t: t.elapsed_s(),
-            });
-            t.emit(&Event::CaseLineage {
-                shard: self.shard,
-                case: case_id,
-                parent,
-                crossover,
-                ops: ops.iter().map(|k| k.name().to_string()).collect(),
-                executions: self.executions,
-                t: t.elapsed_s(),
-            });
-        }
     }
 
-    /// Replays `data` with a [`FullTracker`] to collect the condition and
-    /// decision-evaluation observations provenance needs. Only
-    /// coverage-earning inputs (rare) are replayed; the executor is reset on
-    /// every use and the tracker's compare hook is a no-op, so the replay
-    /// cannot perturb the fuzzing trajectory.
-    fn case_tracker(&mut self, data: &[u8]) -> FullTracker {
-        let mut tracker = FullTracker::new(self.compiled.map());
-        self.exec.reset();
-        for tuple in self.layout.split(data).take(self.config.max_iterations_per_input) {
-            self.exec.step_tuple(tuple, &mut tracker);
-        }
-        tracker
-    }
-
-    /// Books a corpus-insertion outcome into the shard stats and, on the
-    /// sequential fuzzer, emits the eviction event.
+    /// Books a corpus-insertion outcome into the shard stats (the fold
+    /// emits one `corpus-evict` event per counted eviction).
     fn record_insertion(&mut self, insertion: CorpusInsertion) {
         match insertion {
             CorpusInsertion::Appended => self.stats.corpus_inserts += 1,
             CorpusInsertion::Replaced => {
                 self.stats.corpus_inserts += 1;
                 self.stats.corpus_evictions += 1;
-                if !self.worker_mode {
-                    if let Some(t) = &self.telemetry {
-                        t.emit(&Event::CorpusEvict {
-                            shard: 0,
-                            corpus_len: self.corpus.len(),
-                            t: t.elapsed_s(),
-                        });
-                    }
-                }
             }
             CorpusInsertion::Rejected => {}
         }
@@ -985,28 +864,6 @@ impl<'c> Fuzzer<'c> {
         }
     }
 
-    /// Marks this fuzzer as a parallel worker shard: local stats keep
-    /// accumulating, but events and registry merges are left to the
-    /// coordinator (which owns the global view).
-    pub(crate) fn set_worker_mode(&mut self) {
-        self.worker_mode = true;
-        // Worker shards never emit events; the coordinator owns the global
-        // plateau watcher (a shard-local one would mistake cross-shard
-        // discoveries for stalls).
-        self.plateau = None;
-    }
-
-    /// Sets the shard id lineage ids are minted under (worker id on
-    /// parallel shards; stays 0 on sequential runs, so shard 0's ids
-    /// coincide with a sequential run's — the `workers == 1` byte-identity
-    /// contract).
-    pub(crate) fn set_worker_shard(&mut self, shard: usize) {
-        self.shard = shard;
-        if let Some(sampler) = &mut self.span_sampler {
-            sampler.set_shard(shard as u32);
-        }
-    }
-
     /// `true` when span-phase timing is enabled (telemetry or trace buffer
     /// attached) — workers use this to decide whether to time sync waits.
     pub(crate) fn spans_enabled(&self) -> bool {
@@ -1020,24 +877,9 @@ impl<'c> Fuzzer<'c> {
         self.note_span(SpanKind::SyncWait, start);
     }
 
-    /// The stats accumulated since the previous call (or since creation),
-    /// advancing the report baseline. Merge-ordering of these deltas across
-    /// shards is irrelevant: ShardStats addition is commutative.
-    pub(crate) fn take_stats_delta(&mut self) -> ShardStats {
-        let delta = self.stats.delta_since(&self.reported_stats);
-        self.reported_stats = self.stats.clone();
-        delta
-    }
-
     /// Number of corpus entries currently retained.
     pub fn corpus_len(&self) -> usize {
         self.corpus.len()
-    }
-
-    /// Per-corpus-entry scheduling forensics (parallel workers ship these
-    /// to the coordinator at sync rounds for registry publication).
-    pub(crate) fn corpus_seed_reports(&self) -> Vec<cftcg_telemetry::CorpusSeedReport> {
-        self.corpus.seed_reports(self.executions)
     }
 
     /// Inputs executed so far.
@@ -1048,11 +890,6 @@ impl<'c> Fuzzer<'c> {
     /// Model iterations executed so far.
     pub fn iterations(&self) -> u64 {
         self.iterations
-    }
-
-    /// Coverage-growth events so far (one per suite entry, same order).
-    pub fn events(&self) -> &[CoverageEvent] {
-        &self.events
     }
 
     /// Imports a corpus entry discovered by another worker shard: executes
@@ -1090,37 +927,6 @@ impl<'c> Fuzzer<'c> {
     /// Merges compare-dictionary pairs broadcast by the coordinator.
     pub(crate) fn absorb_torc(&mut self, pairs: &[(f64, f64)]) {
         self.torc.absorb(pairs);
-    }
-
-    /// Turns on TORC fresh-pair tracking for coordinator syncs.
-    pub(crate) fn enable_torc_tracking(&mut self) {
-        self.torc.enable_tracking();
-    }
-
-    /// Drains TORC pairs admitted since the last drain.
-    pub(crate) fn take_fresh_torc(&mut self) -> Vec<(f64, f64)> {
-        self.torc.take_fresh()
-    }
-
-    /// Violations found since index `from`, as `(assertion, input bytes)`.
-    pub(crate) fn violations_since(&self, from: usize) -> &[(usize, TestCase)] {
-        &self.violations[from..]
-    }
-
-    /// Suite/event/meta triples since index `from` (the three vectors grow
-    /// in lockstep: one event and one meta record per emitted test case).
-    pub(crate) fn discoveries_since(
-        &self,
-        from: usize,
-    ) -> (&[TestCase], &[CoverageEvent], &[CaseMeta]) {
-        debug_assert_eq!(self.suite.len(), self.events.len());
-        debug_assert_eq!(self.suite.len(), self.suite_meta.len());
-        (&self.suite[from..], &self.events[from..], &self.suite_meta[from..])
-    }
-
-    /// Lineage records minted since index `from` (append-only stream).
-    pub(crate) fn lineage_records_since(&self, from: usize) -> &[LineageRecord] {
-        &self.lineage.records()[from..]
     }
 }
 

@@ -47,6 +47,7 @@
 //! # }
 //! ```
 
+mod campaign;
 mod corpus;
 mod fuzzer;
 mod generation;

@@ -1,41 +1,37 @@
 //! Sharded parallel fuzzing with periodic coverage/corpus synchronization.
 //!
 //! AFL-style main/secondary parallelism adapted to the model fuzzing loop:
-//! `N` workers each own a full [`Fuzzer`] — their own executor, mutator,
-//! corpus shard, TORC dictionary, and a seed-derived RNG (`seed ^
+//! `N` workers each own a full [`Fuzzer`] shard — their own executor,
+//! mutator, corpus, TORC dictionary, and a seed-derived RNG (`seed ^
 //! worker_id`, so runs stay deterministic per worker count). Workers fuzz
-//! independently between *sync rounds*; each round they report to a
-//! coordinator which
+//! independently between *sync rounds*; each round every worker sends the
+//! coordinator a report, and the coordinator
 //!
-//! 1. folds the workers' coverage into a global `g_TotalCov` bitmap by
-//!    **re-executing** each candidate test case (the re-execution, not the
-//!    worker's shard-local claim, decides global novelty — two shards often
-//!    find the same branch in the same round),
-//! 2. broadcasts globally-new corpus entries back to every *other* shard,
-//!    so discoveries propagate without the shards sharing mutable state,
-//! 3. merges compare-dictionary (TORC) pairs and assertion violations with
-//!    first-witness-wins semantics.
+//! 1. folds the round's reports through the same campaign fold a
+//!    sequential run uses after every batch (`campaign.rs`): candidates are
+//!    **re-executed** against the global `g_TotalCov` (two shards often
+//!    find the same branch in the same round), and the fold books the
+//!    merged suite, provenance, lineage, first-witness violations, the
+//!    plateau watch, every forensic event and the registry merge,
+//! 2. broadcasts the globally-new corpus entries and TORC pairs back to
+//!    every *other* shard, so discoveries propagate without the shards
+//!    sharing mutable state,
+//! 3. books the round as a `sync_round` span and `sync-round` event.
 //!
-//! The merged [`FuzzOutcome`] has the same shape as a sequential run:
-//! executions/iterations are summed, events carry global coverage totals,
-//! and with `workers == 1` the suite is byte-identical to [`Fuzzer`] under
-//! the same seed (nothing is broadcast back to its own origin, so the
-//! single worker's trajectory is untouched).
+//! A sequential run is the one-shard case of the same fold, so the merged
+//! [`FuzzOutcome`] has the same shape and the same events: with
+//! `workers == 1` it is byte-identical to [`Fuzzer`] under the same seed
+//! (nothing is broadcast back to its own origin, so the single worker's
+//! trajectory is untouched).
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use cftcg_codegen::{CompiledModel, Executor, TestCase, TupleLayout};
-use cftcg_coverage::{BranchBitmap, FirstHit, FullTracker, ProvenanceTracker, Recorder};
-use cftcg_telemetry::{
-    CorpusSeedReport, Event, PlateauGoal, ShardStats, SpanKind, COORDINATOR_TID,
-    PLATEAU_FRONTIER_CAP,
-};
+use cftcg_codegen::CompiledModel;
+use cftcg_telemetry::{Event, SpanKind, COORDINATOR_TID};
 
-use crate::fuzzer::{CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer};
-use crate::lineage::{Lineage, LineageRecord};
-use crate::mutate::MutationKind;
-use crate::plateau::PlateauDetector;
+use crate::campaign::{Campaign, Folding, WorkerReport};
+use crate::fuzzer::{FuzzConfig, FuzzOutcome, Fuzzer};
 
 /// Configuration of the parallel engine.
 #[derive(Debug, Clone)]
@@ -60,45 +56,6 @@ impl Default for ParallelFuzzConfig {
             fuzz: FuzzConfig::default(),
         }
     }
-}
-
-/// One globally-new discovery as reported by a worker.
-struct ReportedCase {
-    bytes: Vec<u8>,
-    /// Stable lineage id the shard minted for this case.
-    case: u64,
-    /// Worker wall-clock at discovery.
-    elapsed: Duration,
-    /// Worker-local execution count at discovery.
-    executions: u64,
-}
-
-/// What a worker sends the coordinator at the end of each sync round.
-struct WorkerReport {
-    worker: usize,
-    /// New suite entries since the last report (shard-local novelty).
-    cases: Vec<ReportedCase>,
-    /// New `(assertion index, witness input)` pairs since the last report.
-    violations: Vec<(usize, Vec<u8>)>,
-    /// TORC pairs admitted to the shard dictionary since the last report.
-    torc: Vec<(f64, f64)>,
-    /// Lineage records minted since the last report (append-only stream;
-    /// ids are shard-strided so streams from different workers never
-    /// collide).
-    lineage: Vec<LineageRecord>,
-    /// Cumulative worker-local totals.
-    executions: u64,
-    iterations: u64,
-    /// Telemetry-stats delta since the previous report (commutative to
-    /// merge, so arrival order across workers is irrelevant).
-    stats: ShardStats,
-    /// Corpus entries currently retained by the shard.
-    corpus_len: usize,
-    /// Per-corpus-entry scheduling forensics (empty unless a telemetry
-    /// registry is attached — nobody would read them).
-    corpus_seeds: Vec<CorpusSeedReport>,
-    /// The worker has exhausted its budget.
-    done: bool,
 }
 
 /// What the coordinator sends every worker after processing a round.
@@ -131,19 +88,8 @@ fn worker_loop(
     reports: Sender<WorkerReport>,
     broadcasts: Receiver<Broadcast>,
 ) {
-    let publish_seeds = config.telemetry.is_some();
-    let mut fuzzer = Fuzzer::new(compiled, config);
-    fuzzer.enable_torc_tracking();
-    // Workers record stats locally but never touch the shared registry;
-    // the coordinator owns the global view (and the event log).
-    fuzzer.set_worker_mode();
-    // Lineage ids are minted under the worker's shard so streams from
-    // different shards never collide (and shard 0 matches sequential).
-    fuzzer.set_worker_shard(worker);
+    let mut fuzzer = Fuzzer::shard(compiled, config, worker);
     let started = Instant::now();
-    let mut reported_cases = 0usize;
-    let mut reported_violations = 0usize;
-    let mut reported_lineage = 0usize;
     let mut executed = 0u64;
     let mut round = 0u32;
     loop {
@@ -160,42 +106,7 @@ fn worker_loop(
                 Instant::now() >= deadline
             }
         };
-
-        let (suite, events, metas) = fuzzer.discoveries_since(reported_cases);
-        let cases: Vec<ReportedCase> = suite
-            .iter()
-            .zip(events)
-            .zip(metas)
-            .map(|((case, event), meta)| ReportedCase {
-                bytes: case.bytes.clone(),
-                case: meta.case,
-                elapsed: event.elapsed,
-                executions: event.executions,
-            })
-            .collect();
-        reported_cases += cases.len();
-        let lineage = fuzzer.lineage_records_since(reported_lineage).to_vec();
-        reported_lineage += lineage.len();
-        let violations: Vec<(usize, Vec<u8>)> = fuzzer
-            .violations_since(reported_violations)
-            .iter()
-            .map(|(assertion, case)| (*assertion, case.bytes.clone()))
-            .collect();
-        reported_violations += violations.len();
-
-        let report = WorkerReport {
-            worker,
-            cases,
-            violations,
-            torc: fuzzer.take_fresh_torc(),
-            lineage,
-            executions: fuzzer.executions(),
-            iterations: fuzzer.iterations(),
-            stats: fuzzer.take_stats_delta(),
-            corpus_len: fuzzer.corpus_len(),
-            corpus_seeds: if publish_seeds { fuzzer.corpus_seed_reports() } else { Vec::new() },
-            done,
-        };
+        let report = WorkerReport { done, ..fuzzer.take_report() };
         if reports.send(report).is_err() {
             return; // Coordinator hung up (a peer died); just exit.
         }
@@ -214,95 +125,6 @@ fn worker_loop(
             return;
         }
         round += 1;
-    }
-}
-
-/// The coordinator's candidate recorder: the per-iteration branch bitmap
-/// (which decides global novelty, exactly as a worker's loop would) plus a
-/// [`FullTracker`] collecting the condition/decision-evaluation
-/// observations provenance needs — both filled in one execution pass.
-struct ForensicRecorder<'a> {
-    bitmap: &'a mut BranchBitmap,
-    tracker: &'a mut FullTracker,
-}
-
-impl Recorder for ForensicRecorder<'_> {
-    /// Comparison operands are mined by workers, not the coordinator.
-    const OBSERVES_COMPARES: bool = false;
-
-    #[inline]
-    fn branch(&mut self, id: cftcg_coverage::BranchId) {
-        self.bitmap.branch(id);
-        self.tracker.branch(id);
-    }
-
-    #[inline]
-    fn condition(&mut self, id: cftcg_coverage::ConditionId, value: bool) {
-        self.tracker.condition(id, value);
-    }
-
-    #[inline]
-    fn decision_eval(&mut self, id: cftcg_coverage::DecisionId, vector: u64, outcome: u32) {
-        self.tracker.decision_eval(id, vector, outcome);
-    }
-
-    #[inline]
-    fn assertion(&mut self, id: cftcg_coverage::AssertionId, passed: bool) {
-        self.tracker.assertion(id, passed);
-    }
-}
-
-/// The coordinator's global coverage state: its own executor re-runs every
-/// candidate case against `g_TotalCov` to judge global novelty.
-struct GlobalCoverage<'c> {
-    exec: Executor<'c>,
-    map: &'c cftcg_coverage::InstrumentationMap,
-    layout: TupleLayout,
-    total: BranchBitmap,
-    curr: BranchBitmap,
-    /// Feedback visibility mask; `None` under model-level feedback.
-    mask: Option<BranchBitmap>,
-    max_iterations: usize,
-}
-
-impl<'c> GlobalCoverage<'c> {
-    fn new(compiled: &'c CompiledModel, config: &FuzzConfig) -> Self {
-        let branch_count = compiled.map().branch_count();
-        let mask = match config.feedback {
-            FeedbackMode::ModelLevel => None,
-            FeedbackMode::CodeLevelOnly => Some(compiled.map().code_level_mask()),
-        };
-        let exec = Executor::with_engine(compiled, config.resolved_engine());
-        GlobalCoverage {
-            exec,
-            map: compiled.map(),
-            layout: compiled.layout().clone(),
-            total: BranchBitmap::new(branch_count),
-            curr: BranchBitmap::new(branch_count),
-            mask,
-            max_iterations: config.max_iterations_per_input,
-        }
-    }
-
-    /// Re-executes `bytes` exactly as a worker would, merging its coverage
-    /// into the global bitmap. Returns how many branches were new together
-    /// with the case's full observation tracker (the masked feedback view
-    /// governs novelty; the tracker is always unmasked — forensics are
-    /// model-level regardless of feedback mode).
-    fn absorb(&mut self, bytes: &[u8]) -> (usize, FullTracker) {
-        self.exec.reset();
-        let mut tracker = FullTracker::new(self.map);
-        let mut new_branches = 0;
-        for tuple in self.layout.split(bytes).take(self.max_iterations) {
-            self.curr.clear();
-            let mut recorder = ForensicRecorder { bitmap: &mut self.curr, tracker: &mut tracker };
-            self.exec.step_tuple(tuple, &mut recorder);
-            if let Some(mask) = &self.mask {
-                self.curr.retain_mask(mask);
-            }
-            new_branches += self.curr.merge_into(&mut self.total);
-        }
-        (new_branches, tracker)
     }
 }
 
@@ -337,38 +159,11 @@ impl<'c> ParallelFuzzer<'c> {
         let workers = self.config.workers.max(1);
         let started = Instant::now();
         let compiled = self.compiled;
-
-        let mut global = GlobalCoverage::new(compiled, &self.config.fuzz);
+        let by_time = matches!(budget, WorkerBudget::WallClock { .. });
+        let mut campaign =
+            Campaign::new(compiled, &self.config.fuzz, workers, Folding::Rounds { by_time });
         let telemetry = self.config.fuzz.telemetry.clone();
         let span_trace = self.config.fuzz.span_trace.clone();
-        // The coordinator owns case emission, so it also owns the trace
-        // hook (workers run in worker mode, where the hook never fires).
-        let trace_hook = self.config.fuzz.trace_hook.clone();
-        // Campaign-wide stats, merged from worker deltas each round, so the
-        // final outcome carries attribution even without a registry.
-        let mut global_stats = ShardStats::new(MutationKind::ALL.len());
-        // Coordinator-side plateau watcher over the *global* covered count
-        // (worker-local watchers would mistake cross-shard discoveries for
-        // stalls; workers run in worker mode, so theirs never instantiate).
-        let mut plateau = match (&telemetry, self.config.fuzz.plateau_window) {
-            (Some(_), Some(window)) => Some(PlateauDetector::new(window)),
-            _ => None,
-        };
-        let mut round_idx = 0u64;
-        let mut torc_seen = std::collections::HashSet::new();
-        let mut suite: Vec<TestCase> = Vec::new();
-        let mut events: Vec<CoverageEvent> = Vec::new();
-        let mut suite_meta: Vec<CaseMeta> = Vec::new();
-        // The merged lineage DAG (worker streams appended in worker-id
-        // order each round) and the global per-goal provenance, fed by
-        // re-executing accepted candidates.
-        let mut lineage = Lineage::new();
-        let mut provenance = ProvenanceTracker::new(compiled.map());
-        let mut violations: Vec<(usize, TestCase)> = Vec::new();
-        // Per-worker cumulative executions as of the end of the previous
-        // round — the base for global execution estimates on events.
-        let mut prev_execs = vec![0u64; workers];
-        let mut iterations = vec![0u64; workers];
 
         let (report_tx, report_rx) = mpsc::channel::<WorkerReport>();
         std::thread::scope(|scope| {
@@ -394,8 +189,7 @@ impl<'c> ParallelFuzzer<'c> {
             }
             drop(report_tx);
 
-            let wall_mode = matches!(budget, WorkerBudget::WallClock { .. });
-            'rounds: loop {
+            for round in 0u64.. {
                 // Collect exactly one report per worker (lockstep round).
                 let mut reports: Vec<Option<WorkerReport>> = (0..workers).map(|_| None).collect();
                 for _ in 0..workers {
@@ -406,186 +200,27 @@ impl<'c> ParallelFuzzer<'c> {
                         }
                         // A worker died (panic): drop the broadcast senders
                         // so the rest exit, and let scope join re-raise.
-                        Err(_) => break 'rounds,
+                        Err(_) => return,
                     }
                 }
                 let reports: Vec<WorkerReport> =
                     reports.into_iter().map(|r| r.expect("one report per worker")).collect();
 
                 let merge_started = Instant::now();
-                let global_base: u64 = prev_execs.iter().sum();
-
-                // Fold the workers' lineage streams first, so every
-                // candidate processed below can resolve its own record
-                // (parents may arrive in the same round as their children).
-                for report in &reports {
-                    for record in &report.lineage {
-                        lineage.push(record.clone());
-                    }
-                }
-
-                // Candidate cases, ordered deterministically: by discovery
-                // timestamp for wall-clock runs, by (worker, index) for
-                // execution-budget runs (where timestamps are not
-                // reproducible but worker trajectories are).
-                let mut candidates: Vec<(usize, usize, &ReportedCase)> = reports
-                    .iter()
-                    .flat_map(|r| r.cases.iter().enumerate().map(|(i, c)| (r.worker, i, c)))
-                    .collect();
-                if wall_mode {
-                    candidates.sort_by_key(|&(w, i, c)| (c.elapsed, w, i));
-                }
-
-                // Re-execute each candidate against the global bitmap; only
-                // globally-novel ones enter the merged suite and the
-                // cross-shard broadcast.
-                let mut accepted: Vec<(usize, u64, &[u8])> = Vec::new();
-                for (worker, _, case) in candidates {
-                    let (new_branches, tracker) = global.absorb(&case.bytes);
-                    if new_branches > 0 {
-                        suite.push(TestCase::new(case.bytes.clone()));
-                        let executions = global_base + (case.executions - prev_execs[worker]);
-                        events.push(CoverageEvent {
-                            elapsed: case.elapsed,
-                            executions,
-                            covered_branches: global.total.count(),
-                        });
-                        suite_meta.push(CaseMeta {
-                            case: case.case,
-                            shard: worker,
-                            executions,
-                            covered_branches: global.total.count(),
-                        });
-                        if let Some(hook) = &trace_hook {
-                            hook.call(&case.bytes, case.case);
-                        }
-                        let (parent, crossover, op_names, op_indices) = match lineage.get(case.case)
-                        {
-                            Some(r) => (
-                                r.parent,
-                                r.crossover,
-                                r.ops.iter().map(|k| k.name().to_string()).collect(),
-                                r.op_indices(),
-                            ),
-                            None => (None, None, Vec::new(), Vec::new()),
-                        };
-                        let hit = FirstHit {
-                            executions,
-                            elapsed: case.elapsed,
-                            shard: worker,
-                            case: case.case,
-                            ops: op_indices,
-                        };
-                        provenance.absorb(compiled.map(), &tracker, &hit);
-                        if let Some(t) = &telemetry {
-                            t.emit(&Event::NewCoverage {
-                                shard: worker,
-                                executions,
-                                covered: global.total.count(),
-                                total: global.total.len(),
-                                t: t.elapsed_s(),
-                            });
-                            t.emit(&Event::CaseLineage {
-                                shard: worker,
-                                case: case.case,
-                                parent,
-                                crossover,
-                                ops: op_names,
-                                executions,
-                                t: t.elapsed_s(),
-                            });
-                        }
-                        accepted.push((worker, case.case, &case.bytes));
-                    }
-                }
-
-                // First witness wins: violations in worker-id order.
-                for report in &reports {
-                    for (assertion, bytes) in &report.violations {
-                        if !violations.iter().any(|&(a, _)| a == *assertion) {
-                            violations.push((*assertion, TestCase::new(bytes.clone())));
-                            if let Some(t) = &telemetry {
-                                t.emit(&Event::Violation {
-                                    shard: report.worker,
-                                    assertion: *assertion,
-                                    label: compiled
-                                        .map()
-                                        .assertions()
-                                        .get(*assertion)
-                                        .cloned()
-                                        .unwrap_or_default(),
-                                    t: t.elapsed_s(),
-                                });
-                            }
-                        }
-                    }
-                }
-
-                // Fold worker stats deltas into the campaign totals (and
-                // the registry, which also tracks per-shard rates).
-                for report in &reports {
-                    global_stats.merge_from(&report.stats);
-                    if let Some(t) = &telemetry {
-                        t.merge_shard(report.worker, &report.stats, report.corpus_len);
-                        if !report.corpus_seeds.is_empty() {
-                            t.set_corpus_seeds(report.worker, report.corpus_seeds.clone());
-                        }
-                    }
-                }
-
-                // Globally-new TORC pairs, first witness wins.
-                let mut fresh_torc: Vec<(usize, (f64, f64))> = Vec::new();
-                for report in &reports {
-                    for &(lhs, rhs) in &report.torc {
-                        if torc_seen.insert((lhs.to_bits(), rhs.to_bits())) {
-                            fresh_torc.push((report.worker, (lhs, rhs)));
-                        }
-                    }
-                }
-
                 let all_done = reports.iter().all(|r| r.done);
-                for report in &reports {
-                    prev_execs[report.worker] = report.executions;
-                    iterations[report.worker] = report.iterations;
-                }
-
-                // Plateau watch over the merged frontier: one event per
-                // quiet window of global executions without a goal gained.
-                if let (Some(detector), Some(t)) = (&mut plateau, &telemetry) {
-                    let executions: u64 = prev_execs.iter().sum();
-                    let covered = global.total.count();
-                    while detector.observe(executions, covered) {
-                        let entries =
-                            cftcg_coverage::frontier(compiled.map(), provenance.tracker());
-                        let frontier: Vec<PlateauGoal> = entries
-                            .iter()
-                            .take(PLATEAU_FRONTIER_CAP)
-                            .map(|e| PlateauGoal {
-                                label: e.label.clone(),
-                                cause: e.cause.tag().to_string(),
-                            })
-                            .collect();
-                        t.emit(&Event::Plateau {
-                            shard: 0,
-                            executions,
-                            window: detector.window(),
-                            covered,
-                            total: global.total.len(),
-                            open: entries.len() as u64,
-                            frontier,
-                            t: t.elapsed_s(),
-                        });
-                    }
-                }
-
+                let folded = campaign.fold(reports);
+                let accepted = &campaign.suite()[folded.accepted.clone()];
+                let accepted_meta = &campaign.suite_meta()[folded.accepted.clone()];
                 for (worker, tx) in broadcast_txs.iter().enumerate() {
                     let broadcast = Broadcast {
                         entries: accepted
                             .iter()
-                            .filter(|&&(origin, _, _)| origin != worker)
-                            .map(|&(_, id, bytes)| (id, bytes.to_vec()))
+                            .zip(accepted_meta)
+                            .filter(|(_, meta)| meta.shard != worker)
+                            .map(|(case, meta)| (meta.case, case.bytes.clone()))
                             .collect(),
-                        torc: fresh_torc
+                        torc: folded
+                            .torc
                             .iter()
                             .filter(|&&(origin, _)| origin != worker)
                             .map(|&(_, pair)| pair)
@@ -596,13 +231,10 @@ impl<'c> ParallelFuzzer<'c> {
                     // done-handshake below still terminates the round loop.
                     let _ = tx.send(broadcast);
                 }
-                // Book the merge as a coordinator-side SyncRound span: into
-                // the campaign totals (always) and the trace buffer (when a
-                // trace is attached), under the coordinator's synthetic tid.
+                // Book the round as a coordinator-side SyncRound span: into
+                // the trace buffer (when attached, under the coordinator's
+                // synthetic tid) and the registry (via the event).
                 let merge_ended = Instant::now();
-                let merge_ns =
-                    merge_ended.saturating_duration_since(merge_started).as_nanos() as u64;
-                global_stats.spans.record(SpanKind::SyncRound, merge_ns);
                 if let Some(trace) = &span_trace {
                     trace.record_span(
                         SpanKind::SyncRound,
@@ -612,40 +244,24 @@ impl<'c> ParallelFuzzer<'c> {
                     );
                 }
                 if let Some(t) = &telemetry {
+                    let merge_ns = merge_ended.saturating_duration_since(merge_started).as_nanos();
                     t.emit(&Event::SyncRound {
-                        round: round_idx,
+                        round,
                         duration_ms: merge_ns as f64 / 1e6,
                         accepted: accepted.len(),
                         broadcast: accepted.len(),
-                        executions: prev_execs.iter().sum(),
-                        covered: global.total.count(),
-                        total: global.total.len(),
+                        executions: campaign.executions(),
+                        covered: campaign.covered(),
+                        total: campaign.branch_count(),
                         t: t.elapsed_s(),
                     });
                     t.status_tick(false);
                 }
-                round_idx += 1;
                 if all_done {
-                    break;
+                    return;
                 }
             }
         });
-
-        // Coordinator-side sync cost lives in the registry (via SyncRound
-        // events); the outcome carries the merged operator attribution.
-        FuzzOutcome {
-            suite,
-            suite_meta,
-            lineage: lineage.records().to_vec(),
-            provenance,
-            violations,
-            events,
-            executions: prev_execs.iter().sum(),
-            iterations: iterations.iter().sum(),
-            branch_count: global.total.len(),
-            covered_branches: global.total.count(),
-            elapsed: started.elapsed(),
-            yields: global_stats.yields.clone(),
-        }
+        campaign.outcome(started.elapsed())
     }
 }

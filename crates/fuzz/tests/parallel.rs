@@ -334,3 +334,52 @@ fn wall_clock_mode_terminates_and_merges() {
         assert!(pair[0].covered_branches < pair[1].covered_branches);
     }
 }
+
+/// Number of JSONL events of type `kind` in `log`.
+fn count_events(log: &str, kind: &str) -> u64 {
+    log.lines()
+        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("bad JSONL {line:?}: {e}")))
+        .filter(|event| event.get("type").and_then(Json::as_str) == Some(kind))
+        .count() as u64
+}
+
+/// Every worker count reports corpus evictions through the same campaign
+/// fold: the JSONL log carries exactly one `corpus-evict` event per eviction
+/// the registry counted — sequential, one worker and two workers alike.
+#[test]
+fn corpus_evict_events_match_the_registry_for_every_worker_count() {
+    let model = cftcg_benchmarks::solar_pv::model();
+    let compiled = compile(&model).expect("benchmark compiles");
+    let attach = || {
+        let jsonl = SharedBuf::new();
+        (jsonl.clone(), Arc::new(Telemetry::new().with_jsonl(jsonl)))
+    };
+
+    let (log, telemetry) = attach();
+    Fuzzer::new(&compiled, FuzzConfig { telemetry: Some(telemetry.clone()), ..config(42) })
+        .run_executions(4_000);
+    let evictions = telemetry.snapshot().totals.corpus_evictions;
+    assert!(evictions > 0, "SolarPV fills its corpus within 4,000 executions");
+    assert_eq!(count_events(&log.contents(), "corpus-evict"), evictions, "sequential");
+
+    for workers in [1, 2] {
+        let (log, telemetry) = attach();
+        ParallelFuzzer::new(
+            &compiled,
+            ParallelFuzzConfig {
+                workers,
+                sync_interval: 512,
+                fuzz: FuzzConfig { telemetry: Some(telemetry.clone()), ..config(42) },
+                ..ParallelFuzzConfig::default()
+            },
+        )
+        .run_executions(4_000);
+        let evictions = telemetry.snapshot().totals.corpus_evictions;
+        assert!(evictions > 0, "workers={workers}: shards evict too");
+        assert_eq!(
+            count_events(&log.contents(), "corpus-evict"),
+            evictions,
+            "workers={workers}: one event per counted eviction"
+        );
+    }
+}

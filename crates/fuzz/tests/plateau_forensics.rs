@@ -1,7 +1,9 @@
 //! Integration tests of the plateau detector wired into real campaigns:
 //! event cadence on a synthetically stalled run, frontier-diff consistency
-//! with `cftcg_coverage::frontier`, and trajectory neutrality.
+//! with `cftcg_coverage::frontier`, trajectory neutrality, and agreement
+//! across worker counts.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cftcg_codegen::compile;
@@ -176,4 +178,69 @@ fn plateau_detector_does_not_perturb_the_run() {
     assert_eq!(merged.suite, expected.suite);
     assert_eq!(merged.lineage, expected.lineage);
     assert_eq!(merged.covered_branches, expected.covered_branches);
+}
+
+/// The plateau watch runs in the campaign fold every worker count shares,
+/// and fires at window boundaries rather than at observation points: a
+/// sequential run and a `workers == 1` run (folded every 512 executions)
+/// fire at the same executions and log the same events, and with two
+/// workers no two events share an execution count.
+#[test]
+fn plateau_events_agree_across_worker_counts() {
+    let model = cftcg_benchmarks::solar_pv::model();
+    let compiled = compile(&model).expect("benchmark compiles");
+    let config = |telemetry| FuzzConfig {
+        seed: 42,
+        telemetry: Some(telemetry),
+        plateau_window: Some(250),
+        ..FuzzConfig::default()
+    };
+    // The plateau stamps and per-kind event counts of one run.
+    let run = |workers: Option<usize>| {
+        let jsonl = SharedBuf::new();
+        let telemetry = Arc::new(Telemetry::new().with_jsonl(jsonl.clone()));
+        match workers {
+            None => {
+                Fuzzer::new(&compiled, config(telemetry)).run_executions(3_000);
+            }
+            Some(workers) => {
+                let parallel = ParallelFuzzConfig {
+                    workers,
+                    sync_interval: 512,
+                    fuzz: config(telemetry),
+                    ..ParallelFuzzConfig::default()
+                };
+                ParallelFuzzer::new(&compiled, parallel).run_executions(3_000);
+            }
+        }
+        let log = jsonl.contents();
+        let stamps: Vec<u64> = plateau_events(&log)
+            .iter()
+            .map(|event| event.get("executions").and_then(Json::as_f64).unwrap() as u64)
+            .collect();
+        let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
+        for line in log.lines() {
+            let event = Json::parse(line).expect("valid JSONL");
+            *kinds
+                .entry(event.get("type").and_then(Json::as_str).unwrap().to_string())
+                .or_default() += 1;
+        }
+        (stamps, kinds)
+    };
+
+    let (sequential, sequential_kinds) = run(None);
+    assert!(sequential.len() >= 2, "SolarPV stalls past several 250-execution windows");
+    assert!(!sequential_kinds.contains_key("sync-round"), "a sequential run has no sync rounds");
+
+    let (one_worker, mut one_worker_kinds) = run(Some(1));
+    assert_eq!(one_worker, sequential, "plateau stamps");
+    assert!(one_worker_kinds.remove("sync-round").is_some());
+    assert_eq!(one_worker_kinds, sequential_kinds, "per-kind event counts");
+
+    let (two_workers, _) = run(Some(2));
+    assert!(!two_workers.is_empty());
+    assert!(
+        two_workers.windows(2).all(|pair| pair[0] < pair[1]),
+        "no two plateau events share an execution count: {two_workers:?}"
+    );
 }

@@ -1,6 +1,6 @@
 //! Campaign-level byte-identity of the optimizer: a fuzz run on the
 //! optimized flat VM must produce the *same campaign* as one on the
-//! reference tree walker (`FuzzConfig::reference_vm`). The fuzzing
+//! reference tree walker (`engine: Some(Engine::Reference)`). The fuzzing
 //! trajectory depends only on per-iteration branch-event sets, compare
 //! event streams and output values — all three of which the mid-end is
 //! contractually required to preserve — so the emitted suite, lineage,
@@ -44,18 +44,20 @@ fn assert_outcomes_identical(flat: &FuzzOutcome, reference: &FuzzOutcome, contex
 
 #[test]
 fn reference_vm_campaign_is_byte_identical() {
+    use cftcg::codegen::Engine;
+
     for name in ["SolarPV", "CPUTask"] {
         let model = cftcg::benchmarks::by_name(name).expect("bundled benchmark");
         let compiled = compile(&model).expect("benchmark compiles");
 
-        let run = |reference_vm: bool| {
-            let config = FuzzConfig { seed: 7, reference_vm, ..FuzzConfig::default() };
+        let run = |engine: Option<Engine>| {
+            let config = FuzzConfig { seed: 7, engine, ..FuzzConfig::default() };
             let mut fuzzer = Fuzzer::new(&compiled, config);
             fuzzer.run_executions(3_000)
         };
 
-        let flat = run(false);
-        let reference = run(true);
+        let flat = run(None);
+        let reference = run(Some(Engine::Reference));
         assert_outcomes_identical(&flat, &reference, name);
 
         let json = |outcome: FuzzOutcome| {
@@ -115,18 +117,20 @@ fn jit_campaign_json_is_byte_identical_with_one_worker() {
 
 #[test]
 fn reference_vm_is_byte_identical_through_the_parallel_engine() {
+    use cftcg::codegen::Engine;
+
     let model = cftcg::benchmarks::by_name("TCP").expect("bundled benchmark");
     let compiled = compile(&model).expect("benchmark compiles");
 
-    let run = |reference_vm: bool| {
+    let run = |engine: Option<Engine>| {
         let config = ParallelFuzzConfig {
             workers: 1,
             sync_interval: 512,
-            fuzz: FuzzConfig { seed: 11, reference_vm, ..FuzzConfig::default() },
+            fuzz: FuzzConfig { seed: 11, engine, ..FuzzConfig::default() },
             ..ParallelFuzzConfig::default()
         };
         ParallelFuzzer::new(&compiled, config).run_executions(2_000)
     };
 
-    assert_outcomes_identical(&run(false), &run(true), "TCP workers=1");
+    assert_outcomes_identical(&run(None), &run(Some(Engine::Reference)), "TCP workers=1");
 }
