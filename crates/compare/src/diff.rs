@@ -10,8 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use cftcg_core::{CampaignArtifact, HostMeta, SpanSummary};
+use cftcg_core::{CampaignArtifact, HostMeta};
 use cftcg_coverage::Goal;
+use cftcg_telemetry::SpanReport;
 use cftcg_telemetry::YieldReport;
 
 /// The identity card of one side of a comparison, echoed into every output
@@ -113,9 +114,9 @@ pub struct SpanDelta {
     /// Span kind name.
     pub name: String,
     /// Campaign A's summary, when A profiled this kind.
-    pub a: Option<SpanSummary>,
+    pub a: Option<SpanReport>,
     /// Campaign B's summary.
-    pub b: Option<SpanSummary>,
+    pub b: Option<SpanReport>,
 }
 
 /// The complete artifact-level diff of two campaigns.
@@ -237,8 +238,8 @@ fn yield_deltas(a: &[YieldReport], b: &[YieldReport]) -> Vec<YieldDelta> {
         .collect()
 }
 
-fn span_deltas(a: &[SpanSummary], b: &[SpanSummary]) -> Vec<SpanDelta> {
-    let by_name = |rows: &[SpanSummary], name: &str| rows.iter().find(|r| r.name == name).cloned();
+fn span_deltas(a: &[SpanReport], b: &[SpanReport]) -> Vec<SpanDelta> {
+    let by_name = |rows: &[SpanReport], name: &str| rows.iter().find(|r| r.name == name).cloned();
     let mut names: Vec<&str> = a.iter().map(|r| r.name.as_str()).collect();
     for name in b.iter().map(|r| r.name.as_str()) {
         if !names.contains(&name) {

@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 use cftcg_core::CampaignArtifact;
 use cftcg_coverage::InstrumentationMap;
 use cftcg_telemetry::escape_html as esc;
+use cftcg_telemetry::html::{page_close, page_open, step_points, tiles, Chart, Line};
 
 use crate::diff::{ArtifactDiff, GoalSide};
 use crate::frontier::FrontierMigration;
@@ -49,11 +50,7 @@ pub fn diff_html(
     map: &InstrumentationMap,
 ) -> String {
     let mut out = String::with_capacity(32 * 1024);
-    out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-    let _ = writeln!(out, "<title>CFTCG campaign diff — {}</title>", esc(&diff.a.model));
-    out.push_str(STYLE);
-    out.push_str("</head>\n<body>\n");
-    let _ = writeln!(out, "<h1>CFTCG campaign diff — {}</h1>", esc(&diff.a.model));
+    page_open(&mut out, &format!("CFTCG campaign diff — {}", diff.a.model), STYLE);
 
     if !diff.mismatches.is_empty() {
         out.push_str("<div class=\"warn\"><b>Apples-to-oranges comparison.</b> The two campaigns differ on:<ul>\n");
@@ -73,8 +70,7 @@ pub fn diff_html(
     if let Some(migration) = migration {
         render_migration(&mut out, migration);
     }
-
-    out.push_str("</body>\n</html>\n");
+    page_close(&mut out);
     out
 }
 
@@ -107,17 +103,17 @@ fn render_identities(out: &mut String, diff: &ArtifactDiff) {
 }
 
 fn render_partition_tiles(out: &mut String, diff: &ArtifactDiff) {
-    out.push_str("<div class=\"tiles\">\n");
-    let mut tile = |value: String, label: &str| {
-        let _ = writeln!(out, "<div class=\"tile\"><b>{value}</b><span>{label}</span></div>");
-    };
-    tile(diff.both.len().to_string(), "goals both covered");
-    tile(diff.only_a.len().to_string(), "goals only A");
-    tile(diff.only_b.len().to_string(), "goals only B");
-    tile(format!("{:+}", diff.goal_balance()), "net goal balance (B−A)");
     let faster_b = diff.both.iter().filter(|s| s.delta() < 0).count();
-    tile(faster_b.to_string(), "shared goals B hit earlier");
-    out.push_str("</div>\n");
+    tiles(
+        out,
+        [
+            (diff.both.len().to_string(), "goals both covered"),
+            (diff.only_a.len().to_string(), "goals only A"),
+            (diff.only_b.len().to_string(), "goals only B"),
+            (format!("{:+}", diff.goal_balance()), "net goal balance (B−A)"),
+            (faster_b.to_string(), "shared goals B hit earlier"),
+        ],
+    );
     if diff.is_identity() {
         out.push_str("<p><b>Identical coverage outcomes</b>: no gained or lost goals, no first-hit shifts, identical yield matrices.</p>\n");
     }
@@ -133,53 +129,31 @@ fn render_curve_overlay(out: &mut String, a: &CampaignArtifact, b: &CampaignArti
         return;
     }
     out.push_str("<h2>Coverage over time</h2>\n");
-    const W: f64 = 680.0;
-    const H: f64 = 220.0;
-    const PAD: f64 = 42.0;
     let max_t = curve_a
         .iter()
         .chain(&curve_b)
         .map(|p| p.0)
         .fold(a.elapsed_s.max(b.elapsed_s), f64::max)
         .max(1e-9);
-    let max_c = a.branch_count.max(b.branch_count).max(1) as f64;
-    let x = |t: f64| PAD + (W - 2.0 * PAD) * (t / max_t);
-    let y = |c: f64| H - PAD + (2.0 * PAD - H) * (c / max_c);
-    let polyline = |curve: &[(f64, f64)]| {
-        let mut points = String::new();
-        let mut last = 0.0f64;
-        let _ = write!(points, "{:.1},{:.1}", x(0.0), y(0.0));
-        for &(t, c) in curve {
-            // Step function: hold the previous level until the sample.
-            let _ = write!(points, " {:.1},{:.1}", x(t), y(last));
-            last = c;
-            let _ = write!(points, " {:.1},{:.1}", x(t), y(last));
-        }
-        let _ = write!(points, " {:.1},{:.1}", x(max_t), y(last));
-        points
-    };
-    let _ = write!(
-        out,
-        "<svg viewBox=\"0 0 {W} {H}\" width=\"{W}\" height=\"{H}\" role=\"img\" \
-         aria-label=\"covered branches over time, both campaigns\">\n\
-         <line x1=\"{p}\" y1=\"{yb:.1}\" x2=\"{xe:.1}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-         <line x1=\"{p}\" y1=\"{yt:.1}\" x2=\"{p}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-         <text x=\"{p}\" y=\"{H}\" font-size=\"11\" fill=\"#567\">0s</text>\n\
-         <text x=\"{xe:.1}\" y=\"{H}\" font-size=\"11\" fill=\"#567\" text-anchor=\"end\">{max_t:.2}s</text>\n\
-         <text x=\"4\" y=\"{yt2:.1}\" font-size=\"11\" fill=\"#567\">{branches}</text>\n\
-         <text x=\"4\" y=\"{yb:.1}\" font-size=\"11\" fill=\"#567\">0</text>\n\
-         <polyline fill=\"none\" stroke=\"{A_COLOR}\" stroke-width=\"2\" points=\"{pa}\"/>\n\
-         <polyline fill=\"none\" stroke=\"{B_COLOR}\" stroke-width=\"2\" stroke-dasharray=\"6 3\" points=\"{pb}\"/>\n\
-         </svg>\n",
-        p = PAD,
-        yb = y(0.0),
-        yt = y(max_c),
-        yt2 = y(max_c) + 4.0,
-        xe = x(max_t),
-        branches = a.branch_count.max(b.branch_count),
-        pa = polyline(&curve_a),
-        pb = polyline(&curve_b),
-    );
+    let branches = a.branch_count.max(b.branch_count);
+    Chart {
+        height: 220.0,
+        aria_label: "covered branches over time, both campaigns".into(),
+        x_labels: ["0s".into(), format!("{max_t:.2}s")],
+        y_labels: ["0".into(), branches.to_string()],
+        x_max: max_t,
+        y_range: (0.0, branches.max(1) as f64),
+        lines: vec![
+            Line { points: step_points(curve_a, max_t), color: A_COLOR, width: 2.0, dash: None },
+            Line {
+                points: step_points(curve_b, max_t),
+                color: B_COLOR,
+                width: 2.0,
+                dash: Some("6 3"),
+            },
+        ],
+    }
+    .render(out);
     let _ = writeln!(
         out,
         "<p class=\"legend\"><span><i class=\"swatch\" style=\"background:{A_COLOR}\"></i>campaign A \

@@ -111,7 +111,7 @@ pub fn terminal_report(
             "phase", "A total", "B total"
         );
         for span in &diff.spans {
-            let total = |s: &Option<cftcg_core::SpanSummary>| {
+            let total = |s: &Option<cftcg_telemetry::SpanReport>| {
                 s.as_ref().map_or("-".to_string(), |s| s.total_ns.to_string())
             };
             let _ = writeln!(

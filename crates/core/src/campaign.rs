@@ -27,7 +27,7 @@ use cftcg_fuzz::{
     Generation, Lineage, LineageOrigin, LineageRecord, MutationKind, SHARD_ID_STRIDE,
 };
 use cftcg_telemetry::json::{push_json_f64, push_json_str, Json};
-use cftcg_telemetry::{SeriesPoint, YieldReport};
+use cftcg_telemetry::{SeriesPoint, SpanReport, YieldReport};
 
 /// One emitted test case with its forensic metadata and raw driver bytes.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,22 +76,6 @@ pub struct HostMeta {
     pub arch: String,
 }
 
-/// Aggregate cost of one profiled span kind — the serializable projection
-/// of [`cftcg_telemetry::SpanReport`] (which borrows its name).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// Span kind name (taxonomy spelling, e.g. `execution`).
-    pub name: String,
-    /// Spans recorded.
-    pub count: u64,
-    /// Total attributed wall-clock nanoseconds.
-    pub total_ns: u64,
-    /// Upper bound of the median latency bucket.
-    pub p50_ns: u64,
-    /// Upper bound of the 99th-percentile latency bucket.
-    pub p99_ns: u64,
-}
-
 /// A complete persisted campaign: run identity, the suite with forensics,
 /// the lineage DAG, and per-goal provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +121,7 @@ pub struct CampaignArtifact {
     pub yields: Vec<YieldReport>,
     /// Span-profile summary (per-phase wall-clock attribution). Wall-clock
     /// derived, so CLI-attached only when telemetry ran; empty otherwise.
-    pub spans: Vec<SpanSummary>,
+    pub spans: Vec<SpanReport>,
 }
 
 impl CampaignArtifact {
@@ -292,17 +276,7 @@ impl CampaignArtifact {
         out.push_str("],\n\"series\":[");
         for (i, point) in self.series.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("{\"t_s\":");
-            push_json_f64(&mut out, point.t_s);
-            let _ = write!(
-                out,
-                ",\"executions\":{},\"covered\":{},\"branch_count\":{},\"corpus\":{},\"frontier_open\":{}",
-                point.executions, point.covered, point.branch_count, point.corpus,
-                point.frontier_open
-            );
-            out.push_str(",\"execs_per_sec\":");
-            push_json_f64(&mut out, point.execs_per_sec);
-            out.push('}');
+            point.push_json(&mut out);
         }
         out.push_str("],\n\"engine\":");
         match &self.engine {
@@ -326,13 +300,7 @@ impl CampaignArtifact {
         out.push_str("],\n\"spans\":[");
         for (i, span) in self.spans.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("{\"name\":");
-            push_json_str(&mut out, &span.name);
-            let _ = write!(
-                out,
-                ",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
-                span.count, span.total_ns, span.p50_ns, span.p99_ns
-            );
+            span.push_json(&mut out);
         }
         out.push_str("]\n}\n");
         out
@@ -374,7 +342,7 @@ impl CampaignArtifact {
                 .as_array()
                 .ok_or("campaign artifact: `series` is not an array")?
                 .iter()
-                .map(parse_series_point)
+                .map(SeriesPoint::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         };
         // Comparison-schema fields: artifacts written before `cftcg diff`
@@ -411,7 +379,7 @@ impl CampaignArtifact {
                 .as_array()
                 .ok_or("campaign artifact: `spans` is not an array")?
                 .iter()
-                .map(parse_span_summary)
+                .map(SpanReport::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         };
         Ok(CampaignArtifact {
@@ -518,17 +486,11 @@ fn parse_goal(value: &Json) -> Result<Goal, String> {
 }
 
 fn field_u64(value: &Json, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("campaign artifact: missing or non-integer `{key}`"))
+    value.field_u64(key, "campaign artifact")
 }
 
 fn field_f64(value: &Json, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("campaign artifact: missing or non-numeric `{key}`"))
+    value.field_f64(key, "campaign artifact")
 }
 
 fn opt_field_u64(value: &Json, key: &str) -> Result<Option<u64>, String> {
@@ -580,32 +542,6 @@ fn parse_lineage_record(value: &Json) -> Result<LineageRecord, String> {
         origin,
         shard: field_u64(value, "shard")? as usize,
         executions: field_u64(value, "executions")?,
-    })
-}
-
-fn parse_series_point(value: &Json) -> Result<SeriesPoint, String> {
-    Ok(SeriesPoint {
-        t_s: field_f64(value, "t_s")?,
-        executions: field_u64(value, "executions")?,
-        covered: field_u64(value, "covered")? as usize,
-        branch_count: field_u64(value, "branch_count")? as usize,
-        corpus: field_u64(value, "corpus")?,
-        frontier_open: field_u64(value, "frontier_open")? as usize,
-        execs_per_sec: field_f64(value, "execs_per_sec")?,
-    })
-}
-
-fn parse_span_summary(value: &Json) -> Result<SpanSummary, String> {
-    Ok(SpanSummary {
-        name: value
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("span summary: missing `name`")?
-            .to_string(),
-        count: field_u64(value, "count")?,
-        total_ns: field_u64(value, "total_ns")?,
-        p50_ns: field_u64(value, "p50_ns")?,
-        p99_ns: field_u64(value, "p99_ns")?,
     })
 }
 
@@ -740,7 +676,7 @@ mod tests {
                 corpus_insert: 2,
                 violation: 0,
             }],
-            spans: vec![SpanSummary {
+            spans: vec![SpanReport {
                 name: "execution".to_string(),
                 count: 17,
                 total_ns: 120_000,

@@ -20,6 +20,7 @@ use cftcg_coverage::{
 };
 use cftcg_fuzz::{format_chain, MutationKind};
 use cftcg_telemetry::escape_html as esc;
+use cftcg_telemetry::html::{page_close, page_open, step_points, tiles, y_range, Chart, Line};
 use cftcg_trace::{trace_vm_case, ProbeMask, Trace};
 
 use crate::campaign::{CampaignArtifact, CampaignCase, CampaignHit};
@@ -44,11 +45,7 @@ pub fn campaign_explorer_html(
     let lineage = artifact.lineage_dag();
 
     let mut out = String::with_capacity(64 * 1024);
-    out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-    let _ = writeln!(out, "<title>CFTCG campaign explorer — {}</title>", esc(&artifact.model));
-    out.push_str(STYLE);
-    out.push_str("</head>\n<body>\n");
-    let _ = writeln!(out, "<h1>CFTCG campaign explorer — {}</h1>", esc(&artifact.model));
+    page_open(&mut out, &format!("CFTCG campaign explorer — {}", artifact.model), STYLE);
 
     render_summary(&mut out, artifact, &report);
     render_series(&mut out, artifact);
@@ -58,8 +55,7 @@ pub fn campaign_explorer_html(
     render_forensics(&mut out, artifact, &lineage);
     render_waveforms(&mut out, compiled, artifact);
     render_cases(&mut out, artifact, &lineage);
-
-    out.push_str("</body>\n</html>\n");
+    page_close(&mut out);
     out
 }
 
@@ -80,73 +76,52 @@ svg{background:#fbfcff;border:1px solid #ccd;border-radius:6px}\n\
 </style>\n";
 
 fn render_summary(out: &mut String, artifact: &CampaignArtifact, report: &CoverageReport) {
-    out.push_str("<div class=\"tiles\">\n");
-    let mut tile = |value: String, label: &str| {
-        let _ = writeln!(out, "<div class=\"tile\"><b>{value}</b><span>{label}</span></div>");
-    };
-    tile(artifact.seed.to_string(), "seed");
-    tile(artifact.workers.to_string(), "workers");
-    tile(artifact.executions.to_string(), "inputs executed");
-    tile(artifact.iterations.to_string(), "model iterations");
-    tile(format!("{:.2}s", artifact.elapsed_s), "wall clock");
-    tile(artifact.cases.len().to_string(), "test cases");
-    tile(ratio_text(report.decision), "decision coverage");
-    tile(ratio_text(report.condition), "condition coverage");
-    tile(ratio_text(report.mcdc), "MCDC");
-    out.push_str("</div>\n");
+    tiles(
+        out,
+        [
+            (artifact.seed.to_string(), "seed"),
+            (artifact.workers.to_string(), "workers"),
+            (artifact.executions.to_string(), "inputs executed"),
+            (artifact.iterations.to_string(), "model iterations"),
+            (format!("{:.2}s", artifact.elapsed_s), "wall clock"),
+            (artifact.cases.len().to_string(), "test cases"),
+            (ratio_text(report.decision), "decision coverage"),
+            (ratio_text(report.condition), "condition coverage"),
+            (ratio_text(report.mcdc), "MCDC"),
+        ],
+    );
 }
 
 fn ratio_text(ratio: Ratio) -> String {
     format!("{}/{} ({:.1}%)", ratio.covered, ratio.total, ratio.percent())
 }
 
-/// Inline-SVG coverage-vs-time curve built from the per-case emission
-/// metadata: each emitted case is one step of the cumulative covered-branch
-/// count (the data behind the paper's Figure 7, per campaign).
+/// The coverage-vs-time curve built from the per-case emission metadata:
+/// each emitted case is one step of the cumulative covered-branch count
+/// (the data behind the paper's Figure 7, per campaign).
 fn render_series(out: &mut String, artifact: &CampaignArtifact) {
     out.push_str("<h2>Coverage over time</h2>\n");
     if artifact.cases.is_empty() {
         out.push_str("<p>No test cases were emitted.</p>\n");
         return;
     }
-    const W: f64 = 680.0;
-    const H: f64 = 200.0;
-    const PAD: f64 = 42.0;
     let max_t = artifact.cases.iter().map(|c| c.t_s).fold(artifact.elapsed_s, f64::max).max(1e-9);
-    let max_c = artifact.branch_count.max(1) as f64;
-    let x = |t: f64| PAD + (W - 2.0 * PAD) * (t / max_t);
-    let y = |c: f64| H - PAD + (2.0 * PAD - H) * (c / max_c);
-
-    let mut points = String::new();
-    let mut last = 0.0f64;
-    let _ = write!(points, "{:.1},{:.1}", x(0.0), y(0.0));
-    for case in &artifact.cases {
-        // Step function: hold the previous level until the case landed.
-        let _ = write!(points, " {:.1},{:.1}", x(case.t_s), y(last));
-        last = case.covered_branches as f64;
-        let _ = write!(points, " {:.1},{:.1}", x(case.t_s), y(last));
+    let steps = artifact.cases.iter().map(|c| (c.t_s, c.covered_branches as f64));
+    Chart {
+        height: 200.0,
+        aria_label: "covered branches over time".into(),
+        x_labels: ["0s".into(), format!("{max_t:.2}s")],
+        y_labels: ["0".into(), artifact.branch_count.to_string()],
+        x_max: max_t,
+        y_range: (0.0, artifact.branch_count.max(1) as f64),
+        lines: vec![Line {
+            points: step_points(steps, max_t),
+            color: "#2a6fb0",
+            width: 2.0,
+            dash: None,
+        }],
     }
-    let _ = write!(points, " {:.1},{:.1}", x(max_t), y(last));
-
-    let _ = write!(
-        out,
-        "<svg viewBox=\"0 0 {W} {H}\" width=\"{W}\" height=\"{H}\" role=\"img\" \
-         aria-label=\"covered branches over time\">\n\
-         <line x1=\"{p}\" y1=\"{yb:.1}\" x2=\"{xe:.1}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-         <line x1=\"{p}\" y1=\"{yt:.1}\" x2=\"{p}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-         <text x=\"{p}\" y=\"{H}\" font-size=\"11\" fill=\"#567\">0s</text>\n\
-         <text x=\"{xe:.1}\" y=\"{H}\" font-size=\"11\" fill=\"#567\" text-anchor=\"end\">{max_t:.2}s</text>\n\
-         <text x=\"4\" y=\"{yt2:.1}\" font-size=\"11\" fill=\"#567\">{branches}</text>\n\
-         <text x=\"4\" y=\"{yb:.1}\" font-size=\"11\" fill=\"#567\">0</text>\n\
-         <polyline fill=\"none\" stroke=\"#2a6fb0\" stroke-width=\"2\" points=\"{points}\"/>\n\
-         </svg>\n",
-        p = PAD,
-        yb = y(0.0),
-        yt = y(max_c),
-        yt2 = y(max_c) + 4.0,
-        xe = x(max_t),
-        branches = artifact.branch_count,
-    );
+    .render(out);
     let _ = writeln!(
         out,
         "<p>{} of {} branch probes covered.</p>",
@@ -155,52 +130,34 @@ fn render_series(out: &mut String, artifact: &CampaignArtifact) {
 }
 
 /// The telemetry time-series panel: sampled campaign progress (covered
-/// branches plus execution rate) from the bounded registry ring persisted
-/// into the artifact. Skipped entirely when the campaign ran without
-/// telemetry — the per-case curve above is always available.
+/// branches plus execution rate, each as a share of its peak scale) from
+/// the bounded registry ring persisted into the artifact. Skipped entirely
+/// when the campaign ran without telemetry — the per-case curve above is
+/// always available.
 fn render_telemetry_series(out: &mut String, artifact: &CampaignArtifact) {
-    if artifact.series.is_empty() {
+    let series = &artifact.series;
+    if series.is_empty() {
         return;
     }
     out.push_str("<h2>Sampled campaign progress</h2>\n");
-    const W: f64 = 680.0;
-    const H: f64 = 200.0;
-    const PAD: f64 = 42.0;
-    let series = &artifact.series;
     let max_t = series.iter().map(|p| p.t_s).fold(artifact.elapsed_s, f64::max).max(1e-9);
     let max_c = artifact.branch_count.max(1) as f64;
     let max_rate = series.iter().map(|p| p.execs_per_sec).fold(1e-9, f64::max);
-    let x = |t: f64| PAD + (W - 2.0 * PAD) * (t / max_t);
-    let y = |frac: f64| H - PAD + (2.0 * PAD - H) * frac;
-
-    let mut coverage = String::new();
-    let mut rate = String::new();
-    for (i, p) in series.iter().enumerate() {
-        let sep = if i == 0 { "" } else { " " };
-        let _ = write!(coverage, "{sep}{:.1},{:.1}", x(p.t_s), y(p.covered as f64 / max_c));
-        let _ = write!(rate, "{sep}{:.1},{:.1}", x(p.t_s), y(p.execs_per_sec / max_rate));
+    let coverage = series.iter().map(|p| (p.t_s, p.covered as f64 / max_c)).collect();
+    let rate = series.iter().map(|p| (p.t_s, p.execs_per_sec / max_rate)).collect();
+    Chart {
+        height: 200.0,
+        aria_label: "sampled coverage and execution rate over time".into(),
+        x_labels: ["0s".into(), format!("{max_t:.2}s")],
+        y_labels: ["0".into(), artifact.branch_count.to_string()],
+        x_max: max_t,
+        y_range: (0.0, 1.0),
+        lines: vec![
+            Line { points: coverage, color: "#2a6fb0", width: 2.0, dash: None },
+            Line { points: rate, color: "#b0572a", width: 1.5, dash: Some("4 3") },
+        ],
     }
-
-    let _ = write!(
-        out,
-        "<svg viewBox=\"0 0 {W} {H}\" width=\"{W}\" height=\"{H}\" role=\"img\" \
-         aria-label=\"sampled coverage and execution rate over time\">\n\
-         <line x1=\"{p}\" y1=\"{yb:.1}\" x2=\"{xe:.1}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-         <line x1=\"{p}\" y1=\"{yt:.1}\" x2=\"{p}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-         <text x=\"{p}\" y=\"{H}\" font-size=\"11\" fill=\"#567\">0s</text>\n\
-         <text x=\"{xe:.1}\" y=\"{H}\" font-size=\"11\" fill=\"#567\" text-anchor=\"end\">{max_t:.2}s</text>\n\
-         <text x=\"4\" y=\"{yt2:.1}\" font-size=\"11\" fill=\"#567\">{branches}</text>\n\
-         <text x=\"4\" y=\"{yb:.1}\" font-size=\"11\" fill=\"#567\">0</text>\n\
-         <polyline fill=\"none\" stroke=\"#2a6fb0\" stroke-width=\"2\" points=\"{coverage}\"/>\n\
-         <polyline fill=\"none\" stroke=\"#b0572a\" stroke-width=\"1.5\" stroke-dasharray=\"4 3\" points=\"{rate}\"/>\n\
-         </svg>\n",
-        p = PAD,
-        yb = y(0.0),
-        yt = y(1.0),
-        yt2 = y(1.0) + 4.0,
-        xe = x(max_t),
-        branches = artifact.branch_count,
-    );
+    .render(out);
     let _ = writeln!(
         out,
         "<p>{} telemetry samples; <span style=\"color:#2a6fb0\">covered branches</span> and \
@@ -438,82 +395,41 @@ fn render_waveforms(out: &mut String, compiled: &CompiledModel, artifact: &Campa
     }
 }
 
-/// One compact step-line SVG per probed signal of a captured trace.
+/// One compact step-line chart per probed signal of a captured trace.
 fn render_waveform_svgs(out: &mut String, trace: &Trace) {
-    const W: f64 = 680.0;
-    const H: f64 = 90.0;
-    const PAD: f64 = 42.0;
     let last_tick = trace.records().map(|r| r.tick).max().unwrap_or(0);
     for (k, signal) in trace.signals().iter().enumerate() {
-        let series: Vec<(u64, f64)> =
-            trace.records().filter(|r| r.signal == k as u32).map(|r| (r.tick, r.value)).collect();
-        if series.is_empty() {
+        // Each sample holds until the next one; a non-finite sample (NaN or
+        // ±inf has no plottable y) breaks the line, so the gap shows.
+        let mut points: Vec<(f64, f64)> = Vec::new();
+        let mut prev = f64::NAN;
+        for record in trace.records().filter(|r| r.signal == k as u32) {
+            let (t, v) = (record.tick as f64, record.value);
+            if v.is_finite() && prev.is_finite() {
+                points.push((t, prev));
+            }
+            points.push((t, v));
+            prev = v;
+        }
+        if points.is_empty() {
             continue;
         }
-        let (mut lo, mut hi) = series
-            .iter()
-            .filter(|(_, v)| v.is_finite())
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &(_, v)| (lo.min(v), hi.max(v)));
-        if !lo.is_finite() || !hi.is_finite() {
-            (lo, hi) = (0.0, 1.0); // no finite samples: arbitrary fixed frame
-        }
-        if lo == hi {
-            // A flat signal still needs a non-degenerate y range.
-            (lo, hi) = (lo - 1.0, hi + 1.0);
-        }
-        let span = (last_tick.max(1)) as f64;
-        let x = |t: u64| PAD + (W - 2.0 * PAD) * (t as f64 / span);
-        let y = |v: f64| H - 22.0 + (14.0 - (H - 22.0)) * ((v - lo) / (hi - lo));
-        // Step polylines, broken at non-finite samples (NaN/±inf have no
-        // plottable y; the gap makes them visible instead of lying).
-        let mut segments: Vec<String> = Vec::new();
-        let mut current = String::new();
-        let mut prev: Option<(u64, f64)> = None;
-        for &(t, v) in &series {
-            if !v.is_finite() {
-                if !current.is_empty() {
-                    segments.push(std::mem::take(&mut current));
-                }
-                prev = None;
-                continue;
-            }
-            if let Some((_, pv)) = prev {
-                let _ = write!(current, " {:.1},{:.1}", x(t), y(pv));
-            }
-            if !current.is_empty() {
-                current.push(' ');
-            }
-            let _ = write!(current, "{:.1},{:.1}", x(t), y(v));
-            prev = Some((t, v));
-        }
-        if !current.is_empty() {
-            segments.push(current);
-        }
+        let (lo, hi) = y_range(points.iter().map(|&(_, v)| v));
         let _ = writeln!(
             out,
             "<p><code>{}</code> <span class=\"range\">[{lo:.4} .. {hi:.4}]</span></p>",
             esc(&signal.name),
         );
-        let _ = write!(
-            out,
-            "<svg viewBox=\"0 0 {W} {H}\" width=\"{W}\" height=\"{H}\" role=\"img\" \
-             aria-label=\"waveform of {}\">\n\
-             <line x1=\"{p}\" y1=\"{yb:.1}\" x2=\"{xe:.1}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-             <text x=\"{p}\" y=\"{H}\" font-size=\"11\" fill=\"#567\">tick 0</text>\n\
-             <text x=\"{xe:.1}\" y=\"{H}\" font-size=\"11\" fill=\"#567\" \
-             text-anchor=\"end\">tick {last_tick}</text>\n",
-            esc(&signal.name),
-            p = PAD,
-            yb = H - 22.0,
-            xe = x(last_tick.max(1)),
-        );
-        for points in &segments {
-            let _ = writeln!(
-                out,
-                "<polyline fill=\"none\" stroke=\"#b0572a\" stroke-width=\"2\" points=\"{points}\"/>"
-            );
+        Chart {
+            height: 140.0,
+            aria_label: format!("waveform of {}", signal.name),
+            x_labels: ["tick 0".into(), format!("tick {last_tick}")],
+            y_labels: [String::new(), String::new()],
+            x_max: last_tick.max(1) as f64,
+            y_range: (lo, hi),
+            lines: vec![Line { points, color: "#b0572a", width: 2.0, dash: None }],
         }
-        out.push_str("</svg>\n");
+        .render(out);
     }
 }
 
@@ -614,6 +530,37 @@ mod tests {
         assert!(html.contains("Productive ancestors"));
         // No assertions in the model: the waveform section stays absent.
         assert!(!html.contains("Violation waveforms"));
+    }
+
+    #[test]
+    fn sampled_progress_panel_renders_only_with_a_series() {
+        let tool = tool();
+        let (mut artifact, html) = render(&tool, 800);
+        assert!(artifact.series.is_empty());
+        assert!(!html.contains("Sampled campaign progress"), "no series, no panel");
+
+        artifact.series = (1..=3)
+            .map(|i| cftcg_telemetry::SeriesPoint {
+                t_s: 0.1 * i as f64,
+                executions: 100 * i,
+                covered: i as usize,
+                branch_count: artifact.branch_count,
+                corpus: i,
+                frontier_open: artifact.branch_count.saturating_sub(i as usize),
+                execs_per_sec: 1_000.0 * i as f64,
+            })
+            .collect();
+        let map = tool.compiled().map();
+        let mut tracker = FullTracker::new(map);
+        for case in &artifact.cases {
+            replay_case(tool.compiled(), &TestCase::new(case.bytes.clone()), &mut tracker);
+        }
+        let html = campaign_explorer_html(tool.compiled(), &artifact, &tracker);
+        let panel = html.split("<h2>Sampled campaign progress</h2>").nth(1).expect("panel renders");
+        let chart = &panel[..panel.find("</svg>").expect("panel has a chart")];
+        assert_eq!(chart.matches("<polyline").count(), 2, "coverage and rate lines: {chart}");
+        assert!(chart.contains("stroke-dasharray=\"4 3\""), "the rate line is dashed");
+        assert!(panel.contains("3 telemetry samples"));
     }
 
     #[test]

@@ -43,9 +43,7 @@
 mod campaign;
 mod html;
 
-pub use campaign::{
-    parse_case_id, CampaignArtifact, CampaignCase, CampaignHit, HostMeta, SpanSummary,
-};
+pub use campaign::{parse_case_id, CampaignArtifact, CampaignCase, CampaignHit, HostMeta};
 pub use html::campaign_explorer_html;
 
 use std::time::Duration;

@@ -715,7 +715,6 @@ impl<'c> Fuzzer<'c> {
             if self.failed_assertions[i] && !self.witnessed[i] {
                 self.witnessed[i] = true;
                 self.violations.push((i, TestCase::new(data.clone())));
-                self.stats.violations += 1;
                 witnessed_violation = true;
             }
         }

@@ -6,8 +6,11 @@
 
 use std::fmt::Write;
 
+use cftcg_telemetry::html::{page_close, page_open, tiles, Chart, Line};
 use cftcg_telemetry::json::{push_json_f64, push_json_str};
-use cftcg_telemetry::{escape_html, CorpusSeedReport, SeriesPoint, SpanKind, TelemetrySnapshot};
+use cftcg_telemetry::{
+    escape_html, format_ns, CorpusSeedReport, SeriesPoint, SpanKind, TelemetrySnapshot,
+};
 
 /// The `/snapshot` body: campaign totals, coverage, span attribution,
 /// operator attribution, and the retained time series, as one JSON object.
@@ -16,26 +19,16 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
     let covered = snap.covered;
     let branch_count = snap.branch_count;
     let frontier_open = branch_count.saturating_sub(covered);
-    let coverage_pct =
-        if branch_count == 0 { 0.0 } else { 100.0 * covered as f64 / branch_count as f64 };
-    let elapsed_s = snap.elapsed.as_secs_f64();
-    // Rate from the latest series window when available (reflects *current*
-    // throughput); whole-campaign average otherwise.
-    let execs_per_sec = match snap.series.last() {
-        Some(point) => point.execs_per_sec,
-        None if elapsed_s > 0.0 => t.executions as f64 / elapsed_s,
-        None => 0.0,
-    };
 
     let mut out = String::with_capacity(2048);
     out.push_str("{\"model\":");
     push_json_str(&mut out, model);
     out.push_str(",\"elapsed_s\":");
-    push_json_f64(&mut out, elapsed_s);
+    push_json_f64(&mut out, snap.elapsed.as_secs_f64());
     let _ = write!(
         out,
         ",\"executions\":{},\"iterations\":{},\"discoveries\":{},\"violations\":{}",
-        t.executions, t.iterations, t.discoveries, t.violations
+        t.executions, t.iterations, t.discoveries, snap.violations
     );
     let _ = write!(
         out,
@@ -44,10 +37,10 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
     );
     let _ = write!(out, ",\"covered\":{covered},\"branch_count\":{branch_count}");
     out.push_str(",\"coverage_pct\":");
-    push_json_f64(&mut out, coverage_pct);
+    push_json_f64(&mut out, snap.coverage_pct());
     let _ = write!(out, ",\"frontier_open\":{frontier_open}");
     out.push_str(",\"execs_per_sec\":");
-    push_json_f64(&mut out, execs_per_sec);
+    push_json_f64(&mut out, snap.execs_per_sec());
     out.push_str(",\"last_sync_ms\":");
     push_json_f64(&mut out, snap.last_sync_ms);
 
@@ -74,26 +67,18 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
     }
 
     out.push_str(",\"spans\":[");
-    let mut first = true;
-    for kind in SpanKind::ALL {
-        let h = t.spans.histogram(kind);
-        if h.is_empty() {
-            continue;
-        }
-        if !first {
+    let spans = t.spans.reports();
+    let span_ns: u64 = spans.iter().map(|row| row.total_ns).sum();
+    for (i, row) in spans.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"pct\":",
-            kind.name(),
-            h.count(),
-            h.sum(),
-            h.quantile_upper_bound(0.5),
-            h.quantile_upper_bound(0.99),
-        );
-        push_json_f64(&mut out, t.spans.phase_pct(kind));
+        row.push_json(&mut out);
+        // Reopen the row to add the phase's share of attributed time.
+        out.pop();
+        out.push_str(",\"pct\":");
+        let pct = if span_ns == 0 { 0.0 } else { 100.0 * row.total_ns as f64 / span_ns as f64 };
+        push_json_f64(&mut out, pct);
         out.push('}');
     }
     out.push(']');
@@ -155,27 +140,16 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        push_series_point(&mut out, point);
+        point.push_json(&mut out);
     }
     out.push_str("]}");
     out
 }
 
-fn push_series_point(out: &mut String, point: &SeriesPoint) {
-    out.push_str("{\"t_s\":");
-    push_json_f64(out, point.t_s);
-    let _ = write!(
-        out,
-        ",\"executions\":{},\"covered\":{},\"branch_count\":{},\"corpus\":{},\"frontier_open\":{},\"execs_per_sec\":",
-        point.executions, point.covered, point.branch_count, point.corpus, point.frontier_open
-    );
-    push_json_f64(out, point.execs_per_sec);
-    out.push('}');
-}
-
-/// Shared page chrome, matching the offline campaign explorer's styling so
-/// the live dashboard and the post-mortem report read as one tool.
-const STYLE: &str = "<style>\n\
+/// The dashboard's head markup: the 2 s self-refresh and page chrome
+/// matching the offline campaign explorer's styling, so the live dashboard
+/// and the post-mortem report read as one tool.
+const HEAD: &str = "<meta http-equiv=\"refresh\" content=\"2\">\n<style>\n\
 body{font:14px/1.45 system-ui,sans-serif;margin:2rem auto;max-width:70rem;color:#1a1a2a;padding:0 1rem}\n\
 h1{font-size:1.4rem}h2{font-size:1.1rem;margin-top:2rem;border-bottom:1px solid #ccd;padding-bottom:.2rem}\n\
 .tiles{display:flex;flex-wrap:wrap;gap:.6rem;margin:1rem 0}\n\
@@ -193,42 +167,26 @@ footer{color:#567;font-size:.8rem;margin-top:2rem}\n\
 /// The `/` body: a self-refreshing dashboard — summary tiles, the
 /// coverage-vs-time curve, and the span phase table.
 pub(crate) fn dashboard_html(model: &str, snap: &TelemetrySnapshot) -> String {
-    let covered = snap.covered;
-    let branch_count = snap.branch_count;
-    let coverage_pct =
-        if branch_count == 0 { 0.0 } else { 100.0 * covered as f64 / branch_count as f64 };
-    let execs_per_sec = match snap.series.last() {
-        Some(point) => point.execs_per_sec,
-        None if snap.elapsed.as_secs_f64() > 0.0 => {
-            snap.totals.executions as f64 / snap.elapsed.as_secs_f64()
-        }
-        None => 0.0,
-    };
-
+    let (covered, branch_count) = (snap.covered, snap.branch_count);
     let mut out = String::with_capacity(8192);
-    out.push_str("<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n");
-    out.push_str("<meta http-equiv=\"refresh\" content=\"2\">\n");
-    let _ = writeln!(out, "<title>cftcg observatory — {}</title>", escape_html(model));
-    out.push_str(STYLE);
-    out.push_str("</head><body>\n");
-    let _ = writeln!(out, "<h1>cftcg observatory — {}</h1>", escape_html(model));
-
-    out.push_str("<div class=\"tiles\">\n");
-    let mut tile = |value: String, label: &str| {
-        let _ = writeln!(out, "<div class=\"tile\"><b>{value}</b><span>{label}</span></div>");
-    };
-    tile(format!("{:.1}s", snap.elapsed.as_secs_f64()), "elapsed");
-    tile(snap.totals.executions.to_string(), "inputs executed");
-    tile(format!("{execs_per_sec:.0}/s"), "execution rate");
-    tile(format!("{covered}/{branch_count} ({coverage_pct:.1}%)"), "branch coverage");
-    tile(branch_count.saturating_sub(covered).to_string(), "open frontier");
-    tile(snap.corpus_size.to_string(), "corpus entries");
-    tile(snap.totals.violations.to_string(), "violations");
-    tile(format!("{:.2}/s", snap.goals_per_second()), "goal rate");
-    if let Some(bytes) = snap.jit_code_bytes {
-        tile(format!("{:.1} KiB", bytes as f64 / 1024.0), "JIT code");
-    }
-    out.push_str("</div>\n");
+    page_open(&mut out, &format!("cftcg observatory — {model}"), HEAD);
+    let jit_code =
+        snap.jit_code_bytes.map(|bytes| (format!("{:.1} KiB", bytes as f64 / 1024.0), "JIT code"));
+    tiles(
+        &mut out,
+        [
+            (format!("{:.1}s", snap.elapsed.as_secs_f64()), "elapsed"),
+            (snap.totals.executions.to_string(), "inputs executed"),
+            (format!("{:.0}/s", snap.execs_per_sec()), "execution rate"),
+            (format!("{covered}/{branch_count} ({:.1}%)", snap.coverage_pct()), "branch coverage"),
+            (branch_count.saturating_sub(covered).to_string(), "open frontier"),
+            (snap.corpus_size.to_string(), "corpus entries"),
+            (snap.violations.to_string(), "violations"),
+            (format!("{:.2}/s", snap.goals_per_second()), "goal rate"),
+        ]
+        .into_iter()
+        .chain(jit_code),
+    );
 
     if let Some(plateau) = &snap.last_plateau {
         let _ = writeln!(
@@ -249,52 +207,36 @@ pub(crate) fn dashboard_html(model: &str, snap: &TelemetrySnapshot) -> String {
          <a href=\"/snapshot\">/snapshot</a> (JSON) · \
          <a href=\"/diff\">/diff</a> (latest campaign diff) · page refreshes every 2s</footer>\n",
     );
-    out.push_str("</body></html>\n");
+    page_close(&mut out);
     out
 }
 
-/// Inline-SVG coverage-vs-time curve from the retained series ring — the
-/// live counterpart of the campaign explorer's post-mortem chart (same
-/// geometry and palette).
+/// The coverage-vs-time curve from the retained series ring — the live
+/// counterpart of the campaign explorer's post-mortem chart.
 fn render_series_svg(out: &mut String, series: &[SeriesPoint], branch_count: usize) {
     out.push_str("<h2>Coverage over time</h2>\n");
-    if series.is_empty() {
+    let Some(last) = series.last() else {
         out.push_str("<p>No samples yet — the series fills as sync rounds land.</p>\n");
         return;
-    }
-    const W: f64 = 680.0;
-    const H: f64 = 200.0;
-    const PAD: f64 = 42.0;
+    };
     let max_t = series.iter().map(|p| p.t_s).fold(1e-9, f64::max);
-    let max_c = branch_count.max(1) as f64;
-    let x = |t: f64| PAD + (W - 2.0 * PAD) * (t / max_t);
-    let y = |c: f64| H - PAD + (2.0 * PAD - H) * (c / max_c);
-
-    let mut points = String::new();
-    let _ = write!(points, "{:.1},{:.1}", x(0.0), y(0.0));
-    for point in series {
-        let _ = write!(points, " {:.1},{:.1}", x(point.t_s), y(point.covered as f64));
+    Chart {
+        height: 200.0,
+        aria_label: "covered branches over time".into(),
+        x_labels: ["0s".into(), format!("{max_t:.1}s")],
+        y_labels: ["0".into(), branch_count.to_string()],
+        x_max: max_t,
+        y_range: (0.0, branch_count.max(1) as f64),
+        lines: vec![Line {
+            points: std::iter::once((0.0, 0.0))
+                .chain(series.iter().map(|p| (p.t_s, p.covered as f64)))
+                .collect(),
+            color: "#2a6fb0",
+            width: 2.0,
+            dash: None,
+        }],
     }
-
-    let _ = write!(
-        out,
-        "<svg viewBox=\"0 0 {W} {H}\" width=\"{W}\" height=\"{H}\" role=\"img\" \
-         aria-label=\"covered branches over time\">\n\
-         <line x1=\"{p}\" y1=\"{yb:.1}\" x2=\"{xe:.1}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-         <line x1=\"{p}\" y1=\"{yt:.1}\" x2=\"{p}\" y2=\"{yb:.1}\" stroke=\"#99a\"/>\n\
-         <text x=\"{p}\" y=\"{H}\" font-size=\"11\" fill=\"#567\">0s</text>\n\
-         <text x=\"{xe:.1}\" y=\"{H}\" font-size=\"11\" fill=\"#567\" text-anchor=\"end\">{max_t:.1}s</text>\n\
-         <text x=\"4\" y=\"{yt2:.1}\" font-size=\"11\" fill=\"#567\">{branch_count}</text>\n\
-         <text x=\"4\" y=\"{yb:.1}\" font-size=\"11\" fill=\"#567\">0</text>\n\
-         <polyline fill=\"none\" stroke=\"#2a6fb0\" stroke-width=\"2\" points=\"{points}\"/>\n\
-         </svg>\n",
-        p = PAD,
-        yb = y(0.0),
-        yt = y(max_c),
-        yt2 = y(max_c) + 4.0,
-        xe = x(max_t),
-    );
-    let last = &series[series.len() - 1];
+    .render(out);
     let _ = writeln!(
         out,
         "<p>{} samples retained; latest: {} covered at t={:.1}s.</p>",
@@ -416,16 +358,6 @@ fn render_corpus_age_histogram(out: &mut String, seeds: &[CorpusSeedReport]) {
         "<p>{} seed(s) under schedule; {selections} selections; {goals} descendant goal(s) credited.</p>",
         seeds.len()
     );
-}
-
-/// Human-scale duration: picks ns/µs/ms/s by magnitude.
-fn format_ns(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
 }
 
 #[cfg(test)]
@@ -603,13 +535,5 @@ mod tests {
         assert!(html.contains("No spans recorded yet"));
         assert!(html.contains("No mutation yields recorded yet"));
         assert!(html.contains("No corpus forensics published yet"));
-    }
-
-    #[test]
-    fn format_ns_picks_sane_units() {
-        assert_eq!(format_ns(12), "12ns");
-        assert_eq!(format_ns(1_500), "1.5µs");
-        assert_eq!(format_ns(2_500_000), "2.5ms");
-        assert_eq!(format_ns(3_210_000_000), "3.21s");
     }
 }

@@ -42,18 +42,9 @@ impl YieldReport {
     ///
     /// Returns a message naming the missing or malformed field.
     pub fn from_json(value: &Json) -> Result<YieldReport, String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("yield row: missing or non-integer `{key}`"))
-        };
+        let field = |key: &str| value.field_u64(key, "yield row");
         Ok(YieldReport {
-            name: value
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("yield row: missing `name`")?
-                .into(),
+            name: value.field_str("name", "yield row")?.into(),
             executed: field("executed")?,
             new_coverage: field("new_coverage")?,
             corpus_insert: field("corpus_insert")?,
@@ -345,12 +336,7 @@ impl Event {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str("{\"name\":");
-                    push_json_str(&mut out, span.name);
-                    out.push_str(&format!(
-                        ",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
-                        span.count, span.total_ns, span.p50_ns, span.p99_ns
-                    ));
+                    span.push_json(&mut out);
                 }
                 out.push_str("],\"t\":");
                 push_json_f64(&mut out, *t);
@@ -457,7 +443,7 @@ mod tests {
             },
             Event::SpanSummary {
                 spans: vec![SpanReport {
-                    name: "execution",
+                    name: "execution".into(),
                     count: 4_096,
                     total_ns: 9_000_000,
                     p50_ns: 2_047,

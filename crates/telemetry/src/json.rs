@@ -94,6 +94,26 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The unsigned integer under `key`; the error names the field and
+    /// `what` was being read.
+    pub fn field_u64(&self, key: &str, what: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{what}: missing or non-integer `{key}`"))
+    }
+
+    /// The number under `key`, like [`Json::field_u64`].
+    pub fn field_f64(&self, key: &str, what: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("{what}: missing or non-numeric `{key}`"))
+    }
+
+    /// The string under `key`, like [`Json::field_u64`].
+    pub fn field_str(&self, key: &str, what: &str) -> Result<&str, String> {
+        self.get(key).and_then(Json::as_str).ok_or_else(|| format!("{what}: missing `{key}`"))
+    }
 }
 
 /// A parse failure with a byte offset into the input.

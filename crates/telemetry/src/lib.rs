@@ -55,6 +55,7 @@
 
 mod event;
 mod histogram;
+pub mod html;
 pub mod json;
 mod series;
 mod span;
@@ -68,6 +69,7 @@ use std::time::{Duration, Instant};
 
 pub use event::{Event, PlateauGoal, YieldReport, PLATEAU_FRONTIER_CAP};
 pub use histogram::{Histogram, BUCKETS};
+pub use html::escape_html;
 pub use series::{SeriesPoint, SeriesRing};
 pub use span::{
     SpanKind, SpanReport, SpanSampler, SpanStats, SpanTrace, TraceEvent, COORDINATOR_TID,
@@ -253,8 +255,6 @@ pub struct ShardStats {
     pub iterations: u64,
     /// Inputs that found new (shard-local) coverage.
     pub discoveries: u64,
-    /// Assertion violations first witnessed by this shard.
-    pub violations: u64,
     /// Corpus insertions (appends and replacements).
     pub corpus_inserts: u64,
     /// Corpus replacements (an older entry was evicted).
@@ -285,7 +285,6 @@ impl ShardStats {
         self.executions += other.executions;
         self.iterations += other.iterations;
         self.discoveries += other.discoveries;
-        self.violations += other.violations;
         self.corpus_inserts += other.corpus_inserts;
         self.corpus_evictions += other.corpus_evictions;
         self.exec_latency_ns.merge_from(&other.exec_latency_ns);
@@ -302,7 +301,6 @@ impl ShardStats {
             executions: self.executions.saturating_sub(baseline.executions),
             iterations: self.iterations.saturating_sub(baseline.iterations),
             discoveries: self.discoveries.saturating_sub(baseline.discoveries),
-            violations: self.violations.saturating_sub(baseline.violations),
             corpus_inserts: self.corpus_inserts.saturating_sub(baseline.corpus_inserts),
             corpus_evictions: self.corpus_evictions.saturating_sub(baseline.corpus_evictions),
             exec_latency_ns: self.exec_latency_ns.delta_since(&baseline.exec_latency_ns),
@@ -334,8 +332,9 @@ pub struct TelemetrySnapshot {
     pub shard_sync_pct: Vec<f64>,
     /// Operator labels (parallel to the rows of `totals.yields`).
     pub operator_labels: Vec<String>,
-    /// Event-side violation count (distinct `Violation` events witnessed).
-    pub violations_seen: u64,
+    /// Distinct assertions first witnessed campaign-wide: one per
+    /// [`Event::Violation`] the campaign fold emitted.
+    pub violations: u64,
     /// Most recent coordinator sync-round cost, milliseconds.
     pub last_sync_ms: f64,
     /// Native code bytes resident in the JIT cache, when the JIT tier ran.
@@ -351,12 +350,38 @@ pub struct TelemetrySnapshot {
     pub plateaus: u64,
     /// The most recent plateau, when one fired.
     pub last_plateau: Option<PlateauSummary>,
+    /// The "hottest blocks" report: per-kind profiled cost, sorted by total
+    /// attributed time descending (ties broken by kind name). Empty unless
+    /// a profiled replay merged its [`Telemetry::merge_block_cost`] data.
+    pub block_costs: Vec<BlockCost>,
+    /// Every block kind's profiled latency distribution, merged.
+    pub block_ns: Histogram,
 }
 
 impl TelemetrySnapshot {
     /// The mutation-yield matrix as reportable rows (one per operator).
     pub fn yield_reports(&self) -> Vec<YieldReport> {
         self.totals.yields.reports(self.operator_labels.iter().map(String::as_str))
+    }
+
+    /// Covered branches as a percentage of all probes (0 without probes).
+    pub fn coverage_pct(&self) -> f64 {
+        if self.branch_count == 0 {
+            0.0
+        } else {
+            100.0 * self.covered as f64 / self.branch_count as f64
+        }
+    }
+
+    /// The current execution rate: the latest series window's when one was
+    /// sampled, the whole-campaign average otherwise.
+    pub fn execs_per_sec(&self) -> f64 {
+        let elapsed_s = self.elapsed.as_secs_f64();
+        match self.series.last() {
+            Some(point) => point.execs_per_sec,
+            None if elapsed_s > 0.0 => self.totals.executions as f64 / elapsed_s,
+            None => 0.0,
+        }
     }
 
     /// Branch goals attained per wall-clock second.
@@ -388,10 +413,13 @@ struct ShardCell {
     span_ns: u64,
 }
 
+/// The JSONL sink is flushed whenever an event lands and this much time
+/// passed since the last flush, so `tail -f` of the file sink stays live.
+const JSONL_FLUSH_EVERY: Duration = Duration::from_secs(1);
+
 struct StatusSink {
     every: Duration,
     last: Option<Instant>,
-    last_executions: u64,
     out: Box<dyn Write + Send>,
 }
 
@@ -415,7 +443,6 @@ struct Inner {
     violations: u64,
     last_sync_ms: f64,
     jsonl: Option<Box<dyn Write + Send>>,
-    jsonl_flush_every: Duration,
     jsonl_last_flush: Option<Instant>,
     status: Option<StatusSink>,
     prom: Option<PromSink>,
@@ -492,7 +519,6 @@ impl Telemetry {
                 violations: 0,
                 last_sync_ms: 0.0,
                 jsonl: None,
-                jsonl_flush_every: Duration::from_secs(1),
                 jsonl_last_flush: None,
                 status: None,
                 prom: None,
@@ -525,8 +551,7 @@ impl Telemetry {
 
     /// Attaches the periodic status line with a custom writer (tests).
     pub fn with_status_to(self, every: Duration, out: impl Write + Send + 'static) -> Self {
-        self.lock().status =
-            Some(StatusSink { every, last: None, last_executions: 0, out: Box::new(out) });
+        self.lock().status = Some(StatusSink { every, last: None, out: Box::new(out) });
         self
     }
 
@@ -536,14 +561,6 @@ impl Telemetry {
     /// scrapers see the campaign while it runs — not only at exit.
     pub fn with_prom_file(self, path: impl Into<PathBuf>, every: Duration) -> Self {
         self.lock().prom = Some(PromSink { path: path.into(), every, last: None });
-        self
-    }
-
-    /// Overrides the bounded JSONL flush interval (default 1s): the event
-    /// log is flushed whenever an event lands and this much time passed
-    /// since the last flush, so `tail -f` of the file sink stays live.
-    pub fn with_jsonl_flush_every(self, every: Duration) -> Self {
-        self.lock().jsonl_flush_every = every;
         self
     }
 
@@ -594,9 +611,8 @@ impl Telemetry {
             }
             _ => {}
         }
-        let flush_due = inner
-            .jsonl_last_flush
-            .is_none_or(|at: Instant| at.elapsed() >= inner.jsonl_flush_every);
+        let flush_due =
+            inner.jsonl_last_flush.is_none_or(|at: Instant| at.elapsed() >= JSONL_FLUSH_EVERY);
         if let Some(w) = &mut inner.jsonl {
             let _ = writeln!(w, "{}", event.to_json());
             // Bounded-interval flush so `tail -f` of the event log works
@@ -658,13 +674,11 @@ impl Telemetry {
                 }
             };
             if status_due {
-                let line = render_status(&inner, elapsed);
-                let executions = inner.totals.executions;
+                let line = render_status(&snapshot_of(&inner, elapsed));
                 if let Some(status) = &mut inner.status {
                     let _ = writeln!(status.out, "{line}");
                     let _ = status.out.flush();
                     status.last = Some(Instant::now());
-                    status.last_executions = executions;
                 }
                 if let Some(w) = &mut inner.jsonl {
                     let _ = w.flush();
@@ -766,62 +780,10 @@ impl Telemetry {
         cell.ns.merge_from(ns);
     }
 
-    /// The "hottest blocks" report: per-kind profiled cost, sorted by total
-    /// attributed time descending (ties broken by kind name). Empty unless
-    /// a profiled replay merged its [`Telemetry::merge_block_cost`] data.
-    pub fn block_costs(&self) -> Vec<BlockCost> {
-        let inner = self.lock();
-        let mut rows: Vec<BlockCost> = inner
-            .block_costs
-            .iter()
-            .map(|(kind, cell)| BlockCost {
-                kind: kind.clone(),
-                executions: cell.executions,
-                total_ns: cell.total_ns,
-                mean_ns: if cell.executions > 0 {
-                    cell.total_ns as f64 / cell.executions as f64
-                } else {
-                    0.0
-                },
-                p99_ns: cell.ns.quantile_upper_bound(0.99),
-            })
-            .collect();
-        rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.kind.cmp(&b.kind)));
-        rows
-    }
-
     /// A point-in-time copy of the merged state.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let elapsed = self.started.elapsed();
-        let inner = self.lock();
-        TelemetrySnapshot {
-            totals: inner.totals.clone(),
-            covered: inner.covered,
-            branch_count: inner.branch_count,
-            corpus_size: inner.shards.iter().map(|s| s.corpus_len as u64).sum(),
-            elapsed,
-            shard_rates: inner.shards.iter().map(|s| s.rate).collect(),
-            shard_sync_pct: inner
-                .shards
-                .iter()
-                .map(|s| {
-                    if s.span_ns == 0 {
-                        0.0
-                    } else {
-                        100.0 * s.sync_wait_ns as f64 / s.span_ns as f64
-                    }
-                })
-                .collect(),
-            operator_labels: inner.operator_labels.clone(),
-            violations_seen: inner.violations,
-            last_sync_ms: inner.last_sync_ms,
-            jit_code_bytes: inner.jit_code_bytes,
-            jit_compile_ns: inner.jit_compile_ns,
-            series: inner.series.points().to_vec(),
-            corpus_seeds: inner.corpus_seeds.iter().flatten().cloned().collect(),
-            plateaus: inner.plateaus,
-            last_plateau: inner.last_plateau.clone(),
-        }
+        snapshot_of(&self.lock(), elapsed)
     }
 
     /// Renders every metric in the Prometheus text exposition format
@@ -837,7 +799,11 @@ impl Telemetry {
         counter("cftcg_executions_total", "Inputs executed", t.executions);
         counter("cftcg_iterations_total", "Model iterations executed", t.iterations);
         counter("cftcg_discoveries_total", "Inputs that found new coverage", t.discoveries);
-        counter("cftcg_violations_total", "Assertion violations witnessed", t.violations);
+        counter(
+            "cftcg_violations_total",
+            "Distinct assertions first witnessed campaign-wide",
+            snapshot.violations,
+        );
         counter("cftcg_corpus_inserts_total", "Corpus insertions", t.corpus_inserts);
         counter("cftcg_corpus_evictions_total", "Corpus replacements", t.corpus_evictions);
 
@@ -910,11 +876,11 @@ impl Telemetry {
         out.push_str("# TYPE cftcg_plateaus_total counter\n");
         out.push_str(&format!("cftcg_plateaus_total {}\n", snapshot.plateaus));
 
-        let blocks = self.block_costs();
+        let blocks = &snapshot.block_costs;
         if !blocks.is_empty() {
             out.push_str("# HELP cftcg_block_executions_total Profiled block executions by kind\n");
             out.push_str("# TYPE cftcg_block_executions_total counter\n");
-            for row in &blocks {
+            for row in blocks {
                 out.push_str(&format!(
                     "cftcg_block_executions_total{{kind=\"{}\"}} {}\n",
                     row.kind, row.executions
@@ -924,7 +890,7 @@ impl Telemetry {
                 "# HELP cftcg_block_exec_ns_total Profiled wall-clock ns attributed by block kind\n",
             );
             out.push_str("# TYPE cftcg_block_exec_ns_total counter\n");
-            for row in &blocks {
+            for row in blocks {
                 out.push_str(&format!(
                     "cftcg_block_exec_ns_total{{kind=\"{}\"}} {}\n",
                     row.kind, row.total_ns
@@ -932,20 +898,15 @@ impl Telemetry {
             }
         }
 
-        // Merge every kind's latency distribution into one histogram for the
-        // exposition (per-kind splits stay available via block_costs()).
-        let mut block_ns = Histogram::new();
-        {
-            let inner = self.lock();
-            for cell in inner.block_costs.values() {
-                block_ns.merge_from(&cell.ns);
-            }
-        }
         for (name, help, histogram) in [
             ("cftcg_exec_latency_ns", "Per-input execution latency (ns)", &t.exec_latency_ns),
             ("cftcg_mutation_depth", "Stacked mutations per candidate", &t.mutation_depth),
             ("cftcg_sync_duration_ns", "Coordinator sync-round cost (ns)", &t.sync_duration_ns),
-            ("cftcg_block_exec_ns", "Profiled per-block execution latency (ns)", &block_ns),
+            (
+                "cftcg_block_exec_ns",
+                "Profiled per-block execution latency (ns)",
+                &snapshot.block_ns,
+            ),
         ] {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
             for (le, cumulative) in histogram.cumulative_buckets() {
@@ -986,6 +947,61 @@ impl Telemetry {
     }
 }
 
+/// The registry's merged state as a [`TelemetrySnapshot`]: every view
+/// (status line, Prometheus, `/snapshot`, dashboard) renders from one.
+fn snapshot_of(inner: &Inner, elapsed: Duration) -> TelemetrySnapshot {
+    let mut block_costs: Vec<BlockCost> = inner
+        .block_costs
+        .iter()
+        .map(|(kind, cell)| BlockCost {
+            kind: kind.clone(),
+            executions: cell.executions,
+            total_ns: cell.total_ns,
+            mean_ns: if cell.executions > 0 {
+                cell.total_ns as f64 / cell.executions as f64
+            } else {
+                0.0
+            },
+            p99_ns: cell.ns.quantile_upper_bound(0.99),
+        })
+        .collect();
+    block_costs.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.kind.cmp(&b.kind)));
+    let mut block_ns = Histogram::new();
+    for cell in inner.block_costs.values() {
+        block_ns.merge_from(&cell.ns);
+    }
+    TelemetrySnapshot {
+        totals: inner.totals.clone(),
+        covered: inner.covered,
+        branch_count: inner.branch_count,
+        corpus_size: inner.shards.iter().map(|s| s.corpus_len as u64).sum(),
+        elapsed,
+        shard_rates: inner.shards.iter().map(|s| s.rate).collect(),
+        shard_sync_pct: inner
+            .shards
+            .iter()
+            .map(|s| {
+                if s.span_ns == 0 {
+                    0.0
+                } else {
+                    100.0 * s.sync_wait_ns as f64 / s.span_ns as f64
+                }
+            })
+            .collect(),
+        operator_labels: inner.operator_labels.clone(),
+        violations: inner.violations,
+        last_sync_ms: inner.last_sync_ms,
+        jit_code_bytes: inner.jit_code_bytes,
+        jit_compile_ns: inner.jit_compile_ns,
+        series: inner.series.points().to_vec(),
+        corpus_seeds: inner.corpus_seeds.iter().flatten().cloned().collect(),
+        plateaus: inner.plateaus,
+        last_plateau: inner.last_plateau.clone(),
+        block_costs,
+        block_ns,
+    }
+}
+
 /// Offers one time-series sample built from the registry's merged state.
 /// The ring rate-limits and compacts internally, so this is safe to call on
 /// every merge window.
@@ -1013,42 +1029,40 @@ fn sample_series(inner: &mut Inner, t_s: f64) {
 }
 
 /// Renders the one-line status summary.
-fn render_status(inner: &Inner, elapsed: Duration) -> String {
-    let t = &inner.totals;
-    let secs = elapsed.as_secs_f64().max(1e-9);
+fn render_status(snap: &TelemetrySnapshot) -> String {
+    let t = &snap.totals;
+    let secs = snap.elapsed.as_secs_f64().max(1e-9);
     let overall_rate = t.executions as f64 / secs;
-    let corpus: usize = inner.shards.iter().map(|s| s.corpus_len).sum();
-    let pct = if inner.branch_count > 0 {
-        100.0 * inner.covered as f64 / inner.branch_count as f64
-    } else {
-        0.0
-    };
     let mut line = format!(
         "[{secs:8.1}s] execs {} ({}/s)",
         group_digits(t.executions),
         group_digits(overall_rate as u64)
     );
-    if inner.shards.len() > 1 {
-        let rates: Vec<f64> = inner.shards.iter().map(|s| s.rate).collect();
-        let min = rates.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = rates.iter().copied().fold(0.0f64, f64::max);
+    if snap.shard_rates.len() > 1 {
+        let min = snap.shard_rates.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = snap.shard_rates.iter().copied().fold(0.0f64, f64::max);
         line.push_str(&format!(
             " | shards {}x ({}-{}/s)",
-            inner.shards.len(),
+            snap.shard_rates.len(),
             group_digits(min as u64),
             group_digits(max as u64)
         ));
     }
     line.push_str(&format!(
-        " | corpus {corpus} | branches {}/{} {pct:.1}% | viols {}",
-        inner.covered, inner.branch_count, inner.violations
+        " | corpus {} | branches {}/{} {:.1}% | viols {}",
+        snap.corpus_size,
+        snap.covered,
+        snap.branch_count,
+        snap.coverage_pct(),
+        snap.violations
     ));
-    if inner.last_sync_ms > 0.0 {
-        line.push_str(&format!(" | sync {:.1}ms", inner.last_sync_ms));
+    if snap.last_sync_ms > 0.0 {
+        line.push_str(&format!(" | sync {:.1}ms", snap.last_sync_ms));
     }
     if !t.exec_latency_ns.is_empty() {
+        // The latency is a histogram bucket's upper bound.
         line.push_str(&format!(
-            " | p50 exec {}",
+            " | p50 exec ≤{}",
             format_ns(t.exec_latency_ns.quantile_upper_bound(0.5))
         ));
     }
@@ -1068,16 +1082,14 @@ fn group_digits(v: u64) -> String {
     out
 }
 
-/// Human-scale nanosecond rendering (`"≤512ns"`, `"≤8.2µs"`, `"≤1.0ms"`).
-fn format_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("≤{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("≤{:.1}µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("≤{:.1}ms", ns as f64 / 1e6)
-    } else {
-        format!("≤{:.1}s", ns as f64 / 1e9)
+/// Human-scale duration: picks ns/µs/ms/s by magnitude (`"512ns"`,
+/// `"8.2µs"`, `"1.0ms"`, `"3.21s"`).
+pub fn format_ns(ns: u64) -> String {
+    match ns {
+        0..=999 => format!("{ns}ns"),
+        1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),
+        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
+        _ => format!("{:.2}s", ns as f64 / 1e9),
     }
 }
 
@@ -1135,33 +1147,9 @@ impl Write for SharedBuf {
     }
 }
 
-/// Escapes text for HTML element content and attribute values — the one
-/// escaper every HTML renderer (campaign explorer, campaign diff, live
-/// dashboard) shares.
-pub fn escape_html(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_html_covers_markup_and_both_quotes() {
-        assert_eq!(escape_html(r#"a<b>&"c'"#), "a&lt;b&gt;&amp;&quot;c&#39;");
-        assert_eq!(escape_html("plain µs"), "plain µs");
-    }
 
     #[test]
     fn merge_shard_accumulates_and_tracks_rates() {
@@ -1196,7 +1184,7 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.covered, 3);
         assert_eq!(snap.branch_count, 10);
-        assert_eq!(snap.totals.violations, 0, "violations gauge is event-side");
+        assert_eq!(snap.violations, 1, "the violation event is the one violations count");
         let contents = buf.contents();
         let lines: Vec<&str> = contents.lines().map(str::trim).collect();
         assert_eq!(lines.len(), 2);
@@ -1314,11 +1302,9 @@ mod tests {
     fn jsonl_flushes_on_bounded_interval() {
         let buf = SharedBuf::new();
         // SharedBuf "flushes" on every write, so observe the interval logic
-        // indirectly: a zero interval flushes on every emit without error,
-        // and events stay parseable.
-        let t = Telemetry::new()
-            .with_jsonl(buf.clone())
-            .with_jsonl_flush_every(Duration::from_millis(0));
+        // indirectly: events emitted inside and after the flush interval all
+        // land, and stay parseable.
+        let t = Telemetry::new().with_jsonl(buf.clone());
         for i in 0..3 {
             t.emit(&Event::SeedAdded { shard: 0, executions: i, t: i as f64 });
         }
@@ -1480,6 +1466,14 @@ mod tests {
         // Re-publishing shard 1 replaces, never accumulates.
         t.set_corpus_seeds(1, Vec::new());
         assert!(t.snapshot().corpus_seeds.is_empty());
+    }
+
+    #[test]
+    fn format_ns_picks_sane_units() {
+        assert_eq!(format_ns(12), "12ns");
+        assert_eq!(format_ns(1_500), "1.5µs");
+        assert_eq!(format_ns(2_500_000), "2.5ms");
+        assert_eq!(format_ns(3_210_000_000), "3.21s");
     }
 
     #[test]

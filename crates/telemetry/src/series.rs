@@ -9,6 +9,10 @@
 //! time order by the single merging side (coordinator or sequential loop),
 //! so the persisted series is deterministic given the sample times.
 
+use std::fmt::Write as _;
+
+use crate::json::{push_json_f64, Json};
+
 /// One sample of campaign progress.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesPoint {
@@ -37,6 +41,40 @@ impl SeriesPoint {
         } else {
             100.0 * self.covered as f64 / self.branch_count as f64
         }
+    }
+
+    /// Appends the point as one JSON object: the spelling campaign.json
+    /// and `/snapshot` share.
+    pub fn push_json(&self, out: &mut String) {
+        out.push_str("{\"t_s\":");
+        push_json_f64(out, self.t_s);
+        let _ = write!(
+            out,
+            ",\"executions\":{},\"covered\":{},\"branch_count\":{},\"corpus\":{},\"frontier_open\":{}",
+            self.executions, self.covered, self.branch_count, self.corpus, self.frontier_open
+        );
+        out.push_str(",\"execs_per_sec\":");
+        push_json_f64(out, self.execs_per_sec);
+        out.push('}');
+    }
+
+    /// Parses a point written by [`SeriesPoint::push_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the missing or malformed field.
+    pub fn from_json(value: &Json) -> Result<SeriesPoint, String> {
+        let count = |key: &str| value.field_u64(key, "series point");
+        let real = |key: &str| value.field_f64(key, "series point");
+        Ok(SeriesPoint {
+            t_s: real("t_s")?,
+            executions: count("executions")?,
+            covered: count("covered")? as usize,
+            branch_count: count("branch_count")? as usize,
+            corpus: count("corpus")?,
+            frontier_open: count("frontier_open")? as usize,
+            execs_per_sec: real("execs_per_sec")?,
+        })
     }
 }
 
@@ -159,6 +197,21 @@ mod tests {
         assert!(ring.compactions() > 0);
         let times: Vec<f64> = ring.points().iter().map(|p| p.t_s).collect();
         assert!(times.windows(2).all(|w| w[0] < w[1]), "monotone time");
+    }
+
+    #[test]
+    fn json_round_trips_and_names_bad_fields() {
+        let p = point(0.25, 17);
+        let mut out = String::new();
+        p.push_json(&mut out);
+        assert_eq!(
+            out,
+            "{\"t_s\":0.25,\"executions\":17,\"covered\":10,\"branch_count\":40,\"corpus\":5,\
+             \"frontier_open\":30,\"execs_per_sec\":100}"
+        );
+        assert_eq!(SeriesPoint::from_json(&Json::parse(&out).unwrap()), Ok(p));
+        let err = SeriesPoint::from_json(&Json::parse("{\"t_s\":1}").unwrap()).unwrap_err();
+        assert!(err.contains("executions"), "{err}");
     }
 
     #[test]

@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::histogram::Histogram;
+use crate::json::{push_json_str, Json};
 
 /// The span taxonomy: every profiled phase of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +103,14 @@ impl Default for SpanStats {
     }
 }
 
-/// One row of a span summary: aggregate cost of one span kind.
+/// One row of a span summary: aggregate cost of one span kind. The one
+/// span row every view writes and reads: the `span-summary` JSONL event,
+/// campaign.json and `/snapshot`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanReport {
-    /// Span kind name ([`SpanKind::name`]).
-    pub name: &'static str,
+    /// Span kind name ([`SpanKind::name`]). Owned, because a parsed
+    /// artifact may name a kind the taxonomy has since retired.
+    pub name: String,
     /// Spans recorded.
     pub count: u64,
     /// Total attributed wall-clock nanoseconds.
@@ -115,6 +119,34 @@ pub struct SpanReport {
     pub p50_ns: u64,
     /// Upper bound of the 99th-percentile latency bucket.
     pub p99_ns: u64,
+}
+
+impl SpanReport {
+    /// Appends the row as one JSON object.
+    pub fn push_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        push_json_str(out, &self.name);
+        out.push_str(&format!(
+            ",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
+            self.count, self.total_ns, self.p50_ns, self.p99_ns
+        ));
+    }
+
+    /// Parses a row written by [`SpanReport::push_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the missing or malformed field.
+    pub fn from_json(value: &Json) -> Result<SpanReport, String> {
+        let field = |key: &str| value.field_u64(key, "span row");
+        Ok(SpanReport {
+            name: value.field_str("name", "span row")?.into(),
+            count: field("count")?,
+            total_ns: field("total_ns")?,
+            p50_ns: field("p50_ns")?,
+            p99_ns: field("p99_ns")?,
+        })
+    }
 }
 
 impl SpanStats {
@@ -169,7 +201,7 @@ impl SpanStats {
             .map(|&kind| {
                 let h = self.histogram(kind);
                 SpanReport {
-                    name: kind.name(),
+                    name: kind.name().to_string(),
                     count: h.count(),
                     total_ns: h.sum(),
                     p50_ns: h.quantile_upper_bound(0.5),
@@ -413,6 +445,26 @@ mod tests {
         assert_eq!(rows[0].name, "mutation");
         assert_eq!(rows[1].name, "sync_round");
         assert_eq!(rows[1].total_ns, 1_000_000);
+    }
+
+    #[test]
+    fn span_rows_round_trip_through_json() {
+        let row = SpanReport {
+            name: "retired_kind".into(),
+            count: 3,
+            total_ns: 9_000,
+            p50_ns: 2_047,
+            p99_ns: 4_095,
+        };
+        let mut out = String::new();
+        row.push_json(&mut out);
+        assert_eq!(
+            out,
+            "{\"name\":\"retired_kind\",\"count\":3,\"total_ns\":9000,\"p50_ns\":2047,\"p99_ns\":4095}"
+        );
+        assert_eq!(SpanReport::from_json(&Json::parse(&out).unwrap()), Ok(row));
+        let err = SpanReport::from_json(&Json::parse("{\"name\":\"x\"}").unwrap()).unwrap_err();
+        assert!(err.contains("count"), "{err}");
     }
 
     #[test]

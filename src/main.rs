@@ -48,9 +48,7 @@ use cftcg::compare::{
 use cftcg::coverage::{detailed_report, frontier, CoverageReport, FullTracker};
 use cftcg::fuzz::format_chain;
 use cftcg::model::{load_model, save_model, Model};
-use cftcg::pipeline::{
-    campaign_explorer_html, parse_case_id, CampaignArtifact, HostMeta, SpanSummary,
-};
+use cftcg::pipeline::{campaign_explorer_html, parse_case_id, CampaignArtifact, HostMeta};
 use cftcg::telemetry::{json::Json, BlockCost, Event, Telemetry};
 use cftcg::trace::{profile_case, to_csv, to_vcd, trace_vm_case, Auditor, BlockProfile, ProbeMask};
 use cftcg::Cftcg;
@@ -424,20 +422,7 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         artifact.series = t.series_points();
         // Span-profile summary: wall-clock attribution per engine phase,
         // available only when telemetry profiled the run.
-        artifact.spans = t
-            .snapshot()
-            .totals
-            .spans
-            .reports()
-            .iter()
-            .map(|r| SpanSummary {
-                name: r.name.to_string(),
-                count: r.count,
-                total_ns: r.total_ns,
-                p50_ns: r.p50_ns,
-                p99_ns: r.p99_ns,
-            })
-            .collect();
+        artifact.spans = t.snapshot().totals.spans.reports();
     }
     // Run-identity metadata for `cftcg diff`: which engine actually executed
     // the campaign and on what host. CLI-attached, like the series — the
@@ -470,12 +455,12 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         print!("{}", yield_table(&yields));
     }
     if let Some(t) = &telemetry {
-        let rows = t.block_costs();
-        if !rows.is_empty() {
+        let snapshot = t.snapshot();
+        if !snapshot.block_costs.is_empty() {
             println!("hottest blocks (interpreter replay of the emitted suite):");
-            print!("{}", block_table(&rows));
+            print!("{}", block_table(&snapshot.block_costs));
         }
-        let spans = t.snapshot().totals.spans;
+        let spans = snapshot.totals.spans;
         if !spans.is_empty() {
             println!("phase attribution (wall-clock share of profiled spans):");
             for row in spans.reports() {
@@ -766,7 +751,7 @@ fn trace_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         let registry = Telemetry::new();
         profile.merge_into(&registry);
         println!("per-block cost over {ticks} interpreter ticks:");
-        print!("{}", block_table(&registry.block_costs()));
+        print!("{}", block_table(&registry.snapshot().block_costs));
     }
     Ok(())
 }
@@ -865,7 +850,8 @@ fn yield_table(rows: &[cftcg::telemetry::YieldReport]) -> String {
 }
 
 /// Renders the per-block-kind "hottest blocks" profile as an aligned table
-/// (already sorted hottest-first by [`Telemetry::block_costs`]).
+/// (already sorted hottest-first in
+/// [`TelemetrySnapshot::block_costs`](cftcg::telemetry::TelemetrySnapshot::block_costs)).
 fn block_table(rows: &[BlockCost]) -> String {
     let width = rows.iter().map(|r| r.kind.len()).max().unwrap_or(4).max("kind".len());
     let mut out = format!(
