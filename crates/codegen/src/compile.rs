@@ -107,9 +107,10 @@ pub struct SignalMeta {
 ///
 /// Compilation runs the full back half: lowering produces the *reference*
 /// structured program, the mid-end optimizes it, and the back-end lowers
-/// the optimized tree to the flat jump-threaded form the production VM
-/// executes. Both the optimized tree (for emission/inspection) and the
-/// unoptimized reference (for the differential baseline) are carried.
+/// the optimized tree to the flat jump-threaded form the flat VM
+/// interprets and the JIT compiles. Both the optimized tree (for
+/// emission/inspection) and the unoptimized reference (for the
+/// differential baseline) are carried.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     pub(crate) name: String,
@@ -183,28 +184,11 @@ impl CompiledModel {
         &self.opt_stats
     }
 
-    /// Number of flat ops the production dispatch loop executes over
-    /// (jumps included), and how many of them emit at least one recorder
-    /// event.
+    /// Number of flat ops in the step program the flat VM interprets and
+    /// the JIT compiles (jumps included), and how many of them emit at
+    /// least one recorder event.
     pub fn flat_lens(&self) -> (usize, usize) {
         (self.flat.len(), self.flat.ops.iter().filter(|op| op.records()).count())
-    }
-
-    /// Static opcode histogram of the instrumented flat program, sorted by
-    /// descending count — the tuning diagnostic behind the back-end's
-    /// fusion choices (which op shapes are worth a dedicated opcode).
-    pub fn flat_histogram(&self) -> Vec<(&'static str, usize)> {
-        histogram(self.flat.ops.iter().map(crate::flatten::op_name))
-    }
-
-    /// Static adjacent-pair histogram of the instrumented flat program —
-    /// the companion diagnostic to [`CompiledModel::flat_histogram`] for
-    /// spotting fusion candidates.
-    pub fn flat_pair_histogram(&self) -> Vec<(String, usize)> {
-        use crate::flatten::op_name;
-        histogram(
-            self.flat.ops.windows(2).map(|w| format!("{}+{}", op_name(&w[0]), op_name(&w[1]))),
-        )
     }
 
     /// Declared inport types, in port order.
@@ -258,17 +242,6 @@ impl CompiledModel {
             None
         }
     }
-}
-
-/// Counts each key, sorted by descending count, then key.
-fn histogram<K: Ord + std::hash::Hash>(keys: impl Iterator<Item = K>) -> Vec<(K, usize)> {
-    let mut counts: std::collections::HashMap<K, usize> = std::collections::HashMap::new();
-    for key in keys {
-        *counts.entry(key).or_default() += 1;
-    }
-    let mut v: Vec<_> = counts.into_iter().collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v
 }
 
 /// The mutable compilation context shared across regions.
@@ -421,8 +394,8 @@ pub fn compile(model: &Model) -> Result<CompiledModel, CompileError> {
     }
 
     // The compiler back half: mid-end passes over the lowered tree, then
-    // flat lowering for the production VM. The unoptimized tree is kept as
-    // the reference engine's program and differential baseline.
+    // flat lowering for the flat VM and the JIT. The unoptimized tree is
+    // kept as the reference engine's program and differential baseline.
     let reference = body;
     let reference_regs = ctx.next_reg as usize;
     let reference_signals = ctx.signals;

@@ -20,37 +20,29 @@
 //!   narrow to `u16` (checked at lowering time: a model that outgrows it
 //!   is a [`CompileError::Encoding`]) and `f64` immediates move to a
 //!   deduplicated constant pool, so four ops share a cache line where the
-//!   structured tree fits barely one `Instr`;
-//! * the two instrumentation shapes every decision point emits are
-//!   **fused**: `CondProbe` + single-condition `DecisionEval` on the same
-//!   register becomes [`FlatOp::Decision1`], and the universal
-//!   `If { Probe } else { Probe }` outcome pattern becomes
-//!   [`FlatOp::ProbeSelect`] — turning the six-dispatch instrumentation
-//!   preamble of a decision into three;
-//! * beyond those, a catalog of **profile-driven pair fusions** collapses
-//!   the adjacent-op pairs that dominate *executed* (not static) dispatch
-//!   counts on the bundled benchmark models: paired loads/stores/consts/
-//!   probes ([`FlatOp::Load2`], [`FlatOp::StoreState2`], [`FlatOp::Const2`],
-//!   [`FlatOp::CondProbe2`]), cast/copy chains ([`FlatOp::CastSatCopy`],
-//!   [`FlatOp::CopyCastSat`]), relational compares feeding a guard or a
-//!   whole decision preamble ([`FlatOp::CmpJump`], [`FlatOp::CmpSel`]),
-//!   state loads beside a guard ([`FlatOp::LoadJz`], [`FlatOp::JzLoad`]),
-//!   a decision dispatch followed by the branch-entry guard on its outcome
-//!   ([`FlatOp::DecisionSelJz`]), and nested one-armed guards
-//!   ([`FlatOp::JzJz`]). Static histograms mislead here — cold chart-store
-//!   blocks inflate them — so the catalog was chosen from dynamic
-//!   (executed-op) profiles; the `flat_histo` bench binary prints both.
+//!   structured tree fits barely one `Instr`.
 //!
-//! Fusion never reorders or drops recorder events: every fused op replays
-//! the exact event sequence of its constituents — `Decision1` performs the
-//! same `condition` → `decision_eval` call sequence, `CmpSel` replays
-//! `compare` → `condition` → `decision_eval` → `branch`, and `ProbeSelect`
-//! fires exactly the one `branch` event the taken arm would have. Two
-//! structural guards keep pair fusion sound: backward fusion (popping the
-//! previous op into a guard) stops at a *fence* just past any
-//! already-lowered `If`, because a patched inner jump may target the seam;
-//! and `CondProbe` pairing yields to a following `Decision1`/`DecisionSel`
-//! fusion rather than stealing its head probe.
+//! Otherwise the flat program is the step-IR **in order, one op per
+//! instruction**, with exactly three exceptions: `If` becomes jumps,
+//! single-writer constants hoist to [`FlatProgram::reg_init`], and the two
+//! universal decision shapes get one op each — `CondProbe` +
+//! single-condition `DecisionEval` on the same register becomes
+//! [`FlatOp::Decision1`], and the `If { Probe } else { Probe }` outcome
+//! pattern becomes [`FlatOp::ProbeSelect`], which has no control flow at
+//! all. Both replay the exact event sequence of what they replace:
+//! `Decision1` performs the same `condition` → `decision_eval` calls, and
+//! `ProbeSelect` fires exactly the one `branch` event the taken arm would
+//! have. No other ops fuse: the JIT, which runs the fuzz loop, lowers two
+//! adjacent ops as their templates back to back, with its `xmm0`
+//! forwarding cache eliding the reload between them — the code a fused op
+//! would get. A pair opcode would only save flat-VM dispatches.
+//!
+//! One array is derived from the program rather than lowered:
+//! [`FlatProgram::lean_ops`] drops the ops whose only effect is a
+//! condition or decision event, for recorders that promise both classes
+//! away (the fuzz loop's Algorithm-1 recorder does). Skipping a promised
+//! no-op is observationally identical; the JIT skips the same events at
+//! its null vtable slots.
 
 use cftcg_model::DataType;
 
@@ -73,13 +65,6 @@ pub(crate) enum FlatOp {
     Const {
         dst: RegW,
         idx: u16,
-    },
-    /// Two constant materializations in one dispatch.
-    Const2 {
-        dst1: RegW,
-        idx1: u16,
-        dst2: RegW,
-        idx2: u16,
     },
     Copy {
         dst: RegW,
@@ -112,17 +97,6 @@ pub(crate) enum FlatOp {
         lhs: RegW,
         rhs: RegW,
     },
-    /// [`FlatOp::BinopCmp`] fused with the `JumpIfZero` testing its result
-    /// — the relational guard of an `if` with a real body. Fires the same
-    /// `compare` event and still writes `dst` (later reads and signal
-    /// probes see it); `skip` is relative to the next op, like all jumps.
-    CmpJump {
-        op: BinopCode,
-        dst: RegW,
-        lhs: RegW,
-        rhs: RegW,
-        skip: u16,
-    },
     Call {
         dst: RegW,
         func: FuncCode,
@@ -134,46 +108,13 @@ pub(crate) enum FlatOp {
         src: RegW,
         ty: DataType,
     },
-    /// [`FlatOp::CastSat`] whose result is immediately copied to a second
-    /// register (the block-output + signal-register shape every saturating
-    /// block lowers to): one dispatch, both registers written.
-    CastSatCopy {
-        dst: RegW,
-        src: RegW,
-        ty: DataType,
-        dst2: RegW,
-    },
-    /// `Copy` whose destination immediately feeds a [`FlatOp::CastSat`]:
-    /// `regs[dst] = regs[src]; regs[dst2] = cast(regs[dst])`.
-    CopyCastSat {
-        dst: RegW,
-        src: RegW,
-        dst2: RegW,
-        ty: DataType,
-    },
     LoadState {
         dst: RegW,
         slot: u16,
     },
-    /// Two adjacent state loads in one dispatch.
-    Load2 {
-        dst1: RegW,
-        slot1: u16,
-        dst2: RegW,
-        slot2: u16,
-    },
     StoreState {
         slot: u16,
         src: RegW,
-    },
-    /// Two adjacent state stores in one dispatch (applied in order) — the
-    /// most common adjacent pair in chart-heavy models, where transition
-    /// actions write several chart variables back to back.
-    StoreState2 {
-        slot1: u16,
-        src1: RegW,
-        slot2: u16,
-        src2: RegW,
     },
     ShiftState {
         base: u32,
@@ -198,45 +139,12 @@ pub(crate) enum FlatOp {
         cond: u16,
         src: RegW,
     },
-    /// Two adjacent condition probes in one dispatch (events in order).
-    CondProbe2 {
-        cond1: u16,
-        src1: RegW,
-        cond2: u16,
-        src2: RegW,
-    },
     /// Fused `CondProbe` + single-condition `DecisionEval` over one
     /// register: `condition(cond, v)` then `decision_eval(decision, v, v)`.
     Decision1 {
         decision: u16,
         cond: u16,
         src: RegW,
-    },
-    /// [`FlatOp::Decision1`] further fused with the outcome probe-select
-    /// that instrumentation emits right after it: `condition` →
-    /// `decision_eval` → one `branch` event, all in one dispatch.
-    DecisionSel {
-        decision: u16,
-        cond: u16,
-        src: RegW,
-        then_branch: u16,
-        else_branch: u16,
-    },
-    /// [`FlatOp::BinopCmp`] fused with the [`FlatOp::DecisionSel`] that
-    /// consumes its result — the dominant adjacent pair in decision-dense
-    /// models, where every guard is `compare → condition → decision_eval →
-    /// branch`. The four instrumentation ids narrow to `u8` to keep the
-    /// variant inside the 12-byte envelope; pairs with wider ids simply
-    /// stay unfused (two dispatches instead of one, same events).
-    CmpSel {
-        op: BinopCode,
-        dst: RegW,
-        lhs: RegW,
-        rhs: RegW,
-        decision: u8,
-        cond: u8,
-        then_branch: u8,
-        else_branch: u8,
     },
     /// Decision evaluation with the condition registers inline.
     DecisionEvalSmall {
@@ -269,46 +177,6 @@ pub(crate) enum FlatOp {
         cond: RegW,
         skip: u16,
     },
-    /// `JumpIfZero` fused with the state load that opens its fall-through
-    /// body — the hottest executed pair in state-heavy models: taken, it
-    /// skips like the jump; not taken, it also performs the load.
-    JzLoad {
-        cond: RegW,
-        skip: u16,
-        dst: RegW,
-        slot: u16,
-    },
-    /// The mirror fusion: a state load immediately guarding an `If` (mode
-    /// variables re-materialized then tested). Loads unconditionally, then
-    /// jumps like `JumpIfZero` — `cond` is usually but not necessarily
-    /// `dst`.
-    LoadJz {
-        dst: RegW,
-        slot: u16,
-        cond: RegW,
-        skip: u16,
-    },
-    /// [`FlatOp::DecisionSel`] fused with the `JumpIfZero` entering the
-    /// *real* branch body on the same register — the universal
-    /// "instrument the decision, then take it" shape. Ids narrow to `u8`
-    /// like [`FlatOp::CmpSel`]; wider ids stay unfused.
-    DecisionSelJz {
-        decision: u8,
-        cond: u8,
-        src: RegW,
-        then_branch: u8,
-        else_branch: u8,
-        skip: u16,
-    },
-    /// Two nested entry guards in one dispatch: `if c1 == 0 { skip1 }
-    /// else if c2 == 0 { skip2 }` — the `If c1 { If c2 { … } … }` shape.
-    /// Both skips are relative to the next op, like all jumps.
-    JzJz {
-        cond1: RegW,
-        skip1: u16,
-        cond2: RegW,
-        skip2: u16,
-    },
     /// `if regs[cond] != 0 { pc += skip }` (relative to the next op).
     JumpIfNonZero {
         cond: RegW,
@@ -336,6 +204,11 @@ pub(crate) struct FlatProgram {
     /// tick (including the first) reads the same value the in-body `Const`
     /// would have just stored.
     pub reg_init: Vec<(RegW, f64)>,
+    /// `ops` minus every op whose only effect is a condition or decision
+    /// event (`CondProbe`, `Decision1`, `DecisionEvalSmall`,
+    /// `DecisionEvalPool`), jumps re-aimed over the gaps: what the flat VM
+    /// runs for a recorder that promises both event classes away.
+    pub lean_ops: Vec<FlatOp>,
 }
 
 impl FlatProgram {
@@ -411,7 +284,45 @@ pub(crate) fn flatten(
         }
     }
     flatten_into(body, &mut p, &hoisted)?;
+    p.lean_ops = without_mcdc_events(&p.ops);
     Ok(p)
+}
+
+/// Drops the ops whose only effect is a condition or decision event and
+/// re-aims every jump at the op its old target became (a dropped target
+/// becomes the next kept op). Jumps only skip forward, so no skip grows.
+fn without_mcdc_events(ops: &[FlatOp]) -> Vec<FlatOp> {
+    let keep = |op: &FlatOp| {
+        !matches!(
+            op,
+            FlatOp::CondProbe { .. }
+                | FlatOp::Decision1 { .. }
+                | FlatOp::DecisionEvalSmall { .. }
+                | FlatOp::DecisionEvalPool { .. }
+        )
+    };
+    // kept_before[i]: the new index of old op `i` (or of the next kept op).
+    let mut kept_before = Vec::with_capacity(ops.len() + 1);
+    let mut kept = 0usize;
+    for op in ops {
+        kept_before.push(kept);
+        kept += usize::from(keep(op));
+    }
+    kept_before.push(kept);
+    ops.iter()
+        .enumerate()
+        .filter(|(_, op)| keep(op))
+        .map(|(i, &op)| {
+            let mut op = op;
+            if let FlatOp::JumpIfZero { skip, .. }
+            | FlatOp::JumpIfNonZero { skip, .. }
+            | FlatOp::Jump { skip } = &mut op
+            {
+                *skip = (kept_before[i + 1 + *skip as usize] - kept_before[i] - 1) as u16;
+            }
+            op
+        })
+        .collect()
 }
 
 /// Collects every `Const` in the tree (register, value), any depth.
@@ -554,57 +465,18 @@ fn flatten_into(
     p: &mut FlatProgram,
     hoisted: &std::collections::HashSet<Reg>,
 ) -> Result<(), CompileError> {
-    let mut i = 0;
-    // Ops at positions below `fence` may be jump targets of already-patched
-    // inner lowerings; backward fusion must never pop them (a patched skip
-    // landing on a fused op would execute its extra effects on the taken
-    // path). The fence advances past every completed `If` lowering.
-    let mut fence = p.ops.len();
-    while i < body.len() {
-        let instr = &body[i];
-        i += 1;
+    let mut body = body.iter().peekable();
+    while let Some(instr) = body.next() {
         match instr {
             Instr::Const { dst, value } => {
                 // A hoisted register's single writer IS this instruction;
                 // the executor pre-loads it, so emit nothing.
-                if hoisted.contains(dst) {
-                    continue;
+                if !hoisted.contains(dst) {
+                    let idx = p.intern(*value)?;
+                    p.ops.push(FlatOp::Const { dst: r(*dst)?, idx });
                 }
-                let idx = p.intern(*value)?;
-                // Un-hoistable constants cluster (multi-writer scratch
-                // registers at block boundaries); pair adjacent ones up.
-                if let Some(Instr::Const { dst: d2, value: v2 }) = body.get(i) {
-                    if !hoisted.contains(d2) {
-                        i += 1;
-                        let idx2 = p.intern(*v2)?;
-                        p.ops.push(FlatOp::Const2 {
-                            dst1: r(*dst)?,
-                            idx1: idx,
-                            dst2: r(*d2)?,
-                            idx2,
-                        });
-                        continue;
-                    }
-                }
-                p.ops.push(FlatOp::Const { dst: r(*dst)?, idx });
             }
-            Instr::Copy { dst, src } => {
-                // A copy feeding straight into a saturating cast (block
-                // input selection then quantization) is one dispatch.
-                if let Some(Instr::CastSat { dst: d2, src: s2, ty }) = body.get(i) {
-                    if s2 == dst {
-                        i += 1;
-                        p.ops.push(FlatOp::CopyCastSat {
-                            dst: r(*dst)?,
-                            src: r(*src)?,
-                            dst2: r(*d2)?,
-                            ty: *ty,
-                        });
-                        continue;
-                    }
-                }
-                p.ops.push(FlatOp::Copy { dst: r(*dst)?, src: r(*src)? });
-            }
+            Instr::Copy { dst, src } => p.ops.push(FlatOp::Copy { dst: r(*dst)?, src: r(*src)? }),
             Instr::Input { dst, index } => {
                 p.ops.push(FlatOp::Input { dst: r(*dst)?, index: narrow(*index, "input index")? });
             }
@@ -616,40 +488,12 @@ fn flatten_into(
                 p.ops.push(FlatOp::Unop { dst: r(*dst)?, op: *op, src: r(*src)? });
             }
             Instr::Binop { dst, op, lhs, rhs } => {
-                if op.is_relational() {
-                    // A relational guard almost always feeds straight into
-                    // its decision preamble (CondProbe + DecisionEval +
-                    // probe-only outcome If over the same register). When
-                    // all four instrumentation ids fit in a byte, the whole
-                    // compare-and-decide shape is one dispatch.
-                    if let Some((decision, cond, t, e)) = peek_decision_preamble(&body[i..], *dst) {
-                        i += 3;
-                        p.ops.push(FlatOp::CmpSel {
-                            op: *op,
-                            dst: r(*dst)?,
-                            lhs: r(*lhs)?,
-                            rhs: r(*rhs)?,
-                            decision,
-                            cond,
-                            then_branch: t,
-                            else_branch: e,
-                        });
-                        continue;
-                    }
-                    p.ops.push(FlatOp::BinopCmp {
-                        dst: r(*dst)?,
-                        op: *op,
-                        lhs: r(*lhs)?,
-                        rhs: r(*rhs)?,
-                    });
+                let (dst, op, lhs, rhs) = (r(*dst)?, *op, r(*lhs)?, r(*rhs)?);
+                p.ops.push(if op.is_relational() {
+                    FlatOp::BinopCmp { dst, op, lhs, rhs }
                 } else {
-                    p.ops.push(FlatOp::Binop {
-                        dst: r(*dst)?,
-                        op: *op,
-                        lhs: r(*lhs)?,
-                        rhs: r(*rhs)?,
-                    });
-                }
+                    FlatOp::Binop { dst, op, lhs, rhs }
+                });
             }
             Instr::Call { dst, func, args } => {
                 assert!(args.len() <= MAX_INLINE, "IR call arity exceeds inline operand space");
@@ -665,53 +509,14 @@ fn flatten_into(
                 });
             }
             Instr::CastSat { dst, src, ty } => {
-                // Every saturating block ends by publishing its quantized
-                // result to a signal register: cast + copy, one dispatch.
-                if let Some(Instr::Copy { dst: d2, src: s2 }) = body.get(i) {
-                    if s2 == dst {
-                        i += 1;
-                        p.ops.push(FlatOp::CastSatCopy {
-                            dst: r(*dst)?,
-                            src: r(*src)?,
-                            ty: *ty,
-                            dst2: r(*d2)?,
-                        });
-                        continue;
-                    }
-                }
                 p.ops.push(FlatOp::CastSat { dst: r(*dst)?, src: r(*src)?, ty: *ty });
             }
             Instr::LoadState { dst, slot } => {
-                let (dst1, slot1) = (r(*dst)?, narrow(*slot, "state slot")?);
-                // Blocks reading several state slots in a row (delays,
-                // charts re-materializing variables) pair up like stores.
-                if let Some(Instr::LoadState { dst: d2, slot: s2 }) = body.get(i) {
-                    i += 1;
-                    p.ops.push(FlatOp::Load2 {
-                        dst1,
-                        slot1,
-                        dst2: r(*d2)?,
-                        slot2: narrow(*s2, "state slot")?,
-                    });
-                    continue;
-                }
-                p.ops.push(FlatOp::LoadState { dst: dst1, slot: slot1 });
+                p.ops.push(FlatOp::LoadState { dst: r(*dst)?, slot: narrow(*slot, "state slot")? });
             }
             Instr::StoreState { slot, src } => {
-                let (slot1, src1) = (narrow(*slot, "state slot")?, r(*src)?);
-                // Chart transition actions store several variables in a
-                // row; pair them up into one dispatch (order preserved).
-                if let Some(Instr::StoreState { slot: slot2, src: src2 }) = body.get(i) {
-                    i += 1;
-                    p.ops.push(FlatOp::StoreState2 {
-                        slot1,
-                        src1,
-                        slot2: narrow(*slot2, "state slot")?,
-                        src2: r(*src2)?,
-                    });
-                } else {
-                    p.ops.push(FlatOp::StoreState { slot: slot1, src: src1 });
-                }
+                p.ops
+                    .push(FlatOp::StoreState { slot: narrow(*slot, "state slot")?, src: r(*src)? });
             }
             Instr::ShiftState { base, len, src } => {
                 p.ops.push(FlatOp::ShiftState {
@@ -739,66 +544,21 @@ fn flatten_into(
                 p.ops.push(FlatOp::Probe { branch: narrow(branch.index(), "branch id")? });
             }
             Instr::CondProbe { cond, src } => {
-                // Fuse with the single-condition decision evaluation that
-                // instrumentation emits immediately after (same register
-                // as sole condition and outcome): one dispatch, identical
+                let cond = narrow(cond.index(), "condition id")?;
+                // Instrumentation follows the probe of a single-condition
+                // decision's only condition with its evaluation (same
+                // register as sole condition and outcome): one op, identical
                 // condition → decision_eval event order.
-                if let Some(Instr::DecisionEval { decision, conds, outcome }) = body.get(i) {
-                    if conds.as_slice() == [*src] && outcome == src {
-                        i += 1;
-                        let decision = narrow(decision.index(), "decision id")?;
-                        let cond = narrow(cond.index(), "condition id")?;
-                        // Single-condition decisions are always followed by
-                        // their outcome probe-select on the same register;
-                        // folding it in makes the whole instrumentation
-                        // preamble of a decision one dispatch.
-                        if let Some(Instr::If { cond: icond, then_body, else_body }) = body.get(i) {
-                            if let (
-                                true,
-                                [Instr::Probe { branch: t }],
-                                [Instr::Probe { branch: e }],
-                            ) = (icond == src, then_body.as_slice(), else_body.as_slice())
-                            {
-                                i += 1;
-                                p.ops.push(FlatOp::DecisionSel {
-                                    decision,
-                                    cond,
-                                    src: r(*src)?,
-                                    then_branch: narrow(t.index(), "branch id")?,
-                                    else_branch: narrow(e.index(), "branch id")?,
-                                });
-                                continue;
-                            }
-                        }
-                        p.ops.push(FlatOp::Decision1 { decision, cond, src: r(*src)? });
-                        continue;
-                    }
+                let single = |next: &&Instr| {
+                    matches!(next, Instr::DecisionEval { conds, outcome, .. }
+                        if conds.as_slice() == [*src] && outcome == src)
+                };
+                if let Some(Instr::DecisionEval { decision, .. }) = body.next_if(single) {
+                    let decision = narrow(decision.index(), "decision id")?;
+                    p.ops.push(FlatOp::Decision1 { decision, cond, src: r(*src)? });
+                } else {
+                    p.ops.push(FlatOp::CondProbe { cond, src: r(*src)? });
                 }
-                // Multi-condition decisions probe their conditions back to
-                // back; pair adjacent probes (events stay in order). Only
-                // when the next probe does not itself head a fusable
-                // decision preamble — a greedy pair here would break it.
-                if let Some(Instr::CondProbe { cond: c2, src: s2 }) = body.get(i) {
-                    let next_fuses = matches!(
-                        body.get(i + 1),
-                        Some(Instr::DecisionEval { conds, outcome, .. })
-                            if conds.as_slice() == [*s2] && outcome == s2
-                    );
-                    if !next_fuses {
-                        i += 1;
-                        p.ops.push(FlatOp::CondProbe2 {
-                            cond1: narrow(cond.index(), "condition id")?,
-                            src1: r(*src)?,
-                            cond2: narrow(c2.index(), "condition id")?,
-                            src2: r(*s2)?,
-                        });
-                        continue;
-                    }
-                }
-                p.ops.push(FlatOp::CondProbe {
-                    cond: narrow(cond.index(), "condition id")?,
-                    src: r(*src)?,
-                });
             }
             Instr::DecisionEval { decision, conds, outcome } => {
                 let decision = narrow(decision.index(), "decision id")?;
@@ -833,133 +593,37 @@ fn flatten_into(
                 });
             }
             Instr::If { cond, then_body, else_body } => {
+                let cond = r(*cond)?;
                 // The universal decision-outcome shape — one probe per arm
                 // — needs no control flow at all in flat form.
                 if let ([Instr::Probe { branch: t }], [Instr::Probe { branch: e }]) =
                     (then_body.as_slice(), else_body.as_slice())
                 {
                     p.ops.push(FlatOp::ProbeSelect {
-                        cond: r(*cond)?,
+                        cond,
                         then_branch: narrow(t.index(), "branch id")?,
                         else_branch: narrow(e.index(), "branch id")?,
                     });
-                    continue;
-                }
-                if else_body.is_empty() {
-                    // Nested one-armed guards collapse into one dispatch:
-                    // `If c1 { If c2 { inner } rest }` tests both
-                    // conditions in a single op, each skip patched to its
-                    // own body end.
-                    if let Some(Instr::If { cond: c2, then_body: tb2, else_body: eb2 }) =
-                        then_body.first()
-                    {
-                        if eb2.is_empty() {
-                            let pos = reserve(
-                                p,
-                                FlatOp::JzJz {
-                                    cond1: r(*cond)?,
-                                    skip1: 0,
-                                    cond2: r(*c2)?,
-                                    skip2: 0,
-                                },
-                            );
-                            flatten_into(tb2, p, hoisted)?;
-                            patch_jzjz(p, pos, false)?;
-                            flatten_into(&then_body[1..], p, hoisted)?;
-                            patch_jzjz(p, pos, true)?;
-                            fence = p.ops.len();
-                            continue;
-                        }
-                    }
-                    let (jz, skipped) = reserve_guard(p, r(*cond)?, then_body, fence)?;
-                    flatten_into(&then_body[skipped..], p, hoisted)?;
+                } else if else_body.is_empty() {
+                    let jz = reserve(p, FlatOp::JumpIfZero { cond, skip: 0 });
+                    flatten_into(then_body, p, hoisted)?;
                     patch(p, jz)?;
                 } else if then_body.is_empty() {
-                    let jnz = reserve(p, FlatOp::JumpIfNonZero { cond: r(*cond)?, skip: 0 });
+                    let jnz = reserve(p, FlatOp::JumpIfNonZero { cond, skip: 0 });
                     flatten_into(else_body, p, hoisted)?;
                     patch(p, jnz)?;
                 } else {
-                    let (jz, skipped) = reserve_guard(p, r(*cond)?, then_body, fence)?;
-                    flatten_into(&then_body[skipped..], p, hoisted)?;
+                    let jz = reserve(p, FlatOp::JumpIfZero { cond, skip: 0 });
+                    flatten_into(then_body, p, hoisted)?;
                     let jump = reserve(p, FlatOp::Jump { skip: 0 });
                     patch(p, jz)?;
                     flatten_into(else_body, p, hoisted)?;
                     patch(p, jump)?;
                 }
-                fence = p.ops.len();
             }
         }
     }
     Ok(())
-}
-
-/// Matches the full single-condition decision preamble over register `dst`
-/// at the head of `rest` — `CondProbe` + `DecisionEval` + probe-only
-/// outcome `If`, all on `dst` — returning the four instrumentation ids iff
-/// every one fits the byte-wide [`FlatOp::CmpSel`] encoding.
-fn peek_decision_preamble(rest: &[Instr], dst: Reg) -> Option<(u8, u8, u8, u8)> {
-    let fits = |x: usize| u8::try_from(x).ok();
-    match rest {
-        [Instr::CondProbe { cond, src }, Instr::DecisionEval { decision, conds, outcome }, Instr::If { cond: icond, then_body, else_body }, ..]
-            if *src == dst && conds.as_slice() == [dst] && *outcome == dst && *icond == dst =>
-        {
-            if let ([Instr::Probe { branch: t }], [Instr::Probe { branch: e }]) =
-                (then_body.as_slice(), else_body.as_slice())
-            {
-                return Some((
-                    fits(decision.index())?,
-                    fits(cond.index())?,
-                    fits(t.index())?,
-                    fits(e.index())?,
-                ));
-            }
-            None
-        }
-        _ => None,
-    }
-}
-
-/// Stable display name of an op's variant, for diagnostics/histograms.
-pub(crate) fn op_name(op: &FlatOp) -> &'static str {
-    match op {
-        FlatOp::Const { .. } => "Const",
-        FlatOp::Const2 { .. } => "Const2",
-        FlatOp::Copy { .. } => "Copy",
-        FlatOp::Input { .. } => "Input",
-        FlatOp::Output { .. } => "Output",
-        FlatOp::Unop { .. } => "Unop",
-        FlatOp::Binop { .. } => "Binop",
-        FlatOp::BinopCmp { .. } => "BinopCmp",
-        FlatOp::CmpJump { .. } => "CmpJump",
-        FlatOp::Call { .. } => "Call",
-        FlatOp::CastSat { .. } => "CastSat",
-        FlatOp::CastSatCopy { .. } => "CastSatCopy",
-        FlatOp::CopyCastSat { .. } => "CopyCastSat",
-        FlatOp::LoadState { .. } => "LoadState",
-        FlatOp::Load2 { .. } => "Load2",
-        FlatOp::StoreState { .. } => "StoreState",
-        FlatOp::StoreState2 { .. } => "StoreState2",
-        FlatOp::ShiftState { .. } => "ShiftState",
-        FlatOp::Lookup1 { .. } => "Lookup1",
-        FlatOp::Lookup2 { .. } => "Lookup2",
-        FlatOp::Probe { .. } => "Probe",
-        FlatOp::CondProbe { .. } => "CondProbe",
-        FlatOp::CondProbe2 { .. } => "CondProbe2",
-        FlatOp::Decision1 { .. } => "Decision1",
-        FlatOp::DecisionSel { .. } => "DecisionSel",
-        FlatOp::CmpSel { .. } => "CmpSel",
-        FlatOp::DecisionEvalSmall { .. } => "DecisionEvalSmall",
-        FlatOp::DecisionEvalPool { .. } => "DecisionEvalPool",
-        FlatOp::Assert { .. } => "Assert",
-        FlatOp::ProbeSelect { .. } => "ProbeSelect",
-        FlatOp::JumpIfZero { .. } => "JumpIfZero",
-        FlatOp::JzLoad { .. } => "JzLoad",
-        FlatOp::LoadJz { .. } => "LoadJz",
-        FlatOp::DecisionSelJz { .. } => "DecisionSelJz",
-        FlatOp::JzJz { .. } => "JzJz",
-        FlatOp::JumpIfNonZero { .. } => "JumpIfNonZero",
-        FlatOp::Jump { .. } => "Jump",
-    }
 }
 
 impl FlatOp {
@@ -968,18 +632,13 @@ impl FlatOp {
         matches!(
             self,
             FlatOp::BinopCmp { .. }
-                | FlatOp::CmpJump { .. }
                 | FlatOp::Probe { .. }
                 | FlatOp::CondProbe { .. }
-                | FlatOp::CondProbe2 { .. }
                 | FlatOp::Decision1 { .. }
-                | FlatOp::DecisionSel { .. }
-                | FlatOp::CmpSel { .. }
                 | FlatOp::DecisionEvalSmall { .. }
                 | FlatOp::DecisionEvalPool { .. }
                 | FlatOp::Assert { .. }
                 | FlatOp::ProbeSelect { .. }
-                | FlatOp::DecisionSelJz { .. }
         )
     }
 }
@@ -990,82 +649,14 @@ fn reserve(p: &mut FlatProgram, op: FlatOp) -> usize {
     p.ops.len() - 1
 }
 
-/// Reserves the entry guard of an `If` taken on zero, fusing where the
-/// dynamic profile says it pays: backward with a just-emitted relational
-/// compare producing the condition ([`FlatOp::CmpJump`] — legal only above
-/// `fence`, i.e. no patched jump can land between the pair), else forward
-/// with a state load opening the fall-through body ([`FlatOp::JzLoad`]).
-/// Returns the placeholder position and how many leading body instructions
-/// the guard already consumed.
-fn reserve_guard(
-    p: &mut FlatProgram,
-    cond: RegW,
-    then_body: &[Instr],
-    fence: usize,
-) -> Result<(usize, usize), CompileError> {
-    if p.ops.len() > fence {
-        match *p.ops.last().expect("len > fence >= 0") {
-            FlatOp::BinopCmp { dst, op, lhs, rhs } if dst == cond => {
-                p.ops.pop();
-                return Ok((reserve(p, FlatOp::CmpJump { op, dst, lhs, rhs, skip: 0 }), 0));
-            }
-            FlatOp::LoadState { dst, slot } => {
-                p.ops.pop();
-                return Ok((reserve(p, FlatOp::LoadJz { dst, slot, cond, skip: 0 }), 0));
-            }
-            FlatOp::DecisionSel { decision, cond: cid, src, then_branch, else_branch }
-                if src == cond =>
-            {
-                let fits = |x: u16| u8::try_from(x).ok();
-                if let (Some(d), Some(c), Some(t), Some(e)) =
-                    (fits(decision), fits(cid), fits(then_branch), fits(else_branch))
-                {
-                    p.ops.pop();
-                    let op = FlatOp::DecisionSelJz {
-                        decision: d,
-                        cond: c,
-                        src,
-                        then_branch: t,
-                        else_branch: e,
-                        skip: 0,
-                    };
-                    return Ok((reserve(p, op), 0));
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(Instr::LoadState { dst, slot }) = then_body.first() {
-        let op =
-            FlatOp::JzLoad { cond, skip: 0, dst: r(*dst)?, slot: narrow(*slot, "state slot")? };
-        return Ok((reserve(p, op), 1));
-    }
-    Ok((reserve(p, FlatOp::JumpIfZero { cond, skip: 0 }), 0))
-}
-
 /// Patches the jump at `pos` to skip to the current end of the op array.
 fn patch(p: &mut FlatProgram, pos: usize) -> Result<(), CompileError> {
     let skip = narrow(p.ops.len() - pos - 1, "jump offset")?;
     match &mut p.ops[pos] {
         FlatOp::JumpIfZero { skip: s, .. }
         | FlatOp::JumpIfNonZero { skip: s, .. }
-        | FlatOp::Jump { skip: s, .. }
-        | FlatOp::CmpJump { skip: s, .. }
-        | FlatOp::JzLoad { skip: s, .. }
-        | FlatOp::LoadJz { skip: s, .. }
-        | FlatOp::DecisionSelJz { skip: s, .. } => *s = skip,
+        | FlatOp::Jump { skip: s } => *s = skip,
         other => unreachable!("patching a non-jump op {other:?}"),
-    }
-    Ok(())
-}
-
-/// Patches one of a [`FlatOp::JzJz`]'s two skips to the current end of the
-/// op array: the outer guard's (`skip1`) or the inner's (`skip2`).
-fn patch_jzjz(p: &mut FlatProgram, pos: usize, outer: bool) -> Result<(), CompileError> {
-    let skip = narrow(p.ops.len() - pos - 1, "jump offset")?;
-    match &mut p.ops[pos] {
-        FlatOp::JzJz { skip1, skip2, .. } => *(if outer { skip1 } else { skip2 }) = skip,
-        other => unreachable!("patching a non-JzJz op {other:?}"),
     }
     Ok(())
 }
@@ -1135,34 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_one_armed_ifs_fuse_into_a_double_guard() {
-        let body = vec![Instr::If {
-            cond: 0,
-            then_body: vec![
-                Instr::If {
-                    cond: 1,
-                    then_body: vec![Instr::Copy { dst: 2, src: 3 }],
-                    else_body: vec![],
-                },
-                Instr::Copy { dst: 4, src: 5 },
-            ],
-            else_body: vec![],
-        }];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                // Outer guard skips both copies; inner only the first.
-                FlatOp::JzJz { cond1: 0, skip1: 2, cond2: 1, skip2: 1 },
-                FlatOp::Copy { dst: 2, src: 3 },
-                FlatOp::Copy { dst: 4, src: 5 },
-            ]
-        );
-    }
-
-    #[test]
     fn nested_ifs_with_else_arms_keep_separate_jumps() {
-        // An inner `If` with an else arm can't share the double-guard op.
         let body = vec![Instr::If {
             cond: 0,
             then_body: vec![Instr::If {
@@ -1299,23 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_state_stores_pair_up() {
-        let body = vec![
-            Instr::StoreState { slot: 0, src: 1 },
-            Instr::StoreState { slot: 1, src: 2 },
-            Instr::StoreState { slot: 2, src: 3 },
-        ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                FlatOp::StoreState2 { slot1: 0, src1: 1, slot2: 1, src2: 2 },
-                FlatOp::StoreState { slot: 2, src: 3 },
-            ]
-        );
-    }
-
-    #[test]
     fn single_condition_decisions_fuse_into_one_op() {
         let body = vec![
             Instr::CondProbe { cond: ConditionId(3), src: 7 },
@@ -1335,253 +882,159 @@ mod tests {
     }
 
     #[test]
-    fn decision_preamble_fuses_into_a_single_dispatch() {
-        // The full instrumentation shape of a single-condition decision:
-        // CondProbe + DecisionEval + probe-only outcome If → one op.
-        let body = vec![
-            Instr::CondProbe { cond: ConditionId(3), src: 7 },
-            Instr::DecisionEval { decision: DecisionId(2), conds: vec![7], outcome: 7 },
-            Instr::If {
-                cond: 7,
-                then_body: vec![Instr::Probe { branch: BranchId(4) }],
-                else_body: vec![Instr::Probe { branch: BranchId(5) }],
-            },
-        ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![FlatOp::DecisionSel {
-                decision: 2,
-                cond: 3,
-                src: 7,
-                then_branch: 4,
-                else_branch: 5,
-            }]
-        );
-
-        // An outcome If over a different register must not fold in.
-        let body = vec![
-            Instr::CondProbe { cond: ConditionId(3), src: 7 },
-            Instr::DecisionEval { decision: DecisionId(2), conds: vec![7], outcome: 7 },
-            Instr::If {
-                cond: 8,
-                then_body: vec![Instr::Probe { branch: BranchId(4) }],
-                else_body: vec![Instr::Probe { branch: BranchId(5) }],
-            },
-        ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(p.ops.len(), 2);
-        assert!(matches!(p.ops[0], FlatOp::Decision1 { .. }));
-        assert!(matches!(p.ops[1], FlatOp::ProbeSelect { .. }));
-    }
-
-    #[test]
-    fn relational_guards_fuse_with_their_decision_preamble() {
-        let preamble = |branch_base: u32| {
+    fn flat_program_is_the_ir_in_order() {
+        // One op per IR instruction, in order: each row is a shape the
+        // benchmark models execute often.
+        let guard = |cond, then_body| Instr::If { cond, then_body, else_body: vec![] };
+        let preamble = || {
             vec![
-                Instr::Binop { dst: 2, op: BinopCode::Lt, lhs: 0, rhs: 1 },
                 Instr::CondProbe { cond: ConditionId(3), src: 2 },
                 Instr::DecisionEval { decision: DecisionId(2), conds: vec![2], outcome: 2 },
                 Instr::If {
                     cond: 2,
-                    then_body: vec![Instr::Probe { branch: BranchId(branch_base) }],
-                    else_body: vec![Instr::Probe { branch: BranchId(branch_base + 1) }],
+                    then_body: vec![Instr::Probe { branch: BranchId(4) }],
+                    else_body: vec![Instr::Probe { branch: BranchId(5) }],
                 },
             ]
         };
-        let p = flatten(&preamble(4), &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![FlatOp::CmpSel {
-                op: BinopCode::Lt,
-                dst: 2,
-                lhs: 0,
-                rhs: 1,
-                decision: 2,
-                cond: 3,
-                then_branch: 4,
-                else_branch: 5,
-            }]
-        );
-
-        // Ids past the byte-wide encoding stay unfused: two dispatches,
-        // identical event sequence.
-        let p = flatten(&preamble(400), &Default::default()).unwrap();
-        assert_eq!(p.ops.len(), 2);
-        assert!(matches!(p.ops[0], FlatOp::BinopCmp { op: BinopCode::Lt, .. }));
-        assert!(matches!(p.ops[1], FlatOp::DecisionSel { then_branch: 400, else_branch: 401, .. }));
-    }
-
-    #[test]
-    fn hot_adjacent_pairs_fuse_into_single_dispatches() {
-        // Const+Const, Copy+CastSat, CastSat+Copy, Load+Load — the
-        // profile-driven peephole pairs (each preserves write order).
-        let body = vec![
-            Instr::Const { dst: 0, value: 1.0 },
-            Instr::Const { dst: 0, value: 2.0 },
-            Instr::Copy { dst: 1, src: 0 },
-            Instr::CastSat { dst: 2, src: 1, ty: DataType::I8 },
-            Instr::CastSat { dst: 3, src: 2, ty: DataType::I8 },
-            Instr::Copy { dst: 4, src: 3 },
-            Instr::LoadState { dst: 5, slot: 0 },
-            Instr::LoadState { dst: 6, slot: 1 },
+        let decided = [
+            FlatOp::Decision1 { decision: 2, cond: 3, src: 2 },
+            FlatOp::ProbeSelect { cond: 2, then_branch: 4, else_branch: 5 },
         ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                FlatOp::Const2 { dst1: 0, idx1: 0, dst2: 0, idx2: 1 },
-                FlatOp::CopyCastSat { dst: 1, src: 0, dst2: 2, ty: DataType::I8 },
-                FlatOp::CastSatCopy { dst: 3, src: 2, ty: DataType::I8, dst2: 4 },
-                FlatOp::Load2 { dst1: 5, slot1: 0, dst2: 6, slot2: 1 },
-            ]
-        );
-    }
-
-    #[test]
-    fn adjacent_condition_probes_pair_up() {
-        let body = vec![
-            Instr::CondProbe { cond: ConditionId(0), src: 1 },
-            Instr::CondProbe { cond: ConditionId(1), src: 2 },
+        let lt = Instr::Binop { dst: 2, op: BinopCode::Lt, lhs: 0, rhs: 1 };
+        let cmp = FlatOp::BinopCmp { dst: 2, op: BinopCode::Lt, lhs: 0, rhs: 1 };
+        let cases: Vec<(&str, Vec<Instr>, Vec<FlatOp>)> = vec![
+            (
+                // Two writers of register 0: neither hoists.
+                "Const;Const",
+                vec![Instr::Const { dst: 0, value: 1.0 }, Instr::Const { dst: 0, value: 2.0 }],
+                vec![FlatOp::Const { dst: 0, idx: 0 }, FlatOp::Const { dst: 0, idx: 1 }],
+            ),
+            (
+                "CastSat;Copy",
+                vec![
+                    Instr::CastSat { dst: 3, src: 2, ty: DataType::I8 },
+                    Instr::Copy { dst: 4, src: 3 },
+                ],
+                vec![
+                    FlatOp::CastSat { dst: 3, src: 2, ty: DataType::I8 },
+                    FlatOp::Copy { dst: 4, src: 3 },
+                ],
+            ),
+            (
+                "Copy;CastSat",
+                vec![
+                    Instr::Copy { dst: 1, src: 0 },
+                    Instr::CastSat { dst: 2, src: 1, ty: DataType::I8 },
+                ],
+                vec![
+                    FlatOp::Copy { dst: 1, src: 0 },
+                    FlatOp::CastSat { dst: 2, src: 1, ty: DataType::I8 },
+                ],
+            ),
+            (
+                "LoadState;LoadState",
+                vec![Instr::LoadState { dst: 5, slot: 0 }, Instr::LoadState { dst: 6, slot: 1 }],
+                vec![FlatOp::LoadState { dst: 5, slot: 0 }, FlatOp::LoadState { dst: 6, slot: 1 }],
+            ),
+            (
+                "StoreState;StoreState",
+                vec![Instr::StoreState { slot: 0, src: 1 }, Instr::StoreState { slot: 1, src: 2 }],
+                vec![
+                    FlatOp::StoreState { slot: 0, src: 1 },
+                    FlatOp::StoreState { slot: 1, src: 2 },
+                ],
+            ),
+            (
+                "CondProbe;CondProbe",
+                vec![
+                    Instr::CondProbe { cond: ConditionId(0), src: 1 },
+                    Instr::CondProbe { cond: ConditionId(1), src: 2 },
+                ],
+                vec![FlatOp::CondProbe { cond: 0, src: 1 }, FlatOp::CondProbe { cond: 1, src: 2 }],
+            ),
+            (
+                // The second probe, not the first, heads the decision.
+                "CondProbe;decision preamble",
+                [vec![Instr::CondProbe { cond: ConditionId(0), src: 1 }], preamble()].concat(),
+                [vec![FlatOp::CondProbe { cond: 0, src: 1 }], decided.to_vec()].concat(),
+            ),
+            (
+                "relational Binop;decision preamble",
+                [vec![lt.clone()], preamble()].concat(),
+                [vec![cmp], decided.to_vec()].concat(),
+            ),
+            (
+                "LoadState;guard",
+                vec![
+                    Instr::LoadState { dst: 0, slot: 3 },
+                    guard(0, vec![Instr::Copy { dst: 1, src: 2 }]),
+                ],
+                vec![
+                    FlatOp::LoadState { dst: 0, slot: 3 },
+                    FlatOp::JumpIfZero { cond: 0, skip: 1 },
+                    FlatOp::Copy { dst: 1, src: 2 },
+                ],
+            ),
+            (
+                "guard opening with LoadState",
+                vec![guard(
+                    0,
+                    vec![Instr::LoadState { dst: 1, slot: 4 }, Instr::Copy { dst: 2, src: 1 }],
+                )],
+                vec![
+                    FlatOp::JumpIfZero { cond: 0, skip: 2 },
+                    FlatOp::LoadState { dst: 1, slot: 4 },
+                    FlatOp::Copy { dst: 2, src: 1 },
+                ],
+            ),
+            (
+                "relational Binop;guard",
+                vec![lt.clone(), guard(2, vec![Instr::Copy { dst: 3, src: 0 }])],
+                vec![cmp, FlatOp::JumpIfZero { cond: 2, skip: 1 }, FlatOp::Copy { dst: 3, src: 0 }],
+            ),
+            (
+                "decision;guard",
+                [preamble(), vec![guard(2, vec![Instr::Copy { dst: 1, src: 0 }])]].concat(),
+                [
+                    decided.to_vec(),
+                    vec![FlatOp::JumpIfZero { cond: 2, skip: 1 }, FlatOp::Copy { dst: 1, src: 0 }],
+                ]
+                .concat(),
+            ),
+            (
+                "nested one-armed Ifs",
+                vec![guard(
+                    0,
+                    vec![
+                        guard(1, vec![Instr::Copy { dst: 2, src: 3 }]),
+                        Instr::Copy { dst: 4, src: 5 },
+                    ],
+                )],
+                vec![
+                    // Outer guard skips both copies; inner only the first.
+                    FlatOp::JumpIfZero { cond: 0, skip: 3 },
+                    FlatOp::JumpIfZero { cond: 1, skip: 1 },
+                    FlatOp::Copy { dst: 2, src: 3 },
+                    FlatOp::Copy { dst: 4, src: 5 },
+                ],
+            ),
+            (
+                // The inner guard's patched jump lands on the second guard.
+                "completed If;guard",
+                vec![guard(0, vec![lt]), guard(2, vec![Instr::Copy { dst: 3, src: 0 }])],
+                vec![
+                    FlatOp::JumpIfZero { cond: 0, skip: 1 },
+                    cmp,
+                    FlatOp::JumpIfZero { cond: 2, skip: 1 },
+                    FlatOp::Copy { dst: 3, src: 0 },
+                ],
+            ),
         ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(p.ops, vec![FlatOp::CondProbe2 { cond1: 0, src1: 1, cond2: 1, src2: 2 }]);
-
-        // A probe heading a fusable decision preamble must stay free for
-        // the Decision1/DecisionSel fusion instead.
-        let body = vec![
-            Instr::CondProbe { cond: ConditionId(0), src: 1 },
-            Instr::CondProbe { cond: ConditionId(1), src: 2 },
-            Instr::DecisionEval { decision: DecisionId(0), conds: vec![2], outcome: 2 },
-        ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                FlatOp::CondProbe { cond: 0, src: 1 },
-                FlatOp::Decision1 { decision: 0, cond: 1, src: 2 },
-            ]
-        );
-    }
-
-    #[test]
-    fn relational_guards_of_real_bodies_fuse_into_cmp_jump() {
-        let body = vec![
-            Instr::Binop { dst: 2, op: BinopCode::Ge, lhs: 0, rhs: 1 },
-            Instr::If {
-                cond: 2,
-                then_body: vec![Instr::Copy { dst: 3, src: 0 }],
-                else_body: vec![],
-            },
-        ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                FlatOp::CmpJump { op: BinopCode::Ge, dst: 2, lhs: 0, rhs: 1, skip: 1 },
-                FlatOp::Copy { dst: 3, src: 0 },
-            ]
-        );
-    }
-
-    #[test]
-    fn patched_jump_targets_block_backward_guard_fusion() {
-        // The compare is the *last op of a completed inner lowering*: the
-        // inner `If`'s patched jump lands right after it, so popping it
-        // into a CmpJump would make the taken path recompute the compare
-        // (an extra recorder event). The fence must force a plain jump.
-        let body = vec![
-            Instr::If {
-                cond: 0,
-                then_body: vec![Instr::Binop { dst: 2, op: BinopCode::Lt, lhs: 0, rhs: 1 }],
-                else_body: vec![],
-            },
-            Instr::If {
-                cond: 2,
-                then_body: vec![Instr::Copy { dst: 3, src: 0 }],
-                else_body: vec![],
-            },
-        ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                FlatOp::JumpIfZero { cond: 0, skip: 1 },
-                FlatOp::BinopCmp { dst: 2, op: BinopCode::Lt, lhs: 0, rhs: 1 },
-                FlatOp::JumpIfZero { cond: 2, skip: 1 },
-                FlatOp::Copy { dst: 3, src: 0 },
-            ]
-        );
-    }
-
-    #[test]
-    fn state_loads_fuse_with_adjacent_guards() {
-        // Backward: load feeding a guard → LoadJz.
-        let body = vec![
-            Instr::LoadState { dst: 0, slot: 3 },
-            Instr::If {
-                cond: 0,
-                then_body: vec![Instr::Copy { dst: 1, src: 2 }],
-                else_body: vec![],
-            },
-        ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                FlatOp::LoadJz { dst: 0, slot: 3, cond: 0, skip: 1 },
-                FlatOp::Copy { dst: 1, src: 2 },
-            ]
-        );
-
-        // Forward: guard whose fall-through body opens with a load →
-        // JzLoad (the load is conditional, exactly as in the tree).
-        let body = vec![Instr::If {
-            cond: 0,
-            then_body: vec![Instr::LoadState { dst: 1, slot: 4 }, Instr::Copy { dst: 2, src: 1 }],
-            else_body: vec![],
-        }];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                FlatOp::JzLoad { cond: 0, skip: 1, dst: 1, slot: 4 },
-                FlatOp::Copy { dst: 2, src: 1 },
-            ]
-        );
-    }
-
-    #[test]
-    fn decision_dispatch_fuses_with_its_branch_entry_jump() {
-        let body = vec![
-            Instr::CondProbe { cond: ConditionId(3), src: 7 },
-            Instr::DecisionEval { decision: DecisionId(2), conds: vec![7], outcome: 7 },
-            Instr::If {
-                cond: 7,
-                then_body: vec![Instr::Probe { branch: BranchId(4) }],
-                else_body: vec![Instr::Probe { branch: BranchId(5) }],
-            },
-            Instr::If {
-                cond: 7,
-                then_body: vec![Instr::Copy { dst: 1, src: 2 }],
-                else_body: vec![],
-            },
-        ];
-        let p = flatten(&body, &Default::default()).unwrap();
-        assert_eq!(
-            p.ops,
-            vec![
-                FlatOp::DecisionSelJz {
-                    decision: 2,
-                    cond: 3,
-                    src: 7,
-                    then_branch: 4,
-                    else_branch: 5,
-                    skip: 1,
-                },
-                FlatOp::Copy { dst: 1, src: 2 },
-            ]
-        );
+        for (site, body, want) in cases {
+            let p = flatten(&body, &Default::default()).unwrap();
+            assert_eq!(p.ops, want, "{site}");
+        }
     }
 
     #[test]
@@ -1605,5 +1058,39 @@ mod tests {
         }];
         let p = flatten(&body, &Default::default()).unwrap();
         assert!(matches!(p.ops[0], FlatOp::JumpIfZero { .. }));
+    }
+
+    #[test]
+    fn lean_ops_drop_mcdc_events_and_re_aim_jumps() {
+        let body = vec![
+            Instr::CondProbe { cond: ConditionId(0), src: 0 },
+            Instr::If {
+                cond: 0,
+                then_body: vec![
+                    Instr::CondProbe { cond: ConditionId(1), src: 1 },
+                    Instr::DecisionEval { decision: DecisionId(0), conds: vec![1], outcome: 1 },
+                    Instr::Copy { dst: 2, src: 1 },
+                ],
+                else_body: vec![Instr::Probe { branch: BranchId(0) }],
+            },
+            Instr::DecisionEval { decision: DecisionId(1), conds: vec![0, 1], outcome: 2 },
+            Instr::DecisionEval { decision: DecisionId(2), conds: vec![0, 1, 2, 3], outcome: 2 },
+            Instr::Probe { branch: BranchId(1) },
+        ];
+        let p = flatten(&body, &Default::default()).unwrap();
+        assert_eq!(p.ops.len(), 9);
+        // The then-arm's jump lands on the else-arm's probe, and the
+        // else-skipping jump, whose old target was a dropped decision, on
+        // the op after it.
+        assert_eq!(
+            p.lean_ops,
+            vec![
+                FlatOp::JumpIfZero { cond: 0, skip: 2 },
+                FlatOp::Copy { dst: 2, src: 1 },
+                FlatOp::Jump { skip: 1 },
+                FlatOp::Probe { branch: 0 },
+                FlatOp::Probe { branch: 1 },
+            ]
+        );
     }
 }

@@ -52,9 +52,9 @@
 //!
 //! # Saturating casts
 //!
-//! `CastSat` and its fused forms compile to inline SSE2 code computing
-//! exactly `Value::from_f64(x, ty).as_f64()`, with no call (the baseline
-//! x86-64 target has no SSE4.1 `roundsd`, so `f64::round` would be one).
+//! `CastSat` compiles to inline SSE2 code computing exactly
+//! `Value::from_f64(x, ty).as_f64()`, with no call (the baseline x86-64
+//! target has no SSE4.1 `roundsd`, so `f64::round` would be one).
 //! Integer targets map NaN to `+0.0` (a `cmpordsd` mask), clamp to the
 //! type's bounds with `maxsd`/`minsd`, truncate with `cvttsd2si`, then
 //! round half away from zero by adjusting ±1 on the fraction `x − trunc(x)`
@@ -1425,18 +1425,12 @@ impl<'p> Lowerer<'p> {
                 self.asm.mov_mem_r(RBX, slot(dst), RAX);
                 self.wrote_reg(dst);
             }
-            FlatOp::Const2 { dst1, idx1, dst2, idx2 } => {
-                for (d, i) in [(dst1, idx1), (dst2, idx2)] {
-                    let bits = self.program.const_pool[i as usize].to_bits();
-                    self.asm.mov_r_imm64(RAX, bits);
-                    self.asm.mov_mem_r(RBX, slot(d), RAX);
-                    self.wrote_reg(d);
-                }
-            }
             FlatOp::Copy { dst, src } => {
-                self.asm.mov_r_mem(RAX, RBX, slot(src));
-                self.asm.mov_mem_r(RBX, slot(dst), RAX);
-                self.wrote_reg(dst);
+                // Through the forwarding cache, not a GPR: `movsd` moves
+                // the bits exactly, and a `CastSat` before or after the
+                // copy then reloads nothing.
+                self.load_xmm0(src);
+                self.store_xmm0(dst);
             }
             FlatOp::Input { dst, index } => {
                 self.asm.mov_r_mem(RAX, R13, slot(index));
@@ -1476,11 +1470,6 @@ impl<'p> Lowerer<'p> {
                 self.compare_event(lhs, rhs);
                 self.binop(op, dst, lhs, rhs);
             }
-            FlatOp::CmpJump { op, dst, lhs, rhs, skip } => {
-                self.compare_event(lhs, rhs);
-                self.binop(op, dst, lhs, rhs);
-                self.jump_if_zero(dst, next + skip as usize);
-            }
             FlatOp::Call { dst, func, argc, args } => {
                 let idx = self
                     .func_index
@@ -1505,39 +1494,14 @@ impl<'p> Lowerer<'p> {
                 self.cast_sat_xmm0(ty);
                 self.store_xmm0(dst);
             }
-            FlatOp::CastSatCopy { dst, src, ty, dst2 } => {
-                self.load_xmm0(src);
-                self.cast_sat_xmm0(ty);
-                self.store_xmm0(dst);
-                self.store_xmm0(dst2);
-            }
-            FlatOp::CopyCastSat { dst, src, dst2, ty } => {
-                self.load_xmm0(src);
-                self.store_xmm0(dst);
-                self.cast_sat_xmm0(ty);
-                self.store_xmm0(dst2);
-            }
             FlatOp::LoadState { dst, slot: s } => {
                 self.asm.mov_r_mem(RAX, R12, slot(s));
                 self.asm.mov_mem_r(RBX, slot(dst), RAX);
                 self.wrote_reg(dst);
             }
-            FlatOp::Load2 { dst1, slot1, dst2, slot2 } => {
-                for (d, s) in [(dst1, slot1), (dst2, slot2)] {
-                    self.asm.mov_r_mem(RAX, R12, slot(s));
-                    self.asm.mov_mem_r(RBX, slot(d), RAX);
-                    self.wrote_reg(d);
-                }
-            }
             FlatOp::StoreState { slot: s, src } => {
                 self.asm.mov_r_mem(RAX, RBX, slot(src));
                 self.asm.mov_mem_r(R12, slot(s), RAX);
-            }
-            FlatOp::StoreState2 { slot1, src1, slot2, src2 } => {
-                for (s, r) in [(slot1, src1), (slot2, src2)] {
-                    self.asm.mov_r_mem(RAX, RBX, slot(r));
-                    self.asm.mov_mem_r(R12, slot(s), RAX);
-                }
             }
             FlatOp::ShiftState { base, len, src } => {
                 self.load_xmm0(src);
@@ -1578,25 +1542,9 @@ impl<'p> Lowerer<'p> {
             FlatOp::CondProbe { cond, src } => {
                 self.condition_event(u32::from(cond), src);
             }
-            FlatOp::CondProbe2 { cond1, src1, cond2, src2 } => {
-                self.condition_event(u32::from(cond1), src1);
-                self.condition_event(u32::from(cond2), src2);
-            }
             FlatOp::Decision1 { decision, cond, src } => {
                 self.condition_event(u32::from(cond), src);
                 self.decision1_event(u32::from(decision), src);
-            }
-            FlatOp::DecisionSel { decision, cond, src, then_branch, else_branch } => {
-                self.condition_event(u32::from(cond), src);
-                self.decision1_event(u32::from(decision), src);
-                self.branch_select_event(src, u32::from(then_branch), u32::from(else_branch));
-            }
-            FlatOp::CmpSel { op, dst, lhs, rhs, decision, cond, then_branch, else_branch } => {
-                self.compare_event(lhs, rhs);
-                self.binop(op, dst, lhs, rhs);
-                self.condition_event(u32::from(cond), dst);
-                self.decision1_event(u32::from(decision), dst);
-                self.branch_select_event(dst, u32::from(then_branch), u32::from(else_branch));
             }
             FlatOp::DecisionEvalSmall { decision, outcome, len, conds } => {
                 let conds = conds[..len as usize].to_vec();
@@ -1621,28 +1569,6 @@ impl<'p> Lowerer<'p> {
             }
             FlatOp::JumpIfZero { cond, skip } => {
                 self.jump_if_zero(cond, next + skip as usize);
-            }
-            FlatOp::JzLoad { cond, skip, dst, slot: s } => {
-                self.jump_if_zero(cond, next + skip as usize);
-                self.asm.mov_r_mem(RAX, R12, slot(s));
-                self.asm.mov_mem_r(RBX, slot(dst), RAX);
-                self.wrote_reg(dst);
-            }
-            FlatOp::LoadJz { dst, slot: s, cond, skip } => {
-                self.asm.mov_r_mem(RAX, R12, slot(s));
-                self.asm.mov_mem_r(RBX, slot(dst), RAX);
-                self.wrote_reg(dst);
-                self.jump_if_zero(cond, next + skip as usize);
-            }
-            FlatOp::DecisionSelJz { decision, cond, src, then_branch, else_branch, skip } => {
-                self.condition_event(u32::from(cond), src);
-                self.decision1_event(u32::from(decision), src);
-                self.branch_select_event(src, u32::from(then_branch), u32::from(else_branch));
-                self.jump_if_zero(src, next + skip as usize);
-            }
-            FlatOp::JzJz { cond1, skip1, cond2, skip2 } => {
-                self.jump_if_zero(cond1, next + skip1 as usize);
-                self.jump_if_zero(cond2, next + skip2 as usize);
             }
             FlatOp::JumpIfNonZero { cond, skip } => {
                 let target = next + skip as usize;

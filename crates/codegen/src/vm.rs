@@ -132,7 +132,8 @@ pub struct Executor<'c> {
 
 impl<'c> Executor<'c> {
     /// Creates an executor with freshly initialized state, running the
-    /// optimized flat program (the production engine).
+    /// optimized flat program in the flat VM — the JIT's differential
+    /// oracle, and the fuzz engine where [`Engine::best`] has no JIT.
     pub fn new(compiled: &'c CompiledModel) -> Self {
         Self::with_engine(compiled, Engine::Flat)
     }
@@ -397,8 +398,9 @@ impl<'c> Executor<'c> {
     }
 }
 
-/// The jump-threaded dispatch loop over a flat program: no recursion, no
-/// per-call operand chase, relational dispatch decided at lowering time.
+/// The dispatch loop over a flat program: no recursion, no per-call
+/// operand chase, relational dispatch decided at lowering time. The loop
+/// walks a slice iterator; a taken jump re-slices what is left of it.
 #[allow(clippy::too_many_arguments)]
 fn run_flat<R: Recorder>(
     program: &FlatProgram,
@@ -410,17 +412,19 @@ fn run_flat<R: Recorder>(
     tables2: &[crate::compile::Lookup2Table],
     recorder: &mut R,
 ) {
-    let ops: &[FlatOp] = &program.ops;
+    // Skipping events the recorder promises away is observationally
+    // identical, and the fuzz loop's recorder promises away both classes
+    // of MC/DC event: its ticks dispatch none of their ops.
+    let ops: &[FlatOp] = if R::OBSERVES_CONDITIONS || R::OBSERVES_DECISIONS {
+        &program.ops
+    } else {
+        &program.lean_ops
+    };
     let const_pool: &[f64] = &program.const_pool;
-    let mut pc = 0usize;
-    while let Some(op) = ops.get(pc) {
-        pc += 1;
+    let mut rest = ops.iter();
+    while let Some(op) = rest.next() {
         match *op {
             FlatOp::Const { dst, idx } => regs[dst as usize] = const_pool[idx as usize],
-            FlatOp::Const2 { dst1, idx1, dst2, idx2 } => {
-                regs[dst1 as usize] = const_pool[idx1 as usize];
-                regs[dst2 as usize] = const_pool[idx2 as usize];
-            }
             FlatOp::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
             FlatOp::Input { dst, index } => regs[dst as usize] = inputs[index as usize],
             FlatOp::Output { index, src } => outputs[index as usize] = regs[src as usize],
@@ -450,26 +454,8 @@ fn run_flat<R: Recorder>(
             FlatOp::CastSat { dst, src, ty } => {
                 regs[dst as usize] = Value::from_f64(regs[src as usize], ty).as_f64();
             }
-            FlatOp::CastSatCopy { dst, src, ty, dst2 } => {
-                let v = Value::from_f64(regs[src as usize], ty).as_f64();
-                regs[dst as usize] = v;
-                regs[dst2 as usize] = v;
-            }
-            FlatOp::CopyCastSat { dst, src, dst2, ty } => {
-                let v = regs[src as usize];
-                regs[dst as usize] = v;
-                regs[dst2 as usize] = Value::from_f64(v, ty).as_f64();
-            }
             FlatOp::LoadState { dst, slot } => regs[dst as usize] = state[slot as usize],
-            FlatOp::Load2 { dst1, slot1, dst2, slot2 } => {
-                regs[dst1 as usize] = state[slot1 as usize];
-                regs[dst2 as usize] = state[slot2 as usize];
-            }
             FlatOp::StoreState { slot, src } => state[slot as usize] = regs[src as usize],
-            FlatOp::StoreState2 { slot1, src1, slot2, src2 } => {
-                state[slot1 as usize] = regs[src1 as usize];
-                state[slot2 as usize] = regs[src2 as usize];
-            }
             FlatOp::ShiftState { base, len, src } => {
                 let (base, len) = (base as usize, len as usize);
                 state.copy_within(base + 1..base + len, base);
@@ -488,10 +474,6 @@ fn run_flat<R: Recorder>(
             FlatOp::CondProbe { cond, src } => {
                 recorder.condition(ConditionId(u32::from(cond)), regs[src as usize] != 0.0);
             }
-            FlatOp::CondProbe2 { cond1, src1, cond2, src2 } => {
-                recorder.condition(ConditionId(u32::from(cond1)), regs[src1 as usize] != 0.0);
-                recorder.condition(ConditionId(u32::from(cond2)), regs[src2 as usize] != 0.0);
-            }
             FlatOp::Decision1 { decision, cond, src } => {
                 // Fused CondProbe + single-condition DecisionEval: the
                 // recorder sees the exact event sequence the unfused pair
@@ -499,31 +481,6 @@ fn run_flat<R: Recorder>(
                 let v = regs[src as usize] != 0.0;
                 recorder.condition(ConditionId(u32::from(cond)), v);
                 recorder.decision_eval(DecisionId(u32::from(decision)), u64::from(v), u32::from(v));
-            }
-            FlatOp::DecisionSel { decision, cond, src, then_branch, else_branch } => {
-                // Fully fused decision preamble: condition, decision_eval,
-                // then exactly the branch event the taken outcome arm
-                // would have fired — same events, one dispatch.
-                let v = regs[src as usize] != 0.0;
-                recorder.condition(ConditionId(u32::from(cond)), v);
-                recorder.decision_eval(DecisionId(u32::from(decision)), u64::from(v), u32::from(v));
-                let taken = if v { then_branch } else { else_branch };
-                recorder.branch(BranchId(u32::from(taken)));
-            }
-            FlatOp::CmpSel { op, dst, lhs, rhs, decision, cond, then_branch, else_branch } => {
-                // Fused relational guard + decision preamble: compare,
-                // condition, decision_eval, then the taken outcome's branch
-                // event — the exact four-event sequence of the unfused
-                // BinopCmp + DecisionSel pair, in one dispatch.
-                let (l, r) = (regs[lhs as usize], regs[rhs as usize]);
-                recorder.compare(l, r);
-                let v = op.apply(l, r);
-                regs[dst as usize] = v;
-                let t = v != 0.0;
-                recorder.condition(ConditionId(u32::from(cond)), t);
-                recorder.decision_eval(DecisionId(u32::from(decision)), u64::from(t), u32::from(t));
-                let taken = if t { then_branch } else { else_branch };
-                recorder.branch(BranchId(u32::from(taken)));
             }
             FlatOp::DecisionEvalSmall { decision, outcome, len, conds } => {
                 let mut vector = 0u64;
@@ -555,61 +512,17 @@ fn run_flat<R: Recorder>(
                 let taken = if regs[cond as usize] != 0.0 { then_branch } else { else_branch };
                 recorder.branch(BranchId(u32::from(taken)));
             }
-            FlatOp::CmpJump { op, dst, lhs, rhs, skip } => {
-                // Fused relational guard + entry jump of an `if` with a
-                // real body: same compare event, same dst write, then the
-                // conditional skip the unfused JumpIfZero performed.
-                let (l, r) = (regs[lhs as usize], regs[rhs as usize]);
-                recorder.compare(l, r);
-                let v = op.apply(l, r);
-                regs[dst as usize] = v;
-                if v == 0.0 {
-                    pc += skip as usize;
-                }
-            }
             FlatOp::JumpIfZero { cond, skip } => {
                 if regs[cond as usize] == 0.0 {
-                    pc += skip as usize;
-                }
-            }
-            FlatOp::JzLoad { cond, skip, dst, slot } => {
-                if regs[cond as usize] == 0.0 {
-                    pc += skip as usize;
-                } else {
-                    regs[dst as usize] = state[slot as usize];
-                }
-            }
-            FlatOp::LoadJz { dst, slot, cond, skip } => {
-                regs[dst as usize] = state[slot as usize];
-                if regs[cond as usize] == 0.0 {
-                    pc += skip as usize;
-                }
-            }
-            FlatOp::DecisionSelJz { decision, cond, src, then_branch, else_branch, skip } => {
-                // DecisionSel's exact event sequence, then the entry jump
-                // of the real branch body on the same register.
-                let v = regs[src as usize] != 0.0;
-                recorder.condition(ConditionId(u32::from(cond)), v);
-                recorder.decision_eval(DecisionId(u32::from(decision)), u64::from(v), u32::from(v));
-                let taken = if v { then_branch } else { else_branch };
-                recorder.branch(BranchId(u32::from(taken)));
-                if !v {
-                    pc += skip as usize;
-                }
-            }
-            FlatOp::JzJz { cond1, skip1, cond2, skip2 } => {
-                if regs[cond1 as usize] == 0.0 {
-                    pc += skip1 as usize;
-                } else if regs[cond2 as usize] == 0.0 {
-                    pc += skip2 as usize;
+                    rest = rest.as_slice()[skip as usize..].iter();
                 }
             }
             FlatOp::JumpIfNonZero { cond, skip } => {
                 if regs[cond as usize] != 0.0 {
-                    pc += skip as usize;
+                    rest = rest.as_slice()[skip as usize..].iter();
                 }
             }
-            FlatOp::Jump { skip } => pc += skip as usize,
+            FlatOp::Jump { skip } => rest = rest.as_slice()[skip as usize..].iter(),
         }
     }
 }

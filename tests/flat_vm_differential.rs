@@ -13,6 +13,10 @@
 //! 3. **Recorder event sequences**: branch, condition, decision, compare
 //!    and assertion events in identical order with identical payloads —
 //!    the contract byte-identical fuzz campaigns rely on.
+//!
+//! A second flat executor runs under a recorder that promises condition
+//! and decision events away, so it dispatches the lean op array; it must
+//! match the first on every surface, minus exactly those events.
 
 use cftcg::codegen::{compile, CompiledModel, Engine, Executor, TestCase};
 use cftcg::coverage::{AssertionId, BranchId, ConditionId, DecisionId, Recorder};
@@ -30,12 +34,17 @@ enum Event {
     Assertion(AssertionId, bool),
 }
 
+/// Logs every event it is sent. With `MCDC = false` it promises condition
+/// and decision events away, as the fuzz loop's recorder does.
 #[derive(Default)]
-struct EventLog {
+struct EventLog<const MCDC: bool> {
     events: Vec<Event>,
 }
 
-impl Recorder for EventLog {
+impl<const MCDC: bool> Recorder for EventLog<MCDC> {
+    const OBSERVES_CONDITIONS: bool = MCDC;
+    const OBSERVES_DECISIONS: bool = MCDC;
+
     fn branch(&mut self, id: BranchId) {
         self.events.push(Event::Branch(id));
     }
@@ -77,13 +86,16 @@ fn random_case(compiled: &CompiledModel, rng: &mut SmallRng, ticks: usize) -> Te
 /// registers, same outputs, same state, same recorder event sequence.
 fn assert_case_equivalent(compiled: &CompiledModel, case: &TestCase, context: &str) {
     let mut flat = Executor::new(compiled);
+    let mut lean = Executor::new(compiled);
     let mut tree = Executor::new_reference(compiled);
     let mut jit = Executor::new_jit(compiled);
     let jit_live = jit.engine() == Engine::Jit;
-    let mut flat_log = EventLog::default();
-    let mut tree_log = EventLog::default();
-    let mut jit_log = EventLog::default();
+    let mut flat_log = EventLog::<true>::default();
+    let mut lean_log = EventLog::<false>::default();
+    let mut tree_log = EventLog::<true>::default();
+    let mut jit_log = EventLog::<true>::default();
     flat.reset();
+    lean.reset();
     tree.reset();
     jit.reset();
 
@@ -93,6 +105,7 @@ fn assert_case_equivalent(compiled: &CompiledModel, case: &TestCase, context: &s
 
     for (tick, tuple) in compiled.layout().split(&case.bytes).enumerate() {
         flat.step_tuple(tuple, &mut flat_log);
+        lean.step_tuple(tuple, &mut lean_log);
         tree.step_tuple(tuple, &mut tree_log);
         if jit_live {
             jit.step_tuple(tuple, &mut jit_log);
@@ -104,6 +117,12 @@ fn assert_case_equivalent(compiled: &CompiledModel, case: &TestCase, context: &s
                 flat.reg(m.reg).to_bits(),
                 tree.reg(rm.reg).to_bits(),
                 "{context}: signal {} diverges at tick {tick}",
+                m.name
+            );
+            assert_eq!(
+                lean.reg(m.reg).to_bits(),
+                flat.reg(m.reg).to_bits(),
+                "{context}: lean signal {} diverges at tick {tick}",
                 m.name
             );
             if jit_live {
@@ -119,6 +138,8 @@ fn assert_case_equivalent(compiled: &CompiledModel, case: &TestCase, context: &s
         let flat_out: Vec<u64> = flat.outputs().iter().map(|v| v.as_f64().to_bits()).collect();
         let tree_out: Vec<u64> = tree.outputs().iter().map(|v| v.as_f64().to_bits()).collect();
         assert_eq!(flat_out, tree_out, "{context}: outputs diverge at tick {tick}");
+        let lean_out: Vec<u64> = lean.outputs().iter().map(|v| v.as_f64().to_bits()).collect();
+        assert_eq!(lean_out, flat_out, "{context}: lean outputs diverge at tick {tick}");
         if jit_live {
             let jit_out: Vec<u64> = jit.outputs().iter().map(|v| v.as_f64().to_bits()).collect();
             assert_eq!(jit_out, flat_out, "{context}: jit outputs diverge at tick {tick}");
@@ -128,6 +149,8 @@ fn assert_case_equivalent(compiled: &CompiledModel, case: &TestCase, context: &s
         let fs: Vec<u64> = flat.state().iter().map(|x| x.to_bits()).collect();
         let ts: Vec<u64> = tree.state().iter().map(|x| x.to_bits()).collect();
         assert_eq!(fs, ts, "{context}: state diverges at tick {tick}");
+        let ls: Vec<u64> = lean.state().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(ls, fs, "{context}: lean state diverges at tick {tick}");
         if jit_live {
             let js: Vec<u64> = jit.state().iter().map(|x| x.to_bits()).collect();
             assert_eq!(js, fs, "{context}: jit state diverges at tick {tick}");
@@ -144,6 +167,18 @@ fn assert_case_equivalent(compiled: &CompiledModel, case: &TestCase, context: &s
     for (i, (f, t)) in flat_log.events.iter().zip(&tree_log.events).enumerate() {
         assert_eq!(f, t, "{context}: event {i} diverges");
     }
+    // A recorder that promises MC/DC events away gets every other event,
+    // in the same order, and none of those.
+    let without_mcdc: Vec<&Event> = flat_log
+        .events
+        .iter()
+        .filter(|e| !matches!(e, Event::Condition(..) | Event::Decision(..)))
+        .collect();
+    assert_eq!(
+        lean_log.events.iter().collect::<Vec<_>>(),
+        without_mcdc,
+        "{context}: events diverge without MC/DC"
+    );
     if jit_live {
         assert_eq!(
             jit_log.events.len(),
