@@ -2,8 +2,8 @@
 //!
 //! A fuzzing shard ([`Fuzzer`](crate::Fuzzer)) only runs Algorithm 1 and
 //! queues what it found — coverage-earning cases, lineage records,
-//! first-witness violations, external seeds, fresh TORC pairs and a stats
-//! delta — in a [`WorkerReport`]. A [`Campaign`] folds those reports into
+//! first-witness violations, external seeds and the stats booked since its
+//! last report — in a [`WorkerReport`]. A [`Campaign`] folds those reports into
 //! the campaign's output: it re-executes each candidate case against the
 //! global `g_TotalCov` (the re-execution, not the shard's claim, decides
 //! novelty, and the same pass records the case's provenance), books the
@@ -12,7 +12,6 @@
 //! after every batch; the parallel coordinator folds all workers' reports
 //! once per sync round. Either way the same code writes the output.
 
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,18 +51,14 @@ pub(crate) struct WorkerReport {
     /// Shard-local execution counts of the external seeds added since the
     /// last report.
     pub(crate) seeds: Vec<u64>,
-    /// TORC pairs admitted to the shard dictionary since the last report
-    /// (parallel shards only; sequential runs never track them).
-    pub(crate) torc: Vec<(f64, f64)>,
     /// Lineage records minted since the last report (ids are shard-strided,
     /// so streams from different shards never collide).
     pub(crate) lineage: Vec<LineageRecord>,
-    /// Cumulative shard-local totals.
-    pub(crate) executions: u64,
-    pub(crate) iterations: u64,
-    /// Stats delta since the previous report (commutative to merge, so the
-    /// arrival order across shards is irrelevant). Its `corpus_evictions`
-    /// count is also the number of `corpus-evict` events the fold emits.
+    /// Stats booked since the previous report (commutative to merge, so the
+    /// arrival order across shards is irrelevant). Its `executions` and
+    /// `iterations` advance the campaign's totals; its
+    /// `corpus_evictions` count is also the number of `corpus-evict` events
+    /// the fold emits.
     pub(crate) stats: ShardStats,
     /// Corpus entries currently retained by the shard.
     pub(crate) corpus_len: usize,
@@ -86,14 +81,6 @@ pub(crate) enum Folding {
     /// trajectories are not reproducible anyway) instead of by (worker,
     /// index).
     Rounds { by_time: bool },
-}
-
-/// What one fold accepted, for the coordinator's broadcast.
-pub(crate) struct Folded {
-    /// Suite indices of the globally-new cases.
-    pub(crate) accepted: Range<usize>,
-    /// Globally-new TORC pairs with the worker that found them.
-    pub(crate) torc: Vec<(usize, (f64, f64))>,
 }
 
 /// The fold's candidate recorder: the per-iteration branch bitmap (which
@@ -200,8 +187,6 @@ pub(crate) struct Campaign<'c> {
     provenance: ProvenanceTracker,
     /// First witness of each assertion, campaign-wide.
     violations: Vec<(usize, TestCase)>,
-    /// Every TORC pair any shard reported, for first-witness dedup.
-    torc_seen: HashSet<(u64, u64)>,
     /// Watches the *global* covered count (a shard-local watcher would
     /// mistake another shard's discoveries for stalls). Armed only with a
     /// telemetry registry and a configured window.
@@ -211,10 +196,11 @@ pub(crate) struct Campaign<'c> {
     span_trace: Option<SpanTrace>,
     /// Merged operator attribution (the outcome's yield matrix).
     yields: YieldMatrix,
-    /// Per-shard cumulative executions as of the last fold — the base for
+    /// Per-shard executions summed over the folded reports — the base for
     /// the global execution stamps of the next fold's cases.
     executions: Vec<u64>,
-    iterations: Vec<u64>,
+    /// Model iterations summed over the folded reports.
+    iterations: u64,
 }
 
 impl<'c> Campaign<'c> {
@@ -241,7 +227,6 @@ impl<'c> Campaign<'c> {
             lineage: Lineage::new(),
             provenance: ProvenanceTracker::new(compiled.map()),
             violations: Vec::new(),
-            torc_seen: HashSet::new(),
             plateau: config
                 .plateau_window
                 .filter(|_| telemetry.is_some())
@@ -251,7 +236,7 @@ impl<'c> Campaign<'c> {
             span_trace: config.span_trace.clone(),
             yields: YieldMatrix::new(MutationKind::ALL.len()),
             executions: vec![0; shards],
-            iterations: vec![0; shards],
+            iterations: 0,
         }
     }
 
@@ -287,9 +272,10 @@ impl<'c> Campaign<'c> {
 
     /// Folds one round of shard reports (one per shard on the coordinator,
     /// the lone shard's in-thread). Candidates are re-executed against the
-    /// global bitmap; only globally-novel ones enter the suite, provenance
-    /// and the returned broadcast set.
-    pub(crate) fn fold(&mut self, mut reports: Vec<WorkerReport>) -> Folded {
+    /// global bitmap; only globally-novel ones enter the suite and
+    /// provenance. Returns the suite indices of those, the coordinator's
+    /// broadcast set.
+    pub(crate) fn fold(&mut self, mut reports: Vec<WorkerReport>) -> Range<usize> {
         let timed = matches!(self.folding, Folding::InThread)
             && reports.iter().any(|r| !r.cases.is_empty())
             && (self.telemetry.is_some() || self.span_trace.is_some());
@@ -349,16 +335,6 @@ impl<'c> Campaign<'c> {
             }
         }
 
-        // Globally-new TORC pairs, first witness wins.
-        let mut fresh_torc = Vec::new();
-        for report in &reports {
-            for &(lhs, rhs) in &report.torc {
-                if self.torc_seen.insert((lhs.to_bits(), rhs.to_bits())) {
-                    fresh_torc.push((report.worker, (lhs, rhs)));
-                }
-            }
-        }
-
         if let Some(start) = fold_started {
             let end = Instant::now();
             let ns = end.saturating_duration_since(start).as_nanos() as u64;
@@ -392,13 +368,13 @@ impl<'c> Campaign<'c> {
                     });
                 }
             }
-            self.executions[report.worker] = report.executions;
-            self.iterations[report.worker] = report.iterations;
+            self.executions[report.worker] += report.stats.executions;
+            self.iterations += report.stats.iterations;
         }
 
         // Quiet windows that closed by the end of the round.
         self.watch_plateau(self.executions(), self.covered(), false);
-        Folded { accepted: first..self.suite.len(), torc: fresh_torc }
+        first..self.suite.len()
     }
 
     /// Books a globally-new case: suite entry, coverage event, metadata,
@@ -490,7 +466,7 @@ impl<'c> Campaign<'c> {
             violations: self.violations.clone(),
             events: self.events.clone(),
             executions: self.executions(),
-            iterations: self.iterations.iter().sum(),
+            iterations: self.iterations,
             branch_count: self.branch_count(),
             covered_branches: self.covered(),
             elapsed,

@@ -31,6 +31,10 @@ use crate::mutate::{MutationKind, Mutator};
 /// collection — like LibFuzzer's own table of recent compares. The fuzz
 /// loop's recorder exposes that table to the JIT, which skips the compares
 /// it already holds without calling back.
+///
+/// Each shard keeps its own ring, fed only by what that shard executes.
+/// Entries absorbed from peer shards run under the loop's recorder too, so
+/// their compares reach the ring without any pair crossing a channel.
 #[derive(Debug, Clone)]
 pub(crate) struct Torc {
     pub(crate) pairs: Vec<(f64, f64)>,
@@ -38,23 +42,13 @@ pub(crate) struct Torc {
     seen: CompareTable,
     /// Ring cursor: the slot the next eviction replaces (oldest entry).
     next_evict: usize,
-    /// When set, newly admitted pairs are also copied to `fresh` for the
-    /// parallel coordinator to merge (drained by [`Torc::take_fresh`]).
-    track_fresh: bool,
-    fresh: Vec<(f64, f64)>,
 }
 
 impl Torc {
     pub(crate) const CAPACITY: usize = 512;
 
     pub(crate) fn new() -> Self {
-        Torc {
-            pairs: Vec::new(),
-            seen: CompareTable::new(),
-            next_evict: 0,
-            track_fresh: false,
-            fresh: Vec::new(),
-        }
+        Torc { pairs: Vec::new(), seen: CompareTable::new(), next_evict: 0 }
     }
 
     /// Admits `(lhs, rhs)` under [`CompareTable::admissible`] unless the
@@ -72,31 +66,6 @@ impl Torc {
         } else {
             self.pairs.push((lhs, rhs));
         }
-        if self.track_fresh {
-            self.fresh.push((lhs, rhs));
-        }
-    }
-
-    /// Turns on fresh-pair tracking (parallel workers only; sequential use
-    /// would buffer pairs nobody drains).
-    pub(crate) fn enable_tracking(&mut self) {
-        self.track_fresh = true;
-    }
-
-    /// Drains the pairs admitted since the previous call.
-    pub(crate) fn take_fresh(&mut self) -> Vec<(f64, f64)> {
-        std::mem::take(&mut self.fresh)
-    }
-
-    /// Merges pairs discovered elsewhere (another worker's shard) without
-    /// echoing them back out through `fresh`.
-    pub(crate) fn absorb(&mut self, pairs: &[(f64, f64)]) {
-        let tracking = self.track_fresh;
-        self.track_fresh = false;
-        for &(lhs, rhs) in pairs {
-            self.push(lhs, rhs);
-        }
-        self.track_fresh = tracking;
     }
 }
 
@@ -407,13 +376,9 @@ pub struct Fuzzer<'c> {
     iterations: u64,
     started: Instant,
     elapsed: Duration,
-    /// Locally owned telemetry counters (lock-free; cumulative).
+    /// Telemetry counters booked since the last report (lock-free); moved
+    /// out by [`Fuzzer::take_report`].
     stats: ShardStats,
-    /// Baseline of the last report, for delta computation.
-    reported_stats: ShardStats,
-    /// Per-execution latency timing (costs two clock reads per input), on
-    /// only when a telemetry registry is attached.
-    time_execs: bool,
     /// Span-phase timing (mutation/execution/corpus attribution), on when a
     /// telemetry registry or a span-trace buffer is attached — otherwise
     /// the hot loop never reads the clock for spans.
@@ -432,8 +397,7 @@ impl<'c> Fuzzer<'c> {
 
     /// A parallel worker shard: lineage ids are minted under `worker`
     /// (shard 0's coincide with a sequential run's — the `workers == 1`
-    /// byte-identity contract), fresh TORC pairs are tracked for the
-    /// coordinator, and the shard owns no campaign.
+    /// byte-identity contract), and the shard owns no campaign.
     pub(crate) fn shard(compiled: &'c CompiledModel, config: FuzzConfig, worker: usize) -> Self {
         Fuzzer::build(compiled, config, Some(worker))
     }
@@ -452,14 +416,9 @@ impl<'c> Fuzzer<'c> {
             FeedbackMode::CodeLevelOnly => Some(compiled.map().code_level_mask()),
         };
         let shard = worker.unwrap_or(0);
-        let mut torc = Torc::new();
-        if worker.is_some() {
-            torc.enable_tracking();
-        }
-        let time_execs = config.telemetry.is_some();
         let span_sampler =
             config.span_trace.clone().map(|trace| SpanSampler::new(trace, shard as u32));
-        let time_spans = time_execs || span_sampler.is_some();
+        let time_spans = config.telemetry.is_some() || span_sampler.is_some();
         let campaign = match worker {
             None => Some(Campaign::new(compiled, &config, 1, Folding::InThread)),
             Some(_) => None,
@@ -476,7 +435,7 @@ impl<'c> Fuzzer<'c> {
             curr: BranchBitmap::new(branch_count),
             last: BranchBitmap::new(branch_count),
             mask,
-            torc,
+            torc: Torc::new(),
             failed_assertions: vec![false; assertions],
             witnessed: vec![false; assertions],
             cases: Vec::new(),
@@ -490,8 +449,6 @@ impl<'c> Fuzzer<'c> {
             started: Instant::now(),
             elapsed: Duration::ZERO,
             stats: ShardStats::new(MutationKind::ALL.len()),
-            reported_stats: ShardStats::new(MutationKind::ALL.len()),
-            time_execs,
             time_spans,
             span_sampler,
             campaign,
@@ -528,9 +485,7 @@ impl<'c> Fuzzer<'c> {
     /// paper's §5 proposes ("first apply constraint solving ... and then
     /// generate input data accordingly").
     pub fn add_seed(&mut self, bytes: Vec<u8>) {
-        let (new_branches, metric) = self.execute(&bytes);
-        self.executions += 1;
-        self.stats.executions += 1;
+        let (new_branches, metric) = self.execute_booked(&bytes);
         let case_id = self.shard as u64 * SHARD_ID_STRIDE + self.next_case;
         let emitted = new_branches > 0;
         if emitted {
@@ -630,20 +585,16 @@ impl<'c> Fuzzer<'c> {
     }
 
     /// Moves everything found since the previous report out of the shard
-    /// into a [`WorkerReport`], with the stats accumulated since then.
+    /// into a [`WorkerReport`], the stats booked since then included; the
+    /// shard starts a fresh stats window.
     pub(crate) fn take_report(&mut self) -> WorkerReport {
-        let stats = self.stats.delta_since(&self.reported_stats);
-        self.reported_stats = self.stats.clone();
         WorkerReport {
             worker: self.shard,
             cases: std::mem::take(&mut self.cases),
             violations: std::mem::take(&mut self.violations),
             seeds: std::mem::take(&mut self.seeds),
-            torc: self.torc.take_fresh(),
             lineage: std::mem::take(&mut self.lineage),
-            executions: self.executions,
-            iterations: self.iterations,
-            stats,
+            stats: std::mem::replace(&mut self.stats, ShardStats::new(MutationKind::ALL.len())),
             corpus_len: self.corpus.len(),
             corpus_seeds: match self.config.telemetry {
                 Some(_) => self.corpus.seed_reports(self.executions),
@@ -700,10 +651,8 @@ impl<'c> Fuzzer<'c> {
             self.note_span(SpanKind::Mutation, start);
         }
 
-        let (new_branches, metric) = self.execute(&data);
+        let (new_branches, metric) = self.execute_booked(&data);
         self.stats.mutation_depth.record(u64::from(rounds));
-        self.executions += 1;
-        self.stats.executions += 1;
         let earned = new_branches > 0;
         if earned {
             self.stats.discoveries += 1;
@@ -808,13 +757,29 @@ impl<'c> Fuzzer<'c> {
         }
     }
 
+    /// Runs one generated or seeded input and books it as fuzzing work:
+    /// one execution, its ticks and its [`SpanKind::Execution`] span.
+    fn execute_booked(&mut self, data: &[u8]) -> (usize, usize) {
+        let start = if self.time_spans { Some(Instant::now()) } else { None };
+        let (new_branches, metric, ticks) = self.execute(data);
+        if let Some(start) = start {
+            self.note_span(SpanKind::Execution, start);
+        }
+        self.executions += 1;
+        self.stats.executions += 1;
+        self.iterations += ticks;
+        self.stats.iterations += ticks;
+        (new_branches, metric)
+    }
+
     /// Algorithm 1: runs one input, returning `(new branches, iteration
-    /// difference metric)`.
-    fn execute(&mut self, data: &[u8]) -> (usize, usize) {
-        let timer = if self.time_spans { Some(Instant::now()) } else { None };
+    /// difference metric, ticks run)`. Books nothing: the caller decides
+    /// whether the run counts as fuzzing work.
+    fn execute(&mut self, data: &[u8]) -> (usize, usize, u64) {
         self.exec.reset(); // Model_init()
         let mut new_branches = 0;
         let mut metric = 0;
+        let mut ticks = 0;
         self.last.clear();
         self.failed_assertions.iter_mut().for_each(|f| *f = false);
         // Line 11: `curr` is clear here, and `commit_tick` clears it
@@ -836,21 +801,9 @@ impl<'c> Fuzzer<'c> {
             let (new, diff) = self.curr.commit_tick(&mut self.total, &mut self.last);
             new_branches += new;
             metric += diff;
-            self.iterations += 1;
-            self.stats.iterations += 1;
+            ticks += 1;
         }
-        if let Some(start) = timer {
-            let end = Instant::now();
-            let ns = end.saturating_duration_since(start).as_nanos() as u64;
-            if self.time_execs {
-                self.stats.exec_latency_ns.record(ns);
-            }
-            self.stats.spans.record(SpanKind::Execution, ns);
-            if let Some(sampler) = &mut self.span_sampler {
-                sampler.record(SpanKind::Execution, start, end);
-            }
-        }
-        (new_branches, metric)
+        (new_branches, metric, ticks)
     }
 
     // ---- parallel-engine hooks (crate-private; see `parallel.rs`) ----
@@ -892,23 +845,14 @@ impl<'c> Fuzzer<'c> {
     }
 
     /// Imports a corpus entry discovered by another worker shard: executes
-    /// it so this shard's `g_TotalCov`, TORC, and corpus account for the
-    /// broadcast coverage, without counting it as fuzzing work (the
-    /// originating worker already counted the execution) and without
-    /// re-reporting its discoveries (suite, events, and violations stay
-    /// untouched — the coordinator owns the merged view).
+    /// it so this shard's `g_TotalCov`, TORC ring, and corpus account for
+    /// the broadcast coverage and its compare operands, without counting it
+    /// as fuzzing work (the originating worker already counted the
+    /// execution, so no counter or span books it) and without re-reporting
+    /// its discoveries (suite, events, and violations stay untouched — the
+    /// coordinator owns the merged view).
     pub(crate) fn absorb_entry(&mut self, id: u64, bytes: Vec<u8>) {
-        let iterations = self.iterations;
-        let executions = self.executions;
-        let stats = self.stats.clone();
-        let tracking = std::mem::take(&mut self.torc.track_fresh);
-        let (new_branches, metric) = self.execute(&bytes);
-        self.torc.track_fresh = tracking;
-        self.iterations = iterations;
-        self.executions = executions;
-        // The originating worker already counted this execution; rolling
-        // the stats back keeps the telemetry totals double-count-free.
-        self.stats = stats;
+        let (new_branches, metric, _) = self.execute(&bytes);
         // Only keep it if it taught this shard something; otherwise it
         // would crowd out locally interesting entries. The entry keeps the
         // lineage id its originating shard minted, so mutants of it trace
@@ -921,11 +865,6 @@ impl<'c> Fuzzer<'c> {
                 self.corpus.note_committed(id, None, self.executions);
             }
         }
-    }
-
-    /// Merges compare-dictionary pairs broadcast by the coordinator.
-    pub(crate) fn absorb_torc(&mut self, pairs: &[(f64, f64)]) {
-        self.torc.absorb(pairs);
     }
 }
 
@@ -1003,17 +942,20 @@ mod tests {
         assert_eq!(t.pairs.len(), Torc::CAPACITY);
     }
 
+    /// A peer's entry reaches this shard's ring by running here: absorbing
+    /// an input that evaluates the `u1 == 77` guard admits its operands,
+    /// and the absorbed run books no execution, tick or span.
     #[test]
-    fn torc_fresh_tracking_drains_and_skips_absorbed() {
-        let mut t = Torc::new();
-        t.push(10.0, 20.0); // before tracking: not recorded as fresh
-        t.enable_tracking();
-        t.push(30.0, 40.0);
-        t.absorb(&[(50.0, 60.0), (10.0, 20.0)]); // imported, not echoed
-        assert_eq!(t.take_fresh(), vec![(30.0, 40.0)]);
-        assert!(t.take_fresh().is_empty(), "drained");
-        assert!(t.pairs.contains(&(50.0, 60.0)), "absorbed pairs join the table");
-        assert_eq!(t.pairs.len(), 3, "absorbed duplicate was deduped");
+    fn absorbed_entry_feeds_the_ring_and_books_nothing() {
+        let compiled = magic_model();
+        let telemetry = Some(Arc::new(Telemetry::new()));
+        let mut shard = Fuzzer::shard(&compiled, FuzzConfig { telemetry, ..Default::default() }, 1);
+        assert!(shard.torc.pairs.is_empty());
+        shard.absorb_entry(7, vec![5]);
+        assert!(shard.torc.pairs.contains(&(5.0, 77.0)), "ring: {:?}", shard.torc.pairs);
+        let stats = shard.take_report().stats;
+        assert_eq!((stats.executions, stats.iterations), (0, 0));
+        assert!(stats.spans.is_empty(), "absorbed runs book no span");
     }
 
     #[test]
@@ -1071,8 +1013,8 @@ mod tests {
         let compiled = compile(&b.finish().unwrap()).unwrap();
 
         let mut fuzzer = Fuzzer::new(&compiled, FuzzConfig { seed: 1, ..Default::default() });
-        let (_, metric_short) = fuzzer.execute(&[0]);
-        let (_, metric_long) = fuzzer.execute(&[0, 0, 0, 0, 0, 0, 0, 0]);
+        let (_, metric_short, _) = fuzzer.execute(&[0]);
+        let (_, metric_long, _) = fuzzer.execute(&[0, 0, 0, 0, 0, 0, 0, 0]);
         assert!(
             metric_long > metric_short,
             "long state-visiting input should score higher: {metric_long} vs {metric_short}"
@@ -1110,7 +1052,8 @@ mod tests {
         assert_eq!(compiled.map().branch_count(), 6);
 
         let mut fuzzer = Fuzzer::new(&compiled, FuzzConfig::default());
-        let (new_branches, metric) = fuzzer.execute(&[0, 0, 0]);
+        let (new_branches, metric, ticks) = fuzzer.execute(&[0, 0, 0]);
+        assert_eq!(ticks, 3);
         assert_eq!(metric, 10, "Figure 6: metric = 3 + 4 + 3");
         assert_eq!(new_branches, 6, "all six probes fire across the three iterations");
     }
@@ -1179,7 +1122,7 @@ mod tests {
 
 /// Exactness of the TORC ring against a reference model built on
 /// `std::collections::HashSet`: the same operation stream must leave the
-/// same `pairs` and `fresh`, with the same admission result for every push.
+/// same `pairs`, with the same admission result for every push.
 #[cfg(test)]
 mod torc_properties {
     use std::collections::HashSet;
@@ -1194,8 +1137,6 @@ mod torc_properties {
         pairs: Vec<(f64, f64)>,
         seen: HashSet<(u64, u64)>,
         next_evict: usize,
-        track_fresh: bool,
-        fresh: Vec<(f64, f64)>,
         /// Pairs this model admitted.
         admitted: u64,
     }
@@ -1217,18 +1158,7 @@ mod torc_properties {
             } else {
                 self.pairs.push((lhs, rhs));
             }
-            if self.track_fresh {
-                self.fresh.push((lhs, rhs));
-            }
             self.admitted += 1;
-        }
-
-        fn absorb(&mut self, pairs: &[(f64, f64)]) {
-            let tracking = std::mem::replace(&mut self.track_fresh, false);
-            for &(lhs, rhs) in pairs {
-                self.push(lhs, rhs);
-            }
-            self.track_fresh = tracking;
         }
     }
 
@@ -1269,44 +1199,32 @@ mod torc_properties {
     }
 
     /// Runs `ops` (selector, lhs draw, rhs draw) through both tables,
-    /// checking them after every step; returns the admissions made.
+    /// checking them after every push; returns the admissions made.
     fn replay(ops: &[(u8, u64, u64)], spread: u64) -> Result<u64, TestCaseError> {
         let mut torc = Torc::new();
         let mut reference = Reference::default();
         for &(op, a, b) in ops {
             let (lhs, rhs) = (operand(a, spread), operand(b, spread));
-            match op {
-                0..=11 => {
-                    torc.push(lhs, rhs);
-                    reference.push(lhs, rhs);
-                    // An admission either grows the ring or advances its
-                    // eviction cursor, so equal (len, cursor) after every
-                    // push means the two tables admitted the same pushes.
-                    prop_assert_eq!(
-                        (torc.pairs.len(), torc.next_evict),
-                        (reference.pairs.len(), reference.next_evict),
-                        "admission of ({:?}, {:?})",
-                        lhs,
-                        rhs
-                    );
-                }
-                12 | 13 => {
-                    let batch = [(lhs, rhs), (rhs, lhs), (lhs, operand(a ^ b, spread))];
-                    torc.absorb(&batch);
-                    reference.absorb(&batch);
-                }
-                14 => {
-                    torc.enable_tracking();
-                    reference.track_fresh = true;
-                }
-                _ => {
-                    let fresh = torc.take_fresh();
-                    prop_assert_eq!(bits(&fresh), bits(&std::mem::take(&mut reference.fresh)));
-                }
+            // Most draws push one pair; the rest push a burst of three
+            // related pairs, as one tick's compares often are.
+            let burst = [(lhs, rhs), (rhs, lhs), (lhs, operand(a ^ b, spread))];
+            let pairs = if op < 12 { &burst[..1] } else { &burst[..] };
+            for &(lhs, rhs) in pairs {
+                torc.push(lhs, rhs);
+                reference.push(lhs, rhs);
+                // An admission either grows the ring or advances its
+                // eviction cursor, so equal (len, cursor) after every
+                // push means the two tables admitted the same pushes.
+                prop_assert_eq!(
+                    (torc.pairs.len(), torc.next_evict),
+                    (reference.pairs.len(), reference.next_evict),
+                    "admission of ({:?}, {:?})",
+                    lhs,
+                    rhs
+                );
             }
         }
         prop_assert_eq!(bits(&torc.pairs), bits(&reference.pairs));
-        prop_assert_eq!(bits(&torc.take_fresh()), bits(&reference.fresh));
         Ok(reference.admitted)
     }
 

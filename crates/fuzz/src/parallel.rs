@@ -13,9 +13,12 @@
 //!    find the same branch in the same round), and the fold books the
 //!    merged suite, provenance, lineage, first-witness violations, the
 //!    plateau watch, every forensic event and the registry merge,
-//! 2. broadcasts the globally-new corpus entries and TORC pairs back to
-//!    every *other* shard, so discoveries propagate without the shards
-//!    sharing mutable state,
+//! 2. broadcasts the globally-new corpus entries back to every *other*
+//!    shard, so discoveries propagate without the shards sharing mutable
+//!    state; a receiving shard runs each entry under its own loop recorder,
+//!    which also admits the entry's compare operands into its TORC ring
+//!    (no TORC pair is ever sent: each ring is fed only by what its shard
+//!    executes),
 //! 3. books the round as a `sync_round` span and `sync-round` event.
 //!
 //! A sequential run is the one-shard case of the same fold, so the merged
@@ -63,8 +66,6 @@ struct Broadcast {
     /// Globally-new corpus entries discovered by *other* workers, with the
     /// lineage id their originating shard minted.
     entries: Vec<(u64, Vec<u8>)>,
-    /// Globally-new TORC pairs discovered by *other* workers.
-    torc: Vec<(f64, f64)>,
     /// Budget exhausted everywhere: exit after absorbing.
     stop: bool,
 }
@@ -120,7 +121,6 @@ fn worker_loop(
         for (id, bytes) in broadcast.entries {
             fuzzer.absorb_entry(id, bytes);
         }
-        fuzzer.absorb_torc(&broadcast.torc);
         if broadcast.stop {
             return;
         }
@@ -208,9 +208,9 @@ impl<'c> ParallelFuzzer<'c> {
 
                 let merge_started = Instant::now();
                 let all_done = reports.iter().all(|r| r.done);
-                let folded = campaign.fold(reports);
-                let accepted = &campaign.suite()[folded.accepted.clone()];
-                let accepted_meta = &campaign.suite_meta()[folded.accepted.clone()];
+                let accepted_range = campaign.fold(reports);
+                let accepted = &campaign.suite()[accepted_range.clone()];
+                let accepted_meta = &campaign.suite_meta()[accepted_range];
                 for (worker, tx) in broadcast_txs.iter().enumerate() {
                     let broadcast = Broadcast {
                         entries: accepted
@@ -218,12 +218,6 @@ impl<'c> ParallelFuzzer<'c> {
                             .zip(accepted_meta)
                             .filter(|(_, meta)| meta.shard != worker)
                             .map(|(case, meta)| (meta.case, case.bytes.clone()))
-                            .collect(),
-                        torc: folded
-                            .torc
-                            .iter()
-                            .filter(|&&(origin, _)| origin != worker)
-                            .map(|&(_, pair)| pair)
                             .collect(),
                         stop: all_done,
                     };

@@ -8,7 +8,7 @@ use std::time::Duration;
 use cftcg_codegen::compile;
 use cftcg_coverage::{Goal, ProvenanceTracker};
 use cftcg_fuzz::{FuzzConfig, FuzzOutcome, Fuzzer, ParallelFuzzConfig, ParallelFuzzer, TraceHook};
-use cftcg_telemetry::{json::Json, SharedBuf, Telemetry};
+use cftcg_telemetry::{json::Json, SharedBuf, SpanKind, Telemetry};
 
 fn config(seed: u64) -> FuzzConfig {
     FuzzConfig { seed, ..FuzzConfig::default() }
@@ -131,7 +131,10 @@ fn one_worker_with_telemetry_stays_byte_identical() {
     assert_eq!(snapshot.totals.executions, expected.executions);
     assert_eq!(snapshot.totals.iterations, expected.iterations);
     assert_eq!(snapshot.covered, merged.covered_branches);
-    assert!(!snapshot.totals.exec_latency_ns.is_empty(), "latency timing was on");
+    assert!(
+        !snapshot.totals.spans.histogram(SpanKind::Execution).is_empty(),
+        "latency timing was on"
+    );
 
     let log = jsonl.contents();
     assert!(!log.is_empty(), "sync rounds and discoveries were logged");

@@ -115,19 +115,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
-    /// The difference `self − baseline`, assuming `baseline` is an earlier
-    /// snapshot of this histogram (all counters monotone). Used to turn
-    /// cumulative per-shard stats into per-sync-round deltas.
-    pub fn delta_since(&self, baseline: &Histogram) -> Histogram {
-        let mut delta = Histogram::new();
-        for (i, (now, base)) in self.buckets.iter().zip(&baseline.buckets).enumerate() {
-            delta.buckets[i] = now.saturating_sub(*base);
-        }
-        delta.count = self.count.saturating_sub(baseline.count);
-        delta.sum = self.sum.saturating_sub(baseline.sum);
-        delta
-    }
-
     /// Non-empty buckets as `(inclusive upper bound, cumulative count)`
     /// pairs, in ascending bound order — the shape Prometheus histogram
     /// exposition wants.
@@ -194,20 +181,5 @@ mod tests {
             assert!(pair[0].1 < pair[1].1, "counts cumulative");
         }
         assert_eq!(buckets.last().unwrap().1, h.count());
-    }
-
-    #[test]
-    fn delta_since_recovers_the_window() {
-        let mut h = Histogram::new();
-        h.record(5);
-        h.record(100);
-        let snapshot = h.clone();
-        h.record(7);
-        let delta = h.delta_since(&snapshot);
-        assert_eq!(delta.count(), 1);
-        assert_eq!(delta.sum(), 7);
-        let mut rebuilt = snapshot.clone();
-        rebuilt.merge_from(&delta);
-        assert_eq!(rebuilt, h, "snapshot + delta == current");
     }
 }

@@ -9,10 +9,10 @@
 //! The hot path never takes a lock: each fuzzing shard (a worker thread, or
 //! the one sequential fuzzer) owns a plain [`ShardStats`] — counters plus
 //! log₂-scale [`Histogram`]s — and records into it with ordinary integer
-//! arithmetic. At *sync rounds* (or status ticks for the sequential loop)
-//! the shard's cumulative stats are snapshotted, the delta since the last
-//! report is computed ([`ShardStats::delta_since`]), and the delta is folded
-//! into the shared [`Telemetry`] registry under a short mutex hold
+//! arithmetic. At *sync rounds* (or after every batch of the sequential
+//! loop) the shard hands over the stats booked since its last report and
+//! starts a fresh window; the window is folded into the shared
+//! [`Telemetry`] registry under a short mutex hold
 //! ([`Telemetry::merge_shard`]). Merging is commutative and associative
 //! (element-wise addition), so shard order never matters.
 //!
@@ -35,7 +35,7 @@
 //! # Example
 //!
 //! ```
-//! use cftcg_telemetry::{Event, ShardStats, Telemetry, YieldOutcome};
+//! use cftcg_telemetry::{Event, ShardStats, SpanKind, Telemetry, YieldOutcome};
 //!
 //! let telemetry = Telemetry::new().with_jsonl(Vec::new());
 //! telemetry.set_operator_labels(&["EraseTuples", "InsertTuple"]);
@@ -43,7 +43,7 @@
 //! // A shard records locally, lock-free…
 //! let mut stats = ShardStats::new(2);
 //! stats.executions += 1;
-//! stats.exec_latency_ns.record(12_345);
+//! stats.spans.record(SpanKind::Execution, 12_345);
 //! stats.yields.record(0, YieldOutcome::Executed);
 //!
 //! // …and merges at a sync point.
@@ -120,7 +120,7 @@ impl YieldOutcome {
 /// The per-operator × per-outcome yield matrix: for every mutation
 /// operator, how many attributed candidate executions reached each
 /// [`YieldOutcome`]. Its merge is element-wise addition, commutative and
-/// associative, so it rides the shard delta/merge machinery unchanged.
+/// associative, so it rides the shard merge machinery unchanged.
 ///
 /// The operator index space is defined by the caller (the fuzz crate maps
 /// its `MutationKind` table onto `0..n`); labels are attached once via
@@ -172,21 +172,6 @@ impl YieldMatrix {
                 *m += t;
             }
         }
-    }
-
-    /// The difference `self − baseline` (both from the same monotone
-    /// counter stream).
-    pub fn delta_since(&self, baseline: &YieldMatrix) -> YieldMatrix {
-        let rows = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let base = baseline.rows.get(i).copied().unwrap_or_default();
-                std::array::from_fn(|j| row[j].saturating_sub(base[j]))
-            })
-            .collect();
-        YieldMatrix { rows }
     }
 
     /// The matrix as reportable rows, row `i` under the `i`-th label
@@ -245,8 +230,8 @@ pub struct PlateauSummary {
 }
 
 /// One shard's locally owned metrics. Plain data, no locks: the owning
-/// worker increments fields directly; deltas are merged into [`Telemetry`]
-/// at sync points.
+/// worker increments fields directly and hands each window of them to
+/// [`Telemetry::merge_shard`] at sync points.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardStats {
     /// Inputs executed.
@@ -259,18 +244,15 @@ pub struct ShardStats {
     pub corpus_inserts: u64,
     /// Corpus replacements (an older entry was evicted).
     pub corpus_evictions: u64,
-    /// Per-input execution latency, nanoseconds (recorded only when a
-    /// telemetry handle is attached — timing costs two clock reads).
-    pub exec_latency_ns: Histogram,
     /// Mutation stacking depth per generated candidate.
     pub mutation_depth: Histogram,
-    /// Coordinator-side sync-round merge cost, nanoseconds (empty on
-    /// worker shards).
-    pub sync_duration_ns: Histogram,
     /// Per-operator × per-outcome mutation yield.
     pub yields: YieldMatrix,
     /// Span-based self-profiling: per-phase wall-clock attribution
     /// (recorded only when a telemetry handle or trace buffer is attached).
+    /// Its [`SpanKind::Execution`] histogram is the per-input execution
+    /// latency and its [`SpanKind::SyncRound`] histogram the coordinator's
+    /// sync-round cost.
     pub spans: SpanStats,
 }
 
@@ -287,28 +269,9 @@ impl ShardStats {
         self.discoveries += other.discoveries;
         self.corpus_inserts += other.corpus_inserts;
         self.corpus_evictions += other.corpus_evictions;
-        self.exec_latency_ns.merge_from(&other.exec_latency_ns);
         self.mutation_depth.merge_from(&other.mutation_depth);
-        self.sync_duration_ns.merge_from(&other.sync_duration_ns);
         self.yields.merge_from(&other.yields);
         self.spans.merge_from(&other.spans);
-    }
-
-    /// The difference `self − baseline`, where `baseline` is an earlier
-    /// snapshot of this same stats block.
-    pub fn delta_since(&self, baseline: &ShardStats) -> ShardStats {
-        ShardStats {
-            executions: self.executions.saturating_sub(baseline.executions),
-            iterations: self.iterations.saturating_sub(baseline.iterations),
-            discoveries: self.discoveries.saturating_sub(baseline.discoveries),
-            corpus_inserts: self.corpus_inserts.saturating_sub(baseline.corpus_inserts),
-            corpus_evictions: self.corpus_evictions.saturating_sub(baseline.corpus_evictions),
-            exec_latency_ns: self.exec_latency_ns.delta_since(&baseline.exec_latency_ns),
-            mutation_depth: self.mutation_depth.delta_since(&baseline.mutation_depth),
-            sync_duration_ns: self.sync_duration_ns.delta_since(&baseline.sync_duration_ns),
-            yields: self.yields.delta_since(&baseline.yields),
-            spans: self.spans.delta_since(&baseline.spans),
-        }
     }
 }
 
@@ -429,12 +392,6 @@ struct PromSink {
     last: Option<Instant>,
 }
 
-struct BlockCostCell {
-    executions: u64,
-    total_ns: u64,
-    ns: Histogram,
-}
-
 struct Inner {
     totals: ShardStats,
     shards: Vec<ShardCell>,
@@ -449,7 +406,7 @@ struct Inner {
     operator_labels: Vec<String>,
     /// Per-block-kind execution cost from profiled replays (`cftcg-trace`).
     /// A `BTreeMap` keeps reports and the Prometheus dump deterministic.
-    block_costs: BTreeMap<String, BlockCostCell>,
+    block_costs: BTreeMap<String, KindCost>,
     /// Coverage/throughput time series, sampled on merge windows.
     series: SeriesRing,
     /// `(t_s, executions)` at the last retained series sample, for the
@@ -461,6 +418,56 @@ struct Inner {
     corpus_seeds: Vec<Vec<CorpusSeedReport>>,
     plateaus: u64,
     last_plateau: Option<PlateauSummary>,
+}
+
+/// The accumulated cost of one block kind across profiled replays — what a
+/// replay profile (`cftcg-trace`) collects per kind and the registry merges.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KindCost {
+    /// Block executions observed.
+    pub executions: u64,
+    /// Total attributed wall-clock nanoseconds (subsystem containers are
+    /// inclusive of their children, which are also counted individually).
+    pub total_ns: u64,
+    /// Per-execution latency distribution.
+    pub ns: Histogram,
+}
+
+impl KindCost {
+    /// Books one block execution that took `ns` nanoseconds.
+    pub fn record(&mut self, ns: u64) {
+        self.executions += 1;
+        self.total_ns = self.total_ns.saturating_add(ns);
+        self.ns.record(ns);
+    }
+
+    /// Folds another accumulator into this one (additive and commutative).
+    pub fn merge_from(&mut self, other: &KindCost) {
+        self.executions += other.executions;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.ns.merge_from(&other.ns);
+    }
+
+    /// The "hottest blocks" rows of `kinds`, sorted by total attributed
+    /// time descending (ties broken by kind name).
+    pub fn rows<'a>(kinds: impl IntoIterator<Item = (&'a str, &'a KindCost)>) -> Vec<BlockCost> {
+        let mut rows: Vec<BlockCost> = kinds
+            .into_iter()
+            .map(|(kind, cost)| BlockCost {
+                kind: kind.to_string(),
+                executions: cost.executions,
+                total_ns: cost.total_ns,
+                mean_ns: if cost.executions > 0 {
+                    cost.total_ns as f64 / cost.executions as f64
+                } else {
+                    0.0
+                },
+                p99_ns: cost.ns.quantile_upper_bound(0.99),
+            })
+            .collect();
+        rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.kind.cmp(&b.kind)));
+        rows
+    }
 }
 
 /// One row of the "hottest blocks" report: accumulated cost of a block
@@ -606,7 +613,6 @@ impl Telemetry {
                 inner.last_sync_ms = *duration_ms;
                 inner.covered = inner.covered.max(*covered);
                 inner.branch_count = *total;
-                inner.totals.sync_duration_ns.record((duration_ms * 1e6) as u64);
                 inner.totals.spans.record(SpanKind::SyncRound, (duration_ms * 1e6) as u64);
             }
             _ => {}
@@ -624,8 +630,9 @@ impl Telemetry {
         }
     }
 
-    /// Folds a shard's stats *delta* into the campaign totals and updates
-    /// that shard's execution-rate estimate and corpus gauge.
+    /// Folds one window of a shard's stats (booked since its previous
+    /// merge) into the campaign totals and updates that shard's
+    /// execution-rate estimate and corpus gauge.
     pub fn merge_shard(&self, shard: usize, delta: &ShardStats, corpus_len: usize) {
         let now = self.started.elapsed();
         let mut inner = self.lock();
@@ -768,16 +775,8 @@ impl Telemetry {
 
     /// Folds one block kind's profiled cost into the registry (additive and
     /// commutative, like shard merging).
-    pub fn merge_block_cost(&self, kind: &str, executions: u64, total_ns: u64, ns: &Histogram) {
-        let mut inner = self.lock();
-        let cell = inner.block_costs.entry(kind.to_string()).or_insert_with(|| BlockCostCell {
-            executions: 0,
-            total_ns: 0,
-            ns: Histogram::new(),
-        });
-        cell.executions += executions;
-        cell.total_ns = cell.total_ns.saturating_add(total_ns);
-        cell.ns.merge_from(ns);
+    pub fn merge_block_cost(&self, kind: &str, cost: &KindCost) {
+        self.lock().block_costs.entry(kind.to_string()).or_default().merge_from(cost);
     }
 
     /// A point-in-time copy of the merged state.
@@ -827,10 +826,11 @@ impl Telemetry {
             "cftcg_frontier_open_branches {}\n",
             snapshot.branch_count.saturating_sub(snapshot.covered)
         ));
-        out.push_str("# HELP cftcg_execs_per_second Campaign-wide execution rate since start\n");
+        out.push_str(
+            "# HELP cftcg_execs_per_second Execution rate over the latest series window\n",
+        );
         out.push_str("# TYPE cftcg_execs_per_second gauge\n");
-        let secs = snapshot.elapsed.as_secs_f64().max(1e-9);
-        out.push_str(&format!("cftcg_execs_per_second {:.1}\n", t.executions as f64 / secs));
+        out.push_str(&format!("cftcg_execs_per_second {:.1}\n", snapshot.execs_per_sec()));
         out.push_str("# HELP cftcg_series_points Retained coverage time-series samples\n");
         out.push_str("# TYPE cftcg_series_points gauge\n");
         out.push_str(&format!("cftcg_series_points {}\n", snapshot.series.len()));
@@ -899,9 +899,17 @@ impl Telemetry {
         }
 
         for (name, help, histogram) in [
-            ("cftcg_exec_latency_ns", "Per-input execution latency (ns)", &t.exec_latency_ns),
+            (
+                "cftcg_exec_latency_ns",
+                "Per-input execution latency (ns)",
+                t.spans.histogram(SpanKind::Execution),
+            ),
             ("cftcg_mutation_depth", "Stacked mutations per candidate", &t.mutation_depth),
-            ("cftcg_sync_duration_ns", "Coordinator sync-round cost (ns)", &t.sync_duration_ns),
+            (
+                "cftcg_sync_duration_ns",
+                "Coordinator sync-round cost (ns)",
+                t.spans.histogram(SpanKind::SyncRound),
+            ),
             (
                 "cftcg_block_exec_ns",
                 "Profiled per-block execution latency (ns)",
@@ -950,22 +958,7 @@ impl Telemetry {
 /// The registry's merged state as a [`TelemetrySnapshot`]: every view
 /// (status line, Prometheus, `/snapshot`, dashboard) renders from one.
 fn snapshot_of(inner: &Inner, elapsed: Duration) -> TelemetrySnapshot {
-    let mut block_costs: Vec<BlockCost> = inner
-        .block_costs
-        .iter()
-        .map(|(kind, cell)| BlockCost {
-            kind: kind.clone(),
-            executions: cell.executions,
-            total_ns: cell.total_ns,
-            mean_ns: if cell.executions > 0 {
-                cell.total_ns as f64 / cell.executions as f64
-            } else {
-                0.0
-            },
-            p99_ns: cell.ns.quantile_upper_bound(0.99),
-        })
-        .collect();
-    block_costs.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.kind.cmp(&b.kind)));
+    let block_costs = KindCost::rows(inner.block_costs.iter().map(|(k, c)| (k.as_str(), c)));
     let mut block_ns = Histogram::new();
     for cell in inner.block_costs.values() {
         block_ns.merge_from(&cell.ns);
@@ -1031,12 +1024,11 @@ fn sample_series(inner: &mut Inner, t_s: f64) {
 /// Renders the one-line status summary.
 fn render_status(snap: &TelemetrySnapshot) -> String {
     let t = &snap.totals;
-    let secs = snap.elapsed.as_secs_f64().max(1e-9);
-    let overall_rate = t.executions as f64 / secs;
     let mut line = format!(
-        "[{secs:8.1}s] execs {} ({}/s)",
+        "[{:8.1}s] execs {} ({}/s)",
+        snap.elapsed.as_secs_f64(),
         group_digits(t.executions),
-        group_digits(overall_rate as u64)
+        group_digits(snap.execs_per_sec() as u64)
     );
     if snap.shard_rates.len() > 1 {
         let min = snap.shard_rates.iter().copied().fold(f64::INFINITY, f64::min);
@@ -1059,12 +1051,10 @@ fn render_status(snap: &TelemetrySnapshot) -> String {
     if snap.last_sync_ms > 0.0 {
         line.push_str(&format!(" | sync {:.1}ms", snap.last_sync_ms));
     }
-    if !t.exec_latency_ns.is_empty() {
+    let exec_ns = t.spans.histogram(SpanKind::Execution);
+    if !exec_ns.is_empty() {
         // The latency is a histogram bucket's upper bound.
-        line.push_str(&format!(
-            " | p50 exec ≤{}",
-            format_ns(t.exec_latency_ns.quantile_upper_bound(0.5))
-        ));
+        line.push_str(&format!(" | p50 exec ≤{}", format_ns(exec_ns.quantile_upper_bound(0.5))));
     }
     line
 }
@@ -1199,7 +1189,7 @@ mod tests {
         let t = Telemetry::new().with_status_to(Duration::from_millis(0), buf.clone());
         let mut stats = ShardStats::new(1);
         stats.executions = 1_234;
-        stats.exec_latency_ns.record(5_000);
+        stats.spans.record(SpanKind::Execution, 5_000);
         t.merge_shard(0, &stats, 17);
         t.emit(&Event::NewCoverage { shard: 0, executions: 10, covered: 4, total: 8, t: 0.1 });
         t.status_tick(true);
@@ -1216,7 +1206,7 @@ mod tests {
         t.set_operator_labels(&["EraseTuples", "InsertTuple"]);
         let mut stats = ShardStats::new(2);
         stats.executions = 7;
-        stats.exec_latency_ns.record(100);
+        stats.spans.record(SpanKind::Execution, 100);
         stats.yields.record(0, YieldOutcome::Executed);
         t.merge_shard(0, &stats, 3);
         let text = t.prometheus_text();
@@ -1361,7 +1351,7 @@ mod tests {
     }
 
     #[test]
-    fn yield_matrix_merges_commutatively_and_deltas() {
+    fn yield_matrix_merges_commutatively() {
         let mut a = YieldMatrix::new(2);
         a.record(0, YieldOutcome::Executed);
         a.record(0, YieldOutcome::NewCoverage);
@@ -1378,11 +1368,6 @@ mod tests {
         assert_eq!(ab.get(0, YieldOutcome::Executed), 2);
         assert_eq!(ab.get(2, YieldOutcome::Violation), 1);
         assert_eq!(ab.total(YieldOutcome::Executed), 3);
-
-        let delta = ab.delta_since(&a);
-        assert_eq!(delta.get(0, YieldOutcome::Executed), 1);
-        assert_eq!(delta.get(0, YieldOutcome::NewCoverage), 0);
-        assert_eq!(delta.get(2, YieldOutcome::Violation), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`SpanStats`] — per-shard log₂ [`Histogram`]s, one per [`SpanKind`],
 //!   embedded in `ShardStats` so they ride the existing commutative merge
-//!   algebra (record lock-free, fold deltas at sync rounds). This is the
+//!   algebra (record lock-free, fold each window at sync rounds). This is the
 //!   *statistical* view: counts, totals, quantiles, phase percentages.
 //! * [`SpanTrace`] — a bounded shared buffer of individual timestamped
 //!   [`TraceEvent`]s, exportable as Chrome trace-event JSON
@@ -91,7 +91,7 @@ impl SpanKind {
 
 /// Per-shard span histograms — one log₂ latency distribution per
 /// [`SpanKind`]. Plain data like the rest of `ShardStats`: the owning
-/// worker records lock-free and deltas merge commutatively.
+/// worker records lock-free and windows merge commutatively.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanStats {
     histograms: [Histogram; SpanKind::COUNT],
@@ -180,16 +180,6 @@ impl SpanStats {
     pub fn merge_from(&mut self, other: &SpanStats) {
         for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
             mine.merge_from(theirs);
-        }
-    }
-
-    /// The difference `self − baseline` (both from the same monotone
-    /// stream).
-    pub fn delta_since(&self, baseline: &SpanStats) -> SpanStats {
-        SpanStats {
-            histograms: std::array::from_fn(|i| {
-                self.histograms[i].delta_since(&baseline.histograms[i])
-            }),
         }
     }
 
@@ -419,21 +409,6 @@ impl SpanSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn span_stats_merge_and_delta_round_trip() {
-        let mut a = SpanStats::new();
-        a.record(SpanKind::Mutation, 100);
-        a.record(SpanKind::Execution, 2_000);
-        let snapshot = a.clone();
-        a.record(SpanKind::Execution, 4_000);
-        let delta = a.delta_since(&snapshot);
-        assert_eq!(delta.histogram(SpanKind::Execution).count(), 1);
-        assert_eq!(delta.histogram(SpanKind::Mutation).count(), 0);
-        let mut rebuilt = snapshot.clone();
-        rebuilt.merge_from(&delta);
-        assert_eq!(rebuilt, a, "snapshot + delta == current");
-    }
 
     #[test]
     fn reports_skip_empty_kinds_and_order_by_taxonomy() {

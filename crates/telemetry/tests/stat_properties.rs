@@ -2,7 +2,7 @@
 //! per-shard stats safe to merge in any order, and the histogram bucketing
 //! invariants the Prometheus exposition relies on.
 
-use cftcg_telemetry::{Histogram, ShardStats, YieldMatrix, YieldOutcome};
+use cftcg_telemetry::{Histogram, ShardStats, SpanKind, YieldMatrix, YieldOutcome};
 use proptest::prelude::*;
 
 /// Builds a histogram from a list of observations.
@@ -33,7 +33,7 @@ fn stats_of((execs, iters, discoveries, latencies, ops): &RawStats) -> ShardStat
     s.iterations = *iters;
     s.discoveries = *discoveries;
     for &v in latencies {
-        s.exec_latency_ns.record(v);
+        s.spans.record(SpanKind::Execution, v);
     }
     for &(op, earned) in ops {
         record_yield(&mut s.yields, op % 8, earned);
@@ -136,24 +136,8 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
-    /// delta_since inverts merge_from: baseline + (current − baseline)
-    /// reconstructs current exactly.
-    #[test]
-    fn delta_since_inverts_merge(
-        base in stats_strategy(),
-        extra in stats_strategy(),
-    ) {
-        let baseline = stats_of(&base);
-        let mut current = baseline.clone();
-        current.merge_from(&stats_of(&extra));
-        let delta = current.delta_since(&baseline);
-        let mut rebuilt = baseline.clone();
-        rebuilt.merge_from(&delta);
-        prop_assert_eq!(rebuilt, current);
-    }
-
     /// The yield matrix never reports more coverage-earning executions than
-    /// executions for any operator, through merge and delta alike.
+    /// executions for any operator, through merge.
     #[test]
     fn yield_new_coverage_never_exceeds_executed(
         ops in prop::collection::vec((any::<usize>(), any::<bool>()), 0..128),
@@ -164,15 +148,9 @@ proptest! {
         for (i, &(op, earned)) in ops.iter().enumerate() {
             record_yield(if i < split { &mut a } else { &mut b }, op % 4, earned);
         }
-        let baseline = a.clone();
         a.merge_from(&b);
-        let delta = a.delta_since(&baseline);
-        for m in [&a, &delta] {
-            for op in 0..4 {
-                prop_assert!(
-                    m.get(op, YieldOutcome::NewCoverage) <= m.get(op, YieldOutcome::Executed)
-                );
-            }
+        for op in 0..4 {
+            prop_assert!(a.get(op, YieldOutcome::NewCoverage) <= a.get(op, YieldOutcome::Executed));
         }
     }
 }

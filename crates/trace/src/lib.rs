@@ -44,7 +44,7 @@ pub fn replay_engine() -> cftcg_codegen::Engine {
     cftcg_codegen::resolve_engine(None, cftcg_codegen::Engine::Flat)
 }
 pub use probe::{decode_tuple, trace_vm_case, ProbeMask, Trace, TraceRecord, TraceSignal};
-pub use profile::{profile_case, BlockProfile, KindCost};
+pub use profile::{profile_case, BlockProfile};
 pub use vcd::{to_csv, to_vcd};
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Per-block profiling: a [`BlockObserver`] that attributes interpreter
 //! wall-clock time to block *kinds*, aggregated into the telemetry layer's
-//! log2 histograms.
+//! [`KindCost`] accumulators.
 //!
 //! Profiling runs at replay/audit time on the interpreter (the VM inlines
 //! block boundaries away, so it has nothing to attribute) and never in the
@@ -11,21 +11,9 @@ use std::collections::BTreeMap;
 use cftcg_codegen::CompiledModel;
 use cftcg_model::Model;
 use cftcg_sim::{BlockObserver, SimError, Simulator};
-use cftcg_telemetry::{Histogram, Telemetry};
+use cftcg_telemetry::{BlockCost, KindCost, Telemetry};
 
 use crate::probe::decode_tuple;
-
-/// Accumulated cost of one block kind.
-#[derive(Debug, Clone, Default)]
-pub struct KindCost {
-    /// Block executions observed.
-    pub executions: u64,
-    /// Total wall-clock nanoseconds attributed (subsystem containers are
-    /// inclusive of their children, which are also counted individually).
-    pub total_ns: u64,
-    /// Per-execution latency distribution.
-    pub ns: Histogram,
-}
 
 /// A per-block-kind execution profile. Keys are `BlockKind::tag` strings;
 /// a `BTreeMap` keeps reports deterministic.
@@ -50,18 +38,16 @@ impl BlockProfile {
         self.kinds.is_empty()
     }
 
-    /// Kinds sorted hottest-first (total ns desc, then name for ties).
-    pub fn hottest(&self) -> Vec<(&'static str, &KindCost)> {
-        let mut rows: Vec<_> = self.kinds.iter().map(|(k, v)| (*k, v)).collect();
-        rows.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(b.0)));
-        rows
+    /// The per-kind rows, hottest-first (total ns desc, then name for ties).
+    pub fn hottest(&self) -> Vec<BlockCost> {
+        KindCost::rows(self.kinds.iter().map(|(kind, cost)| (*kind, cost)))
     }
 
     /// Folds this profile into the telemetry registry (and through it, the
     /// Prometheus exposition and status reports).
     pub fn merge_into(&self, telemetry: &Telemetry) {
         for (kind, cost) in &self.kinds {
-            telemetry.merge_block_cost(kind, cost.executions, cost.total_ns, &cost.ns);
+            telemetry.merge_block_cost(kind, cost);
         }
     }
 }
@@ -70,10 +56,7 @@ impl BlockObserver for BlockProfile {
     const ENABLED: bool = true;
 
     fn block(&mut self, kind: &'static str, nanos: u64) {
-        let cost = self.kinds.entry(kind).or_default();
-        cost.executions += 1;
-        cost.total_ns = cost.total_ns.saturating_add(nanos);
-        cost.ns.record(nanos);
+        self.kinds.entry(kind).or_default().record(nanos);
     }
 }
 
@@ -126,12 +109,15 @@ mod tests {
         let ticks = profile_case(&model, &compiled, &bytes, &mut profile).unwrap();
         assert_eq!(ticks, 5);
         let rows = profile.hottest();
-        let kinds: Vec<&str> = rows.iter().map(|(k, _)| *k).collect();
+        let kinds: Vec<&str> = rows.iter().map(|row| row.kind.as_str()).collect();
         assert!(kinds.contains(&"Gain"));
         assert!(kinds.contains(&"Saturation"));
-        for (_, cost) in rows {
-            assert_eq!(cost.executions, 5);
-            assert_eq!(cost.ns.count(), 5);
+        for row in &rows {
+            assert_eq!(row.executions, 5);
         }
+        // The latency histogram saw every execution too.
+        let registry = Telemetry::new();
+        profile.merge_into(&registry);
+        assert_eq!(registry.snapshot().block_ns.count(), 5 * rows.len() as u64);
     }
 }

@@ -747,11 +747,8 @@ fn trace_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     if rest.contains(&"--profile".to_string()) {
         let mut profile = BlockProfile::new();
         let ticks = profile_case(model, &compiled, &case.bytes, &mut profile)?;
-        // A throwaway registry computes the mean/p99 columns for free.
-        let registry = Telemetry::new();
-        profile.merge_into(&registry);
         println!("per-block cost over {ticks} interpreter ticks:");
-        print!("{}", block_table(&registry.snapshot().block_costs));
+        print!("{}", block_table(&profile.hottest()));
     }
     Ok(())
 }
@@ -850,8 +847,8 @@ fn yield_table(rows: &[cftcg::telemetry::YieldReport]) -> String {
 }
 
 /// Renders the per-block-kind "hottest blocks" profile as an aligned table
-/// (already sorted hottest-first in
-/// [`TelemetrySnapshot::block_costs`](cftcg::telemetry::TelemetrySnapshot::block_costs)).
+/// (rows already sorted hottest-first by
+/// [`KindCost::rows`](cftcg::telemetry::KindCost::rows)).
 fn block_table(rows: &[BlockCost]) -> String {
     let width = rows.iter().map(|r| r.kind.len()).max().unwrap_or(4).max("kind".len());
     let mut out = format!(

@@ -1,9 +1,9 @@
 //! Every view of a campaign reports the same numbers: the fuzzer's own
 //! outcome, the Prometheus exposition, the `/snapshot` JSON, the final
 //! status line and the JSONL event log all render one registry, so the
-//! executions, covered branches, violations, plateaus and corpus evictions
-//! each view exposes must agree — including on a two-worker campaign where
-//! both shards witness the same assertion.
+//! executions, covered branches, violations, plateaus, corpus evictions and
+//! execution rate each view exposes must agree — including on a two-worker
+//! campaign where both shards witness the same assertion.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,7 +42,7 @@ fn guarded_model() -> Model {
 }
 
 /// The value of an unlabeled Prometheus sample.
-fn prom(text: &str, name: &str) -> u64 {
+fn prom<T: std::str::FromStr<Err: std::fmt::Display>>(text: &str, name: &str) -> T {
     text.lines()
         .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
         .unwrap_or_else(|| panic!("{name} missing from the exposition"))
@@ -164,5 +164,12 @@ fn every_view_reports_the_same_campaign_numbers() {
                 assert_eq!(value, expected, "seed {seed}: {number} in {view} (status: {line})");
             }
         }
+        // The rate is a float; Prometheus prints it to one decimal.
+        let prom_rate: f64 = prom(&metrics, "cftcg_execs_per_second");
+        let snapshot_rate = snapshot.get("execs_per_sec").and_then(Json::as_f64).expect("rate");
+        assert!(
+            (prom_rate - snapshot_rate).abs() <= 0.05 + 1e-9 * snapshot_rate,
+            "seed {seed}: execs/s in prometheus {prom_rate} vs /snapshot {snapshot_rate}"
+        );
     }
 }
