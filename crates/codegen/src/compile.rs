@@ -22,7 +22,7 @@ use cftcg_model::{
 };
 
 use crate::flatten::{flatten, FlatProgram};
-use crate::ir::{BinopCode, FuncCode, Instr, Reg, UnopCode};
+use crate::ir::{carried_regs, BinopCode, FuncCode, Instr, Reg, UnopCode};
 use crate::layout::TupleLayout;
 use crate::lower::{lower_decision, lower_stmts, Scope};
 use crate::opt::{optimize, OptStats};
@@ -136,6 +136,11 @@ pub struct CompiledModel {
     pub(crate) tables1: Vec<(Vec<f64>, Vec<f64>)>,
     pub(crate) tables2: Vec<Lookup2Table>,
     pub(crate) signals: Vec<SignalMeta>,
+    /// Registers a tick of the flat program reads before writing them,
+    /// hoisted constants excluded (see [`CompiledModel::carried_regs`]).
+    pub(crate) carried: Vec<Reg>,
+    /// The same set for the reference program, in its register space.
+    pub(crate) reference_carried: Vec<Reg>,
     /// Lazily JIT-compiled native code for this instance. Clones restart
     /// empty (the machine code embeds instance-owned addresses).
     #[cfg(cftcg_jit)]
@@ -218,6 +223,23 @@ impl CompiledModel {
     /// divergence auditor compare the two engines index-by-index.
     pub fn signals(&self) -> &[SignalMeta] {
         &self.signals
+    }
+
+    /// The registers whose value one tick of the optimized program hands to
+    /// the next: those a tick can read before writing them, minus the
+    /// hoisted constants the executor pre-loads. Together with the state
+    /// plane they are everything an execution carries between ticks, so
+    /// [`Executor::checkpoint`](crate::Executor::checkpoint) saves exactly
+    /// these. Empty on every benchmark model: lowering defines each signal
+    /// before its uses in the tick, and held values live in state slots.
+    pub fn carried_regs(&self) -> &[Reg] {
+        &self.carried
+    }
+
+    /// [`CompiledModel::carried_regs`] for the reference program, in its
+    /// pre-compaction register space.
+    pub fn reference_carried_regs(&self) -> &[Reg] {
+        &self.reference_carried
     }
 
     /// The lazily JIT-compiled native code for this model, or `None` when
@@ -405,6 +427,9 @@ pub fn compile(model: &Model) -> Result<CompiledModel, CompileError> {
     // must leave them materialized in the body.
     let observed: std::collections::HashSet<_> = opt.signals.iter().map(|s| s.reg).collect();
     let flat = flatten(&opt.program, &observed)?;
+    let carried =
+        carried_regs(&opt.program, opt.num_regs, flat.reg_init.iter().map(|&(r, _)| r.into()));
+    let reference_carried = carried_regs(&reference, reference_regs, []);
 
     Ok(CompiledModel {
         name: model.name().to_string(),
@@ -423,6 +448,8 @@ pub fn compile(model: &Model) -> Result<CompiledModel, CompileError> {
         tables1: ctx.tables1,
         tables2: ctx.tables2,
         signals: opt.signals,
+        carried,
+        reference_carried,
         #[cfg(cftcg_jit)]
         jit: Default::default(),
     })

@@ -406,56 +406,23 @@ fn scan_dominance(body: &[Instr], dst: Reg) -> Dom {
     state
 }
 
-/// Whether `instr` reads register `dst` (source operands only; `If` conds
-/// and nested bodies are handled by [`scan_dominance`]).
+/// Whether `instr` reads register `dst` (source operands only; nested
+/// bodies are handled by [`scan_dominance`]).
 fn instr_reads(instr: &Instr, dst: Reg) -> bool {
-    match instr {
-        Instr::Copy { src, .. }
-        | Instr::Output { src, .. }
-        | Instr::Unop { src, .. }
-        | Instr::CastSat { src, .. }
-        | Instr::StoreState { src, .. }
-        | Instr::ShiftState { src, .. }
-        | Instr::Lookup1 { src, .. }
-        | Instr::CondProbe { src, .. } => *src == dst,
-        Instr::Binop { lhs, rhs, .. } => *lhs == dst || *rhs == dst,
-        Instr::Lookup2 { row, col, .. } => *row == dst || *col == dst,
-        Instr::Call { args, .. } => args.contains(&dst),
-        Instr::DecisionEval { conds, outcome, .. } => *outcome == dst || conds.contains(&dst),
-        Instr::Assert { cond, .. } => *cond == dst,
-        Instr::Const { .. }
-        | Instr::Input { .. }
-        | Instr::LoadState { .. }
-        | Instr::Probe { .. } => false,
-        Instr::If { .. } => false,
-    }
+    let mut reads = false;
+    instr.for_each_read(|r| reads |= r == dst);
+    reads
 }
 
 /// Counts static register writes across the whole tree.
 fn count_writes(body: &[Instr], counts: &mut std::collections::HashMap<Reg, u32>) {
     for instr in body {
-        match instr {
-            Instr::Const { dst, .. }
-            | Instr::Copy { dst, .. }
-            | Instr::Input { dst, .. }
-            | Instr::Unop { dst, .. }
-            | Instr::Binop { dst, .. }
-            | Instr::Call { dst, .. }
-            | Instr::CastSat { dst, .. }
-            | Instr::LoadState { dst, .. }
-            | Instr::Lookup1 { dst, .. }
-            | Instr::Lookup2 { dst, .. } => *counts.entry(*dst).or_default() += 1,
-            Instr::If { then_body, else_body, .. } => {
-                count_writes(then_body, counts);
-                count_writes(else_body, counts);
-            }
-            Instr::Output { .. }
-            | Instr::StoreState { .. }
-            | Instr::ShiftState { .. }
-            | Instr::Probe { .. }
-            | Instr::CondProbe { .. }
-            | Instr::DecisionEval { .. }
-            | Instr::Assert { .. } => {}
+        if let Some(dst) = instr.dst() {
+            *counts.entry(dst).or_default() += 1;
+        }
+        if let Instr::If { then_body, else_body, .. } = instr {
+            count_writes(then_body, counts);
+            count_writes(else_body, counts);
         }
     }
 }

@@ -389,6 +389,113 @@ impl fmt::Display for Instr {
     }
 }
 
+impl Instr {
+    /// The register this instruction writes, if any. An `If` writes only
+    /// through its arms, which are bodies of their own.
+    #[inline]
+    pub(crate) fn dst(&self) -> Option<Reg> {
+        match self {
+            Instr::Const { dst, .. }
+            | Instr::Copy { dst, .. }
+            | Instr::Input { dst, .. }
+            | Instr::Unop { dst, .. }
+            | Instr::Binop { dst, .. }
+            | Instr::Call { dst, .. }
+            | Instr::CastSat { dst, .. }
+            | Instr::LoadState { dst, .. }
+            | Instr::Lookup1 { dst, .. }
+            | Instr::Lookup2 { dst, .. } => Some(*dst),
+            Instr::Output { .. }
+            | Instr::StoreState { .. }
+            | Instr::ShiftState { .. }
+            | Instr::Probe { .. }
+            | Instr::CondProbe { .. }
+            | Instr::DecisionEval { .. }
+            | Instr::Assert { .. }
+            | Instr::If { .. } => None,
+        }
+    }
+
+    /// Calls `f` on every register this instruction reads. An `If` reads
+    /// its condition here; its arms are bodies of their own.
+    #[inline]
+    pub(crate) fn for_each_read(&self, mut f: impl FnMut(Reg)) {
+        match self {
+            Instr::Const { .. } | Instr::Input { .. } | Instr::LoadState { .. } => {}
+            Instr::Probe { .. } => {}
+            Instr::Copy { src, .. }
+            | Instr::Output { src, .. }
+            | Instr::Unop { src, .. }
+            | Instr::CastSat { src, .. }
+            | Instr::StoreState { src, .. }
+            | Instr::ShiftState { src, .. }
+            | Instr::Lookup1 { src, .. }
+            | Instr::CondProbe { src, .. } => f(*src),
+            Instr::Binop { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            Instr::Lookup2 { row, col, .. } => {
+                f(*row);
+                f(*col);
+            }
+            Instr::Call { args, .. } => args.iter().copied().for_each(f),
+            Instr::DecisionEval { conds, outcome, .. } => {
+                conds.iter().copied().for_each(&mut f);
+                f(*outcome);
+            }
+            Instr::Assert { cond, .. } | Instr::If { cond, .. } => f(*cond),
+        }
+    }
+}
+
+/// The registers a tick of `body` can read before writing them: their
+/// value is carried over from the previous tick, so a checkpoint of the
+/// execution must hold them beside the state plane. `preloaded` registers
+/// (hoisted constants, never written by the body) are excluded. A write in
+/// only one arm of an `If` does not count as a write after it. Returns the
+/// registers in ascending order.
+pub(crate) fn carried_regs(
+    body: &[Instr],
+    num_regs: usize,
+    preloaded: impl IntoIterator<Item = Reg>,
+) -> Vec<Reg> {
+    /// Register sets as bit words: a body's `If`s each copy one.
+    type Set = Vec<u64>;
+    fn has(set: &[u64], r: Reg) -> bool {
+        set[r as usize / 64] >> (r % 64) & 1 != 0
+    }
+    fn add(set: &mut [u64], r: Reg) {
+        set[r as usize / 64] |= 1 << (r % 64);
+    }
+    fn scan(body: &[Instr], written: &mut Set, carried: &mut Set) {
+        for instr in body {
+            instr.for_each_read(|r| {
+                if !has(written, r) {
+                    add(carried, r);
+                }
+            });
+            if let Instr::If { then_body, else_body, .. } = instr {
+                let mut then_written = written.clone();
+                scan(then_body, &mut then_written, carried);
+                scan(else_body, written, carried);
+                for (w, t) in written.iter_mut().zip(then_written) {
+                    *w &= t;
+                }
+            } else if let Some(dst) = instr.dst() {
+                add(written, dst);
+            }
+        }
+    }
+    let mut written = vec![0; num_regs.div_ceil(64)];
+    let mut carried = written.clone();
+    scan(body, &mut written, &mut carried);
+    for r in preloaded {
+        carried[r as usize / 64] &= !(1 << (r % 64));
+    }
+    (0..num_regs as Reg).filter(|&r| has(&carried, r)).collect()
+}
+
 /// Counts instructions in a body, recursing into `If` arms (used by tests
 /// and diagnostics).
 pub(crate) fn instr_count(body: &[Instr]) -> usize {
@@ -470,5 +577,27 @@ mod tests {
             },
         ];
         assert_eq!(instr_count(&body), 5);
+    }
+
+    #[test]
+    fn carried_regs_are_read_before_a_dominating_write() {
+        let body = vec![
+            Instr::Input { dst: 0, index: 0 },
+            // r1 is read before anything writes it: carried.
+            Instr::Binop { dst: 2, op: BinopCode::Add, lhs: 0, rhs: 1 },
+            Instr::Const { dst: 1, value: 1.0 },
+            Instr::If {
+                cond: 2,
+                // r3 is written in both arms, r4 only in one.
+                then_body: vec![Instr::Copy { dst: 3, src: 0 }, Instr::Copy { dst: 4, src: 0 }],
+                else_body: vec![Instr::Copy { dst: 3, src: 2 }],
+            },
+            Instr::Output { index: 0, src: 3 },
+            Instr::Output { index: 1, src: 4 },
+            // r5 is read but preloaded (a hoisted constant).
+            Instr::Output { index: 2, src: 5 },
+        ];
+        assert_eq!(carried_regs(&body, 6, []), vec![1, 4, 5]);
+        assert_eq!(carried_regs(&body, 6, [5]), vec![1, 4]);
     }
 }

@@ -533,40 +533,12 @@ fn dce(body: &mut Vec<Instr>, sig_regs: &HashSet<Reg>) -> usize {
 /// Adds every register read by any instruction in `body` to `needed`.
 fn collect_reads(body: &[Instr], needed: &mut HashSet<Reg>) {
     for instr in body {
-        match instr {
-            Instr::Const { .. } | Instr::Input { .. } | Instr::LoadState { .. } => {}
-            Instr::Copy { src, .. }
-            | Instr::Output { src, .. }
-            | Instr::Unop { src, .. }
-            | Instr::CastSat { src, .. }
-            | Instr::StoreState { src, .. }
-            | Instr::ShiftState { src, .. }
-            | Instr::Lookup1 { src, .. }
-            | Instr::CondProbe { src, .. } => {
-                needed.insert(*src);
-            }
-            Instr::Binop { lhs, rhs, .. } => {
-                needed.insert(*lhs);
-                needed.insert(*rhs);
-            }
-            Instr::Call { args, .. } => needed.extend(args.iter().copied()),
-            Instr::Lookup2 { row, col, .. } => {
-                needed.insert(*row);
-                needed.insert(*col);
-            }
-            Instr::Probe { .. } => {}
-            Instr::DecisionEval { conds, outcome, .. } => {
-                needed.extend(conds.iter().copied());
-                needed.insert(*outcome);
-            }
-            Instr::Assert { cond, .. } => {
-                needed.insert(*cond);
-            }
-            Instr::If { cond, then_body, else_body } => {
-                needed.insert(*cond);
-                collect_reads(then_body, needed);
-                collect_reads(else_body, needed);
-            }
+        instr.for_each_read(|r| {
+            needed.insert(r);
+        });
+        if let Instr::If { then_body, else_body, .. } = instr {
+            collect_reads(then_body, needed);
+            collect_reads(else_body, needed);
         }
     }
 }
@@ -632,24 +604,10 @@ fn compact(body: &mut [Instr], signals: &mut [SignalMeta]) -> usize {
 
 fn collect_writes(body: &[Instr], used: &mut HashSet<Reg>) {
     for instr in body {
-        match instr {
-            Instr::Const { dst, .. }
-            | Instr::Copy { dst, .. }
-            | Instr::Input { dst, .. }
-            | Instr::Unop { dst, .. }
-            | Instr::Binop { dst, .. }
-            | Instr::Call { dst, .. }
-            | Instr::CastSat { dst, .. }
-            | Instr::LoadState { dst, .. }
-            | Instr::Lookup1 { dst, .. }
-            | Instr::Lookup2 { dst, .. } => {
-                used.insert(*dst);
-            }
-            Instr::If { then_body, else_body, .. } => {
-                collect_writes(then_body, used);
-                collect_writes(else_body, used);
-            }
-            _ => {}
+        used.extend(instr.dst());
+        if let Instr::If { then_body, else_body, .. } = instr {
+            collect_writes(then_body, used);
+            collect_writes(else_body, used);
         }
     }
 }

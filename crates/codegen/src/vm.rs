@@ -330,6 +330,58 @@ impl<'c> Executor<'c> {
         self.state.copy_from_slice(state);
     }
 
+    /// The registers a tick of this executor's program hands to the next
+    /// ([`CompiledModel::carried_regs`] in this engine's register space).
+    fn carried(&self) -> &'c [crate::ir::Reg] {
+        let compiled: &'c CompiledModel = self.compiled;
+        if self.is_reference() {
+            &compiled.reference_carried
+        } else {
+            &compiled.carried
+        }
+    }
+
+    /// Length of a checkpoint buffer: the state plane plus the carried
+    /// registers.
+    pub fn checkpoint_len(&self) -> usize {
+        self.state.len() + self.carried().len()
+    }
+
+    /// Writes everything the next tick reads from earlier ticks — the
+    /// state plane, then the carried registers — into `out`. Restoring it
+    /// with [`Executor::restore`] resumes the execution exactly where it
+    /// stood: the following ticks compute the same outputs, state and
+    /// recorder events as if the execution had never stopped.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out.len()` is [`Executor::checkpoint_len`].
+    pub fn checkpoint(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.checkpoint_len(), "checkpoint length mismatch");
+        let (state, regs) = out.split_at_mut(self.state.len());
+        state.copy_from_slice(&self.state);
+        for (slot, &r) in regs.iter_mut().zip(self.carried()) {
+            *slot = self.regs[r as usize];
+        }
+    }
+
+    /// Resumes from a buffer written by [`Executor::checkpoint`] on an
+    /// executor of the same model and engine: [`Executor::reset`], then the
+    /// state plane and the carried registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `checkpoint.len()` is [`Executor::checkpoint_len`].
+    pub fn restore(&mut self, checkpoint: &[f64]) {
+        assert_eq!(checkpoint.len(), self.checkpoint_len(), "checkpoint length mismatch");
+        self.reset();
+        let (state, regs) = checkpoint.split_at(self.state.len());
+        self.state.copy_from_slice(state);
+        for (&value, &r) in regs.iter().zip(self.carried()) {
+            self.regs[r as usize] = value;
+        }
+    }
+
     /// Reads one register of the current register file.
     ///
     /// With the registers listed in

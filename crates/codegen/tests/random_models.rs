@@ -266,6 +266,14 @@ proptest! {
             return Ok(());
         }
         let compiled = compile(&model).expect("validated model compiles");
+        // Lowering defines every signal before its uses in a tick, so no
+        // register carries a value from one tick to the next.
+        prop_assert!(compiled.carried_regs().is_empty(), "carried: {:?}", compiled.carried_regs());
+        prop_assert!(
+            compiled.reference_carried_regs().is_empty(),
+            "reference carried: {:?}",
+            compiled.reference_carried_regs()
+        );
         let mut sim = Simulator::new(&model).expect("validated model simulates");
         let mut exec = Executor::new(&compiled);
         let mut jit = Executor::new_jit(&compiled);

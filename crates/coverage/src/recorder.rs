@@ -273,6 +273,22 @@ impl BranchBitmap {
         (new_hits, diffs)
     }
 
+    /// The flags as whole bookkeeping words (eight flags per word, the
+    /// padding zero) — what a checkpoint of the bitmap saves.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Overwrites the flags with `words` taken by [`words`](Self::words)
+    /// from a bitmap with as many slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `words` has a different word count.
+    pub fn set_words(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
+    }
+
     /// Copies another bitmap's flags into this one (Algorithm 1 line 19,
     /// `lastCov = g_CurrCov`).
     ///

@@ -201,6 +201,8 @@ pub(crate) struct Campaign<'c> {
     executions: Vec<u64>,
     /// Model iterations summed over the folded reports.
     iterations: u64,
+    /// Resumed input ticks summed over the folded reports.
+    resumed_ticks: u64,
 }
 
 impl<'c> Campaign<'c> {
@@ -237,6 +239,7 @@ impl<'c> Campaign<'c> {
             yields: YieldMatrix::new(MutationKind::ALL.len()),
             executions: vec![0; shards],
             iterations: 0,
+            resumed_ticks: 0,
         }
     }
 
@@ -370,6 +373,7 @@ impl<'c> Campaign<'c> {
             }
             self.executions[report.worker] += report.stats.executions;
             self.iterations += report.stats.iterations;
+            self.resumed_ticks += report.stats.resumed_ticks;
         }
 
         // Quiet windows that closed by the end of the round.
@@ -467,6 +471,7 @@ impl<'c> Campaign<'c> {
             events: self.events.clone(),
             executions: self.executions(),
             iterations: self.iterations,
+            resumed_ticks: self.resumed_ticks,
             branch_count: self.branch_count(),
             covered_branches: self.covered(),
             elapsed,

@@ -21,6 +21,8 @@ use cftcg_telemetry::CorpusSeedReport;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::resume::Checkpoints;
+
 /// One retained input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusEntry {
@@ -71,6 +73,9 @@ pub struct Corpus {
     entries: Vec<CorpusEntry>,
     /// `energy(&entries[i])`, cached: entries never change once inserted.
     energies: Vec<u64>,
+    /// The checkpoints of `entries[i]`'s execution, its mutants' resume
+    /// points (empty for entries inserted without them).
+    checkpoints: Vec<Checkpoints>,
     /// Exact sum of `energies` (a `u128` cannot overflow on `u64` addends
     /// at any realistic capacity); the lottery saturates it to `u64`.
     energy_sum: u128,
@@ -101,6 +106,7 @@ impl Corpus {
         Corpus {
             entries: Vec::new(),
             energies: Vec::new(),
+            checkpoints: Vec::new(),
             energy_sum: 0,
             worst: None,
             capacity: capacity.max(1),
@@ -128,8 +134,19 @@ impl Corpus {
     /// entry (metric-weighted mode) or the oldest (FIFO mode) — but only if
     /// the newcomer beats it. Returns what happened, for churn accounting.
     pub fn insert(&mut self, entry: CorpusEntry) -> CorpusInsertion {
+        self.insert_with(entry, &mut Checkpoints::default())
+    }
+
+    /// [`Corpus::insert`] for an entry whose execution left the
+    /// checkpoints `run`: a stored entry takes them, and `run` gets the
+    /// buffers of the slot it filled back for reuse.
+    pub(crate) fn insert_with(
+        &mut self,
+        entry: CorpusEntry,
+        run: &mut Checkpoints,
+    ) -> CorpusInsertion {
         if self.entries.len() < self.capacity {
-            self.store(None, entry);
+            self.store(None, entry, run);
             return CorpusInsertion::Appended;
         }
         if self.metric_weighted {
@@ -145,7 +162,7 @@ impl Corpus {
                 (entry.new_branches, entry.metric) > (worst_entry.new_branches, worst_entry.metric);
             if beats_worst {
                 self.accounts.remove(&worst_entry.id);
-                self.store(Some(worst), entry);
+                self.store(Some(worst), entry, run);
                 CorpusInsertion::Replaced
             } else {
                 CorpusInsertion::Rejected
@@ -154,14 +171,17 @@ impl Corpus {
             let evicted = self.entries.remove(0);
             self.energy_sum -= u128::from(self.energies.remove(0));
             self.accounts.remove(&evicted.id);
-            self.store(None, entry);
+            let freed = self.checkpoints.remove(0);
+            self.store(None, entry, run);
+            *run = freed;
             CorpusInsertion::Replaced
         }
     }
 
-    /// Stores `entry` over `slot`, or appends it, keeping the energy cache
-    /// in step and opening the entry's account.
-    fn store(&mut self, slot: Option<usize>, entry: CorpusEntry) {
+    /// Stores `entry` with the checkpoints `run` over `slot`, or appends
+    /// it, keeping the energy cache in step and opening the entry's
+    /// account. `run` gets the overwritten slot's checkpoint buffers.
+    fn store(&mut self, slot: Option<usize>, entry: CorpusEntry, run: &mut Checkpoints) {
         self.accounts.entry(entry.id).or_default();
         let e = energy(&entry);
         self.energy_sum += u128::from(e);
@@ -170,10 +190,12 @@ impl Corpus {
                 self.energy_sum -= u128::from(self.energies[i]);
                 self.energies[i] = e;
                 self.entries[i] = entry;
+                std::mem::swap(&mut self.checkpoints[i], run);
             }
             None => {
                 self.energies.push(e);
                 self.entries.push(entry);
+                self.checkpoints.push(std::mem::take(run));
             }
         }
         self.worst = None;
@@ -184,12 +206,24 @@ impl Corpus {
     /// metric with a strong bonus for inputs that discovered new branches;
     /// uniform otherwise. Returns `None` on an empty corpus.
     pub fn pick(&mut self, rng: &mut SmallRng) -> Option<&CorpusEntry> {
+        let slot = self.pick_slot(rng)?;
+        Some(&self.entries[slot])
+    }
+
+    /// [`Corpus::pick`], returning the picked entry's slot in
+    /// [`Corpus::entries`].
+    pub(crate) fn pick_slot(&mut self, rng: &mut SmallRng) -> Option<usize> {
         let index = self.pick_index(rng)?;
         let id = self.entries[index].id;
         if let Some(account) = self.accounts.get_mut(&id) {
             account.selections += 1;
         }
-        Some(&self.entries[index])
+        Some(index)
+    }
+
+    /// The checkpoints stored with the entry in `slot`.
+    pub(crate) fn checkpoints(&self, slot: usize) -> &Checkpoints {
+        &self.checkpoints[slot]
     }
 
     /// The selection lottery itself (no accounting side effects). Exactly

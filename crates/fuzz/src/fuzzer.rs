@@ -14,6 +14,7 @@ use crate::campaign::{Campaign, Folding, ReportedCase, WorkerReport};
 use crate::corpus::{Corpus, CorpusEntry, CorpusInsertion};
 use crate::lineage::{LineageOrigin, LineageRecord, SHARD_ID_STRIDE};
 use crate::mutate::{MutationKind, Mutator};
+use crate::resume::{resume_point, Checkpoints, Shape, STRIDE};
 
 /// LibFuzzer's table of recent compares, adapted to model fuzzing: a
 /// bounded *deduplicated* dictionary of comparison operand values mined
@@ -291,8 +292,13 @@ pub struct FuzzOutcome {
     pub events: Vec<CoverageEvent>,
     /// Inputs executed.
     pub executions: u64,
-    /// Model iterations executed (inputs × tuples).
+    /// Model iterations executed: input ticks, resumed prefixes included
+    /// (inputs × tuples, each capped at the per-input iteration limit).
     pub iterations: u64,
+    /// Input ticks not re-run because the input resumed from its corpus
+    /// parent's last checkpoint before its first changed tuple (a subset
+    /// of `iterations`; DESIGN.md, "Prefix resume").
+    pub resumed_ticks: u64,
     /// Total branch probes in the instrumentation map.
     pub branch_count: usize,
     /// Branches covered at the end of the run.
@@ -330,6 +336,32 @@ impl FuzzOutcome {
     }
 }
 
+/// One execution's observable results, as
+/// [`Fuzzer::resume_differential`] reports them. Floating-point state is
+/// given as bit patterns, so NaN states compare exactly.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunProbe {
+    /// Branches the run covered first (Algorithm 1's `new`).
+    pub new_branches: usize,
+    /// The iteration-difference metric.
+    pub metric: usize,
+    /// Input ticks, resumed ones included.
+    pub ticks: u64,
+    /// Ticks restored from a checkpoint instead of run.
+    pub resumed_ticks: u64,
+    /// The `last` bitmap after the run.
+    pub last: Vec<u8>,
+    /// The shard's total coverage after the run.
+    pub total: Vec<u8>,
+    /// Per-assertion violation flags of the run.
+    pub failed_assertions: Vec<bool>,
+    /// The executor's final state plane.
+    pub state: Vec<u64>,
+    /// The checkpoints the run leaves for a corpus insertion.
+    pub checkpoints: Vec<u64>,
+}
+
 /// The model-oriented fuzzer: one shard of Algorithm 1 — pick, mutate,
 /// execute, collect coverage, keep interesting inputs. What it finds
 /// (coverage-earning cases, lineage, violations, stats) it queues for a
@@ -359,6 +391,11 @@ pub struct Fuzzer<'c> {
     failed_assertions: Vec<bool>,
     /// Assertions this shard has already witnessed violated.
     witnessed: Vec<bool>,
+    /// The size of this model's execution checkpoints.
+    shape: Shape,
+    /// The running execution's checkpoints, which a corpus insertion
+    /// takes (see [`crate::resume`]).
+    run: Checkpoints,
     /// Found since the last report and moved out by
     /// [`Fuzzer::take_report`]: coverage-earning cases, first-witness
     /// violations, the executions at which external seeds were added, and
@@ -424,8 +461,12 @@ impl<'c> Fuzzer<'c> {
             Some(_) => None,
         };
         let assertions = compiled.map().assertion_count();
+        let exec = Executor::with_engine(compiled, config.resolved_engine());
+        let last = BranchBitmap::new(branch_count);
         Fuzzer {
-            exec: Executor::with_engine(compiled, config.resolved_engine()),
+            shape: Shape::new(&exec, &last, assertions),
+            run: Checkpoints::default(),
+            exec,
             layout: compiled.layout().clone(),
             mutator,
             corpus,
@@ -433,7 +474,7 @@ impl<'c> Fuzzer<'c> {
             config,
             total: BranchBitmap::new(branch_count),
             curr: BranchBitmap::new(branch_count),
-            last: BranchBitmap::new(branch_count),
+            last,
             mask,
             torc: Torc::new(),
             failed_assertions: vec![false; assertions],
@@ -485,15 +526,17 @@ impl<'c> Fuzzer<'c> {
     /// paper's §5 proposes ("first apply constraint solving ... and then
     /// generate input data accordingly").
     pub fn add_seed(&mut self, bytes: Vec<u8>) {
-        let (new_branches, metric) = self.execute_booked(&bytes);
+        let (new_branches, metric) = self.execute_booked(&bytes, None);
+        self.witness_violations(&bytes);
         let case_id = self.shard as u64 * SHARD_ID_STRIDE + self.next_case;
         let emitted = new_branches > 0;
         if emitted {
             self.stats.discoveries += 1;
             self.emit_case(&bytes, case_id);
         }
-        let insertion =
-            self.corpus.insert(CorpusEntry { id: case_id, bytes, metric, new_branches });
+        let insertion = self
+            .corpus
+            .insert_with(CorpusEntry { id: case_id, bytes, metric, new_branches }, &mut self.run);
         self.record_insertion(insertion);
         if !matches!(insertion, CorpusInsertion::Rejected) {
             self.corpus.note_committed(case_id, None, self.executions);
@@ -619,8 +662,12 @@ impl<'c> Fuzzer<'c> {
     /// Algorithm 1's coverage collection, and files the results.
     fn fuzz_one(&mut self) {
         let mutation_start = if self.time_spans { Some(Instant::now()) } else { None };
-        let (mut data, parent, origin) = match self.corpus.pick(&mut self.rng) {
-            Some(entry) => (entry.bytes.clone(), Some(entry.id), LineageOrigin::Mutant),
+        let parent_slot = self.corpus.pick_slot(&mut self.rng);
+        let (mut data, parent, origin) = match parent_slot {
+            Some(slot) => {
+                let entry = &self.corpus.entries()[slot];
+                (entry.bytes.clone(), Some(entry.id), LineageOrigin::Mutant)
+            }
             None => {
                 // Bootstrap: a single random tuple.
                 (self.mutator.random_tuple(&mut self.rng), None, LineageOrigin::Bootstrap)
@@ -651,22 +698,13 @@ impl<'c> Fuzzer<'c> {
             self.note_span(SpanKind::Mutation, start);
         }
 
-        let (new_branches, metric) = self.execute_booked(&data);
+        let (new_branches, metric) = self.execute_booked(&data, parent_slot);
         self.stats.mutation_depth.record(u64::from(rounds));
         let earned = new_branches > 0;
         if earned {
             self.stats.discoveries += 1;
         }
-
-        // Queue first-time assertion violations with their witness input.
-        let mut witnessed_violation = false;
-        for i in 0..self.failed_assertions.len() {
-            if self.failed_assertions[i] && !self.witnessed[i] {
-                self.witnessed[i] = true;
-                self.violations.push((i, TestCase::new(data.clone())));
-                witnessed_violation = true;
-            }
-        }
+        let witnessed_violation = self.witness_violations(&data);
         let case_id = self.shard as u64 * SHARD_ID_STRIDE + self.next_case;
         // The crossover partner only enters the lineage when the operator
         // chain actually consulted it.
@@ -678,8 +716,8 @@ impl<'c> Fuzzer<'c> {
         let mut inserted = false;
         if new_branches > 0 || metric > 0 {
             let insert_start = if self.time_spans { Some(Instant::now()) } else { None };
-            let insertion =
-                self.corpus.insert(CorpusEntry { id: case_id, bytes: data, metric, new_branches });
+            let entry = CorpusEntry { id: case_id, bytes: data, metric, new_branches };
+            let insertion = self.corpus.insert_with(entry, &mut self.run);
             self.record_insertion(insertion);
             if let Some(start) = insert_start {
                 self.note_span(SpanKind::CorpusInsert, start);
@@ -732,6 +770,20 @@ impl<'c> Fuzzer<'c> {
         }
     }
 
+    /// Queues this execution's first-time assertion violations with `data`
+    /// as their witness; returns whether there was one.
+    fn witness_violations(&mut self, data: &[u8]) -> bool {
+        let mut witnessed = false;
+        for i in 0..self.failed_assertions.len() {
+            if self.failed_assertions[i] && !self.witnessed[i] {
+                self.witnessed[i] = true;
+                self.violations.push((i, TestCase::new(data.to_vec())));
+                witnessed = true;
+            }
+        }
+        witnessed
+    }
+
     /// Algorithm 1 line 16: outputs `data` as a test case — queued, with its
     /// discovery time and execution count, for the campaign fold, which
     /// decides global novelty and books it.
@@ -758,10 +810,11 @@ impl<'c> Fuzzer<'c> {
     }
 
     /// Runs one generated or seeded input and books it as fuzzing work:
-    /// one execution, its ticks and its [`SpanKind::Execution`] span.
-    fn execute_booked(&mut self, data: &[u8]) -> (usize, usize) {
+    /// one execution, its ticks (resumed ones included) and its
+    /// [`SpanKind::Execution`] span.
+    fn execute_booked(&mut self, data: &[u8], parent: Option<usize>) -> (usize, usize) {
         let start = if self.time_spans { Some(Instant::now()) } else { None };
-        let (new_branches, metric, ticks) = self.execute(data);
+        let (new_branches, metric, ticks, resumed) = self.execute(data, parent);
         if let Some(start) = start {
             self.note_span(SpanKind::Execution, start);
         }
@@ -769,23 +822,56 @@ impl<'c> Fuzzer<'c> {
         self.stats.executions += 1;
         self.iterations += ticks;
         self.stats.iterations += ticks;
+        self.stats.resumed_ticks += resumed;
         (new_branches, metric)
     }
 
     /// Algorithm 1: runs one input, returning `(new branches, iteration
-    /// difference metric, ticks run)`. Books nothing: the caller decides
+    /// difference metric, ticks, resumed ticks)`, and leaves the run's
+    /// checkpoints in `self.run` for a corpus insertion. With `parent` set
+    /// to the corpus slot `data` was mutated from, the run resumes from
+    /// the parent's last checkpoint before the first [`STRIDE`]-tuple
+    /// block `data` changes: the ticks before it would recompute exactly
+    /// the checkpointed state, `last` bitmap, metric and assertion flags,
+    /// and would cover nothing new, since the parent's run already merged
+    /// their branches into `total`. Books nothing: the caller decides
     /// whether the run counts as fuzzing work.
-    fn execute(&mut self, data: &[u8]) -> (usize, usize, u64) {
-        self.exec.reset(); // Model_init()
-        let mut new_branches = 0;
+    fn execute(&mut self, data: &[u8], parent: Option<usize>) -> (usize, usize, u64, u64) {
+        let shape = self.shape;
+        let from = parent.map_or(0, |slot| {
+            let held = self.corpus.checkpoints(slot).len();
+            let bytes = &self.corpus.entries()[slot].bytes;
+            resume_point(bytes, data, self.layout.tuple_size(), held)
+        });
         let mut metric = 0;
-        let mut ticks = 0;
-        self.last.clear();
-        self.failed_assertions.iter_mut().for_each(|f| *f = false);
+        match parent.filter(|_| from > 0) {
+            Some(slot) => {
+                let parent = self.corpus.checkpoints(slot);
+                metric = parent.restore(
+                    from - 1,
+                    shape,
+                    &mut self.exec,
+                    &mut self.last,
+                    &mut self.failed_assertions,
+                );
+                self.run.inherit(parent, from, shape);
+            }
+            None => {
+                self.exec.reset(); // Model_init()
+                self.last.clear();
+                self.failed_assertions.iter_mut().for_each(|f| *f = false);
+                self.run.clear();
+            }
+        }
+        let resumed = from * STRIDE;
+        let mut new_branches = 0;
+        let mut ticks = resumed;
         // Line 11: `curr` is clear here, and `commit_tick` clears it
         // again at the end of every tick.
         debug_assert_eq!(self.curr.count(), 0);
-        for tuple in self.layout.split(data).take(self.config.max_iterations_per_input) {
+        let tuples = self.layout.split(data).take(self.config.max_iterations_per_input);
+        self.run.reserve(tuples.len() / STRIDE - from, shape);
+        for tuple in tuples.skip(resumed) {
             let mut recorder = LoopRecorder {
                 bitmap: &mut self.curr,
                 torc: &mut self.torc,
@@ -802,8 +888,46 @@ impl<'c> Fuzzer<'c> {
             new_branches += new;
             metric += diff;
             ticks += 1;
+            if ticks.is_multiple_of(STRIDE) {
+                self.run.push(shape, &self.exec, &self.last, metric, &self.failed_assertions);
+            }
         }
-        (new_branches, metric, ticks)
+        (new_branches, metric, ticks as u64, resumed as u64)
+    }
+
+    /// The shard's corpus.
+    #[doc(hidden)]
+    pub fn corpus(&self) -> &Corpus {
+        &self.corpus
+    }
+
+    /// Runs `data` twice from the same shard state: resumed from the
+    /// checkpoints of the corpus entry in `parent` (its slot in
+    /// [`Corpus::entries`]), then in full from `Model_init()`. The coverage
+    /// total and the TORC ring are put back after each run, so neither run
+    /// sees the other's effects and the shard is left as it was. The test
+    /// seam of the resume differential; books nothing.
+    #[doc(hidden)]
+    pub fn resume_differential(&mut self, parent: usize, data: &[u8]) -> [RunProbe; 2] {
+        let (total, torc) = (self.total.clone(), self.torc.clone());
+        let probe = |fuzzer: &mut Self, parent| {
+            let (new_branches, metric, ticks, resumed_ticks) = fuzzer.execute(data, parent);
+            let probe = RunProbe {
+                new_branches,
+                metric,
+                ticks,
+                resumed_ticks,
+                last: fuzzer.last.as_slice().to_vec(),
+                total: fuzzer.total.as_slice().to_vec(),
+                failed_assertions: fuzzer.failed_assertions.clone(),
+                state: fuzzer.exec.state().iter().map(|x| x.to_bits()).collect(),
+                checkpoints: fuzzer.run.to_bits(),
+            };
+            fuzzer.total.copy_from(&total);
+            fuzzer.torc = torc.clone();
+            probe
+        };
+        [probe(self, Some(parent)), probe(self, None)]
     }
 
     // ---- parallel-engine hooks (crate-private; see `parallel.rs`) ----
@@ -852,13 +976,14 @@ impl<'c> Fuzzer<'c> {
     /// its discoveries (suite, events, and violations stay untouched — the
     /// coordinator owns the merged view).
     pub(crate) fn absorb_entry(&mut self, id: u64, bytes: Vec<u8>) {
-        let (new_branches, metric, _) = self.execute(&bytes);
+        let (new_branches, metric, ..) = self.execute(&bytes, None);
         // Only keep it if it taught this shard something; otherwise it
         // would crowd out locally interesting entries. The entry keeps the
         // lineage id its originating shard minted, so mutants of it trace
         // across the shard boundary.
         if new_branches > 0 || metric > 0 {
-            let insertion = self.corpus.insert(CorpusEntry { id, bytes, metric, new_branches });
+            let entry = CorpusEntry { id, bytes, metric, new_branches };
+            let insertion = self.corpus.insert_with(entry, &mut self.run);
             if !matches!(insertion, CorpusInsertion::Rejected) {
                 // Broadcast entries have no resident parent on this shard;
                 // their age starts at absorption.
@@ -1013,8 +1138,8 @@ mod tests {
         let compiled = compile(&b.finish().unwrap()).unwrap();
 
         let mut fuzzer = Fuzzer::new(&compiled, FuzzConfig { seed: 1, ..Default::default() });
-        let (_, metric_short, _) = fuzzer.execute(&[0]);
-        let (_, metric_long, _) = fuzzer.execute(&[0, 0, 0, 0, 0, 0, 0, 0]);
+        let (_, metric_short, ..) = fuzzer.execute(&[0], None);
+        let (_, metric_long, ..) = fuzzer.execute(&[0, 0, 0, 0, 0, 0, 0, 0], None);
         assert!(
             metric_long > metric_short,
             "long state-visiting input should score higher: {metric_long} vs {metric_short}"
@@ -1052,7 +1177,7 @@ mod tests {
         assert_eq!(compiled.map().branch_count(), 6);
 
         let mut fuzzer = Fuzzer::new(&compiled, FuzzConfig::default());
-        let (new_branches, metric, ticks) = fuzzer.execute(&[0, 0, 0]);
+        let (new_branches, metric, ticks, _) = fuzzer.execute(&[0, 0, 0], None);
         assert_eq!(ticks, 3);
         assert_eq!(metric, 10, "Figure 6: metric = 3 + 4 + 3");
         assert_eq!(new_branches, 6, "all six probes fire across the three iterations");

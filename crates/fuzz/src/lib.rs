@@ -56,10 +56,11 @@ mod minimize;
 mod mutate;
 mod parallel;
 mod plateau;
+mod resume;
 
 pub use corpus::{Corpus, CorpusEntry, CorpusInsertion};
 pub use fuzzer::{
-    CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer, TraceHook,
+    CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer, RunProbe, TraceHook,
 };
 pub use generation::{coverage_series, Generation};
 pub use lineage::{format_chain, Lineage, LineageOrigin, LineageRecord, SHARD_ID_STRIDE};

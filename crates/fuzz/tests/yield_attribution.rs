@@ -38,6 +38,7 @@ fn outcome_registry_and_jsonl_yield_rows_agree() {
     telemetry.emit(&Event::CampaignEnd {
         executions: outcome.executions,
         iterations: outcome.iterations,
+        resumed_ticks: outcome.resumed_ticks,
         covered: outcome.covered_branches,
         total: compiled.map().branch_count(),
         violations: outcome.violations.len(),

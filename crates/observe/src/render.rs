@@ -27,8 +27,8 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
     push_json_f64(&mut out, snap.elapsed.as_secs_f64());
     let _ = write!(
         out,
-        ",\"executions\":{},\"iterations\":{},\"discoveries\":{},\"violations\":{}",
-        t.executions, t.iterations, t.discoveries, snap.violations
+        ",\"executions\":{},\"iterations\":{},\"resumed_ticks\":{},\"discoveries\":{},\"violations\":{}",
+        t.executions, t.iterations, t.resumed_ticks, t.discoveries, snap.violations
     );
     let _ = write!(
         out,

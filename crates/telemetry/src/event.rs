@@ -216,8 +216,12 @@ pub enum Event {
     CampaignEnd {
         /// Inputs executed.
         executions: u64,
-        /// Model iterations executed.
+        /// Model iterations executed: input ticks, resumed prefixes
+        /// included.
         iterations: u64,
+        /// Input ticks resumed from a corpus parent's checkpoint instead of
+        /// re-run (a subset of `iterations`).
+        resumed_ticks: u64,
         /// Branches covered at the end.
         covered: usize,
         /// Total branch probes.
@@ -370,6 +374,7 @@ impl Event {
             Event::CampaignEnd {
                 executions,
                 iterations,
+                resumed_ticks,
                 covered,
                 total,
                 violations,
@@ -378,7 +383,7 @@ impl Event {
                 yields,
             } => {
                 out.push_str(&format!(
-                    ",\"executions\":{executions},\"iterations\":{iterations},\"covered\":{covered},\"total\":{total},\"violations\":{violations},\"elapsed_s\":"
+                    ",\"executions\":{executions},\"iterations\":{iterations},\"resumed_ticks\":{resumed_ticks},\"covered\":{covered},\"total\":{total},\"violations\":{violations},\"elapsed_s\":"
                 ));
                 push_json_f64(&mut out, *elapsed_s);
                 out.push_str(",\"iterations_per_second\":");
@@ -474,6 +479,7 @@ mod tests {
             Event::CampaignEnd {
                 executions: 10_000,
                 iterations: 1_000_000,
+                resumed_ticks: 400_000,
                 covered: 50,
                 total: 56,
                 violations: 1,
@@ -519,6 +525,7 @@ mod tests {
         let event = Event::CampaignEnd {
             executions: 1,
             iterations: 2,
+            resumed_ticks: 1,
             covered: 3,
             total: 4,
             violations: 0,

@@ -236,8 +236,11 @@ pub struct PlateauSummary {
 pub struct ShardStats {
     /// Inputs executed.
     pub executions: u64,
-    /// Model iterations executed.
+    /// Model iterations executed: input ticks, resumed prefixes included.
     pub iterations: u64,
+    /// Input ticks not re-run because the input resumed from its corpus
+    /// parent's checkpoint (a subset of `iterations`).
+    pub resumed_ticks: u64,
     /// Inputs that found new (shard-local) coverage.
     pub discoveries: u64,
     /// Corpus insertions (appends and replacements).
@@ -266,6 +269,7 @@ impl ShardStats {
     pub fn merge_from(&mut self, other: &ShardStats) {
         self.executions += other.executions;
         self.iterations += other.iterations;
+        self.resumed_ticks += other.resumed_ticks;
         self.discoveries += other.discoveries;
         self.corpus_inserts += other.corpus_inserts;
         self.corpus_evictions += other.corpus_evictions;
@@ -797,6 +801,11 @@ impl Telemetry {
         };
         counter("cftcg_executions_total", "Inputs executed", t.executions);
         counter("cftcg_iterations_total", "Model iterations executed", t.iterations);
+        counter(
+            "cftcg_resumed_ticks_total",
+            "Input ticks resumed from a corpus parent's checkpoint instead of re-run",
+            t.resumed_ticks,
+        );
         counter("cftcg_discoveries_total", "Inputs that found new coverage", t.discoveries);
         counter(
             "cftcg_violations_total",

@@ -31,6 +31,7 @@ fn stats_of((execs, iters, discoveries, latencies, ops): &RawStats) -> ShardStat
     let mut s = ShardStats::new(8);
     s.executions = *execs;
     s.iterations = *iters;
+    s.resumed_ticks = iters / 3;
     s.discoveries = *discoveries;
     for &v in latencies {
         s.spans.record(SpanKind::Execution, v);

@@ -371,6 +371,7 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         t.emit(&Event::CampaignEnd {
             executions: generation.executions,
             iterations: generation.iterations,
+            resumed_ticks: t.snapshot().totals.resumed_ticks,
             covered: report.decision.covered,
             total: report.decision.total,
             violations: generation.violations.len(),
@@ -955,6 +956,9 @@ fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
             end.get("elapsed_s").and_then(Json::as_f64).unwrap_or(0.0),
             end.get("iterations_per_second").and_then(Json::as_f64).unwrap_or(0.0),
         );
+        if let Some(resumed) = end.get("resumed_ticks").and_then(Json::as_u64) {
+            println!("resume   : {resumed} iterations resumed from a corpus parent's checkpoint");
+        }
         println!(
             "coverage : {}/{} branches",
             end.get("covered").and_then(Json::as_u64).unwrap_or(0),

@@ -1,7 +1,7 @@
 //! End-to-end tests of the Assertion block: instrumentation, violation
 //! recording, engine agreement, and fuzzer-driven violation discovery.
 
-use cftcg::codegen::{compile, Executor};
+use cftcg::codegen::{compile, Executor, TestCase};
 use cftcg::coverage::FullTracker;
 use cftcg::fuzz::{FuzzConfig, Fuzzer};
 use cftcg::model::{BlockKind, DataType, LogicOp, Model, ModelBuilder, RelOp, Value};
@@ -84,6 +84,20 @@ fn fuzzer_finds_a_violating_input() {
     let mut tracker = FullTracker::new(compiled.map());
     exec.run_case(case, &mut tracker);
     assert!(tracker.assertion_failures(0) > 0, "witness must reproduce");
+}
+
+/// A seed is executed like any generated input, so a violating seed is the
+/// violation's first witness.
+#[test]
+fn a_violating_seed_is_booked_as_a_violation() {
+    let compiled = compile(&guarded_model()).unwrap();
+    let mut fuzzer = Fuzzer::new(&compiled, FuzzConfig::default());
+    // Ten ticks of +20: the integrator passes 100 on tick 6.
+    fuzzer.add_seed(vec![20; 10]);
+    assert_eq!(fuzzer.violations(), &[(0, TestCase::new(vec![20; 10]))]);
+    // A second violating seed is not a first witness.
+    fuzzer.add_seed(vec![30; 10]);
+    assert_eq!(fuzzer.violations().len(), 1);
 }
 
 #[test]

@@ -34,6 +34,7 @@ fn assert_outcomes_identical(flat: &FuzzOutcome, reference: &FuzzOutcome, contex
     assert_eq!(flat.lineage, reference.lineage, "{context}: lineage records");
     assert_eq!(flat.executions, reference.executions, "{context}: executions");
     assert_eq!(flat.iterations, reference.iterations, "{context}: iterations");
+    assert_eq!(flat.resumed_ticks, reference.resumed_ticks, "{context}: resumed ticks");
     assert_eq!(flat.covered_branches, reference.covered_branches, "{context}: covered branches");
     let viol = |o: &FuzzOutcome| {
         o.violations.iter().map(|(i, c)| (*i, c.bytes.clone())).collect::<Vec<_>>()

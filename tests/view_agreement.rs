@@ -1,9 +1,10 @@
 //! Every view of a campaign reports the same numbers: the fuzzer's own
 //! outcome, the Prometheus exposition, the `/snapshot` JSON, the final
 //! status line and the JSONL event log all render one registry, so the
-//! executions, covered branches, violations, plateaus, corpus evictions and
-//! execution rate each view exposes must agree — including on a two-worker
-//! campaign where both shards witness the same assertion.
+//! executions, resumed ticks, covered branches, violations, plateaus,
+//! corpus evictions and execution rate each view exposes must agree —
+//! including on a two-worker campaign where both shards witness the same
+//! assertion.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,6 +91,7 @@ fn every_view_reports_the_same_campaign_numbers() {
         telemetry.status_tick(true);
         telemetry.flush();
         assert!(!outcome.violations.is_empty(), "seed {seed}: the violation must be found");
+        assert!(outcome.resumed_ticks > 0, "seed {seed}: mutants resume from checkpoints");
 
         let metrics = telemetry.prometheus_text();
         let snapshot =
@@ -120,6 +122,14 @@ fn every_view_reports_the_same_campaign_numbers() {
                     ("/snapshot", field("executions")),
                     ("status line", status(line, "execs ")),
                     ("JSONL sync-round", round("executions")),
+                ],
+            ),
+            (
+                "resumed ticks",
+                outcome.resumed_ticks,
+                vec![
+                    ("prometheus", prom(&metrics, "cftcg_resumed_ticks_total")),
+                    ("/snapshot", field("resumed_ticks")),
                 ],
             ),
             (
@@ -172,4 +182,38 @@ fn every_view_reports_the_same_campaign_numbers() {
             "seed {seed}: execs/s in prometheus {prom_rate} vs /snapshot {snapshot_rate}"
         );
     }
+}
+
+/// `cftcg report` reads the campaign-end event of the JSONL log, which the
+/// CLI renders from the same registry as the Prometheus file: both name the
+/// same resumed-tick count.
+#[test]
+fn report_and_prometheus_agree_on_resumed_ticks() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let (jsonl, metrics) = (dir.join("resume_view.jsonl"), dir.join("resume_view.prom"));
+    let model = format!("{}/models/solarpv.mdlx", env!("CARGO_MANIFEST_DIR"));
+    let cftcg = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cftcg"))
+            .args(args)
+            .output()
+            .expect("cftcg runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("UTF-8 output")
+    };
+    cftcg(&[
+        "fuzz",
+        &model,
+        "--budget-ms",
+        "300",
+        "--stats-jsonl",
+        jsonl.to_str().unwrap(),
+        "--prom",
+        metrics.to_str().unwrap(),
+    ]);
+    let report = cftcg(&["report", jsonl.to_str().unwrap()]);
+    let line = report.lines().find(|l| l.starts_with("resume")).expect("a resume line");
+    let resumed: u64 = line.split_whitespace().nth(2).expect("a count").parse().expect("a number");
+    let text = std::fs::read_to_string(&metrics).expect("Prometheus file");
+    assert_eq!(resumed, prom::<u64>(&text, "cftcg_resumed_ticks_total"), "report: {report}");
+    assert!(resumed > 0, "mutants resume from checkpoints");
 }
