@@ -50,7 +50,9 @@ fn main() {
         }
         rows.push((
             "§5: derived ranges".to_string(),
-            Cftcg::new(&model).expect("benchmark compiles").with_input_ranges(ranges),
+            Cftcg::new(&model)
+                .expect("benchmark compiles")
+                .with_config(FuzzConfig { input_ranges: Some(ranges), ..FuzzConfig::default() }),
         ));
         for (i, (name, tool)) in rows.iter().enumerate() {
             let mut acc = (0.0, 0.0, 0.0);

@@ -2,8 +2,8 @@
 //! (s) for SLDV, SimCoTest, and CFTCG on each benchmark model, as CSV
 //! series (one stanza per model) plus a coarse ASCII sparkline.
 //!
-//! Pass `--workers N` (or set `CFTCG_WORKERS`) to run the CFTCG series
-//! with the sharded parallel engine; the baselines stay sequential.
+//! Pass `--workers N` to run the CFTCG series with the sharded parallel
+//! engine; the baselines stay sequential.
 //!
 //! ```sh
 //! CFTCG_BUDGET_MS=3000 cargo run --release -p cftcg-bench --bin fig7

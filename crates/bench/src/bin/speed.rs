@@ -7,20 +7,12 @@
 //! * "its memory usage exceeded 12 GB" — we report the SLDV-like search's
 //!   state-space growth against its budget.
 //!
-//! It also sweeps the sharded parallel engine over worker counts and
-//! writes the machine-readable `results/BENCH_parallel.json` (workers vs
-//! iterations/s, with the host's core count for context).
+//! Worker scaling is measured by the loop benchmark (`loopbench/`): its
+//! traced runs report `parallel.scaling` and `parallel.sync_pct`.
 //!
 //! ```sh
 //! cargo run --release -p cftcg-bench --bin speed
-//! cargo run --release -p cftcg-bench --bin speed -- --check-regress
 //! ```
-//!
-//! Besides the flat `results/BENCH_parallel.json` snapshot (clobbered per
-//! run), every run appends a timestamped record to
-//! `results/history/parallel.jsonl`; `--check-regress` gates the new point
-//! against the trailing median of that history (>15% throughput drop or
-//! any covered-branches drop fails) and exits non-zero on regression.
 
 use std::time::{Duration, Instant};
 
@@ -96,179 +88,4 @@ fn main() {
         "  (the paper observed SLDV exceeding 12 GB on this model; the \
          explicit frontier grows the same way until its budget trips)"
     );
-
-    if !parallel_sweep(&tool, budget) {
-        eprintln!("speed --check-regress FAILED (see violations above)");
-        std::process::exit(1);
-    }
-}
-
-/// Sweeps the sharded parallel engine over worker counts on SolarPV and
-/// writes `results/BENCH_parallel.json`. Numbers are honest wall-clock
-/// measurements on this host — on a single-core machine the extra workers
-/// time-slice one core and the sweep shows it (see `cores` in the JSON).
-/// Each row carries a span-derived phase attribution (`phases`): the share
-/// of attributed wall-clock spent executing inputs vs synchronizing shards
-/// vs mutating, so scaling losses are diagnosable from the artifact alone.
-fn parallel_sweep(tool: &Cftcg, budget: Duration) -> bool {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_workers = cftcg_bench::workers().max(4);
-    let mut counts = vec![1usize, 2, 4];
-    while counts.last().copied().unwrap_or(0) * 2 <= max_workers {
-        counts.push(counts.last().unwrap() * 2);
-    }
-    counts.dedup();
-
-    if cores == 1 {
-        eprintln!(
-            "\n*** WARNING: this host exposes only 1 core — the parallel sweep below \
-             time-slices a single CPU, so worker counts cannot scale and the \
-             throughput ratios are meaningless as a scaling signal. The sweep still \
-             runs (phase shares and sync-wait attribution stay valid), but the \
-             scaling regression gate is SKIPPED; re-measure on a multi-core host \
-             before trusting speedup_vs_1. ***"
-        );
-    }
-    println!("\nSharded parallel fuzzing on SolarPV ({cores} core(s) available):");
-    // With CFTCG_STATS_JSONL set, each sweep row also lands in the shared
-    // telemetry JSONL stream as a `bench-point` event.
-    let telemetry = cftcg_bench::telemetry_from_env();
-    let total = tool.compiled().map().branch_count();
-    struct Row {
-        workers: usize,
-        rate: f64,
-        execs_per_sec: f64,
-        covered: usize,
-        exec_pct: f64,
-        sync_pct: f64,
-        mutation_pct: f64,
-        /// Per-worker sync-wait share of span-attributed wall-clock, so
-        /// contention (one slow shard stalling every sync round) is visible
-        /// from the artifact alone.
-        worker_sync_pct: Vec<f64>,
-    }
-    let mut rows = Vec::new();
-    for &workers in &counts {
-        // Each row runs with its own span-profiled telemetry registry so
-        // the sweep can attribute wall-clock to engine phases (execution
-        // vs sync vs mutation) as the worker count grows. Span sampling
-        // keeps the probe overhead in the noise.
-        let spans = std::sync::Arc::new(cftcg_telemetry::Telemetry::new());
-        let observed = tool.clone().with_telemetry(std::sync::Arc::clone(&spans));
-        let started = Instant::now();
-        let generation = if workers == 1 {
-            observed.generate(budget, 0)
-        } else {
-            observed.generate_parallel(budget, 0, workers)
-        };
-        let elapsed = started.elapsed().as_secs_f64();
-        let rate = generation.iterations_per_second();
-        let execs_per_sec = generation.executions as f64 / elapsed.max(1e-9);
-        let covered = tool.score(&generation).decision.covered;
-        let snap = spans.snapshot();
-        let phase = &snap.totals.spans;
-        let sync_pct = phase.phase_pct(cftcg_telemetry::SpanKind::SyncWait)
-            + phase.phase_pct(cftcg_telemetry::SpanKind::SyncRound);
-        let exec_pct = phase.phase_pct(cftcg_telemetry::SpanKind::Execution);
-        let mutation_pct = phase.phase_pct(cftcg_telemetry::SpanKind::Mutation);
-        // Mutation-yield join: branch goals earned per ms spent mutating,
-        // from the same span profile the phase shares come from.
-        let yield_note = match snap.goals_per_mutation_ns() {
-            Some(per_ns) => format!("  ({:.3} goals/ms-mutation)", per_ns * 1e6),
-            None => String::new(),
-        };
-        println!(
-            "  workers {workers:>2}: {rate:>12.0} iterations/s  ({covered} covered)  \
-             [exec {exec_pct:.0}% / sync {sync_pct:.0}% / mutate {mutation_pct:.0}%]{yield_note}"
-        );
-        if let Some(t) = &telemetry {
-            t.emit(&cftcg_telemetry::Event::BenchPoint {
-                tool: format!("CFTCG x{workers}"),
-                model: "SolarPV".to_string(),
-                t: elapsed,
-                covered,
-                total,
-            });
-        }
-        rows.push(Row {
-            workers,
-            rate,
-            execs_per_sec,
-            covered,
-            exec_pct,
-            sync_pct,
-            mutation_pct,
-            worker_sync_pct: snap.shard_sync_pct.clone(),
-        });
-    }
-    if let Some(t) = &telemetry {
-        t.flush();
-    }
-
-    let base = rows.first().map_or(1.0, |r| r.rate).max(1e-9);
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let worker_sync =
-                r.worker_sync_pct.iter().map(|p| format!("{p:.1}")).collect::<Vec<_>>().join(", ");
-            format!(
-                "    {{\"workers\": {}, \"iterations_per_sec\": {:.1}, \
-                 \"executions_per_sec\": {:.1}, \"covered_branches\": {}, \
-                 \"speedup_vs_1\": {:.3}, \"phases\": {{\"execution_pct\": {:.1}, \
-                 \"sync_pct\": {:.1}, \"mutation_pct\": {:.1}, \
-                 \"worker_sync_wait_pct\": [{worker_sync}]}}}}",
-                r.workers,
-                r.rate,
-                r.execs_per_sec,
-                r.covered,
-                r.rate / base,
-                r.exec_pct,
-                r.sync_pct,
-                r.mutation_pct
-            )
-        })
-        .collect();
-    // Host metadata (core count, CFTCG_WORKERS override, budget) comes from
-    // the telemetry helper so every benchmark artifact self-describes the
-    // machine it ran on in the same schema.
-    let host = cftcg_telemetry::host_metadata_json(Some(budget.as_millis() as u64));
-    let json = format!(
-        "{{\n  \"model\": \"SolarPV\",\n  \"cores\": {cores},\n  \
-         \"budget_ms\": {},\n  \"host\": {host},\n  \"results\": [\n{}\n  ]\n}}\n",
-        budget.as_millis(),
-        entries.join(",\n")
-    );
-    let path = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(path);
-    match std::fs::write(path.join("BENCH_parallel.json"), &json) {
-        Ok(()) => println!("  wrote results/BENCH_parallel.json"),
-        Err(e) => eprintln!("  could not write results/BENCH_parallel.json: {e}"),
-    }
-
-    // Append-only history + the optional regression gate: per-worker-count
-    // throughput ratio-compared, covered branches absolutely. On a
-    // single-core host the scaling gate is skipped (loudly, above): worker
-    // counts time-slicing one CPU make the per-count throughput ratios
-    // noise, and a gate on noise would flake. The history still records
-    // the point, flagged by the host's core count in the artifact.
-    let record = cftcg_compare::HistoryRecord {
-        t_unix: cftcg_bench::unix_now(),
-        bench: "parallel".to_string(),
-        throughput: rows.iter().map(|r| (format!("SolarPV/x{}", r.workers), r.rate)).collect(),
-        coverage: rows
-            .iter()
-            .map(|r| (format!("SolarPV/x{}", r.workers), r.covered as f64))
-            .collect(),
-    };
-    if cores == 1 {
-        match cftcg_compare::append_history(std::path::Path::new("results"), &record) {
-            Ok(path) => println!("  appended history record to {}", path.display()),
-            Err(e) => eprintln!("  could not append bench history: {e}"),
-        }
-        if std::env::args().any(|a| a == "--check-regress") {
-            eprintln!("  check-regress: SKIPPED scaling assertion (single-core host)");
-        }
-        return true;
-    }
-    cftcg_bench::record_history(&record)
 }

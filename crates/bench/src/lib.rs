@@ -40,9 +40,8 @@ pub fn repeats() -> u64 {
     std::env::var("CFTCG_REPEATS").ok().and_then(|s| s.parse().ok()).unwrap_or(3)
 }
 
-/// Fuzzing worker count for CFTCG runs: `--workers N` on the command line
-/// wins, then the `CFTCG_WORKERS` environment variable, default 1
-/// (sequential). Zero is clamped to 1.
+/// Fuzzing worker count for CFTCG runs: `--workers N` on the command line,
+/// default 1 (sequential). Zero is clamped to 1.
 pub fn workers() -> usize {
     let mut argv = std::env::args();
     let from_argv = loop {
@@ -58,10 +57,7 @@ pub fn workers() -> usize {
             None => break None,
         }
     };
-    from_argv
-        .or_else(|| std::env::var("CFTCG_WORKERS").ok().and_then(|s| s.parse().ok()))
-        .unwrap_or(1)
-        .max(1)
+    from_argv.unwrap_or(1).max(1)
 }
 
 /// Records one benchmark observation into the append-only history

@@ -253,39 +253,48 @@ pub(crate) fn flatten(
     body: &[Instr],
     observed: &std::collections::HashSet<Reg>,
 ) -> Result<FlatProgram, CompileError> {
+    flatten_hoisting(body, hoistable_consts(body, observed))
+}
+
+/// Flat-lowers `body` with `hoisted` (register, value) constants moved to
+/// [`FlatProgram::reg_init`].
+fn flatten_hoisting(body: &[Instr], hoisted: Vec<(Reg, f64)>) -> Result<FlatProgram, CompileError> {
     let mut p = FlatProgram::default();
-    // Constant hoisting: a `Const` whose register has no other writer in
-    // the whole program and whose every read is *dominated* by it (reads
-    // occur only downstream of the write within its own arm) stores a
-    // value no execution can ever observe differing from the constant —
-    // so it moves to `reg_init` and out of the per-tick dispatch loop.
-    // Top-level constants re-store unconditionally every tick, so they
-    // hoist even when externally observed; conditional ones hoist only
-    // when the register is invisible to the signal-probe surface (on
-    // ticks where the arm never ran, the original register still holds
-    // its initial zero, and an observer could tell the difference).
+    let mut hoisted_regs = std::collections::HashSet::new();
+    for (dst, value) in hoisted {
+        hoisted_regs.insert(dst);
+        p.reg_init.push((r(dst)?, value));
+    }
+    flatten_into(body, &mut p, &hoisted_regs)?;
+    p.lean_ops = without_mcdc_events(&p.ops);
+    Ok(p)
+}
+
+/// Constant hoisting: a `Const` whose register has no other writer in the
+/// whole program and whose every read is *dominated* by it (reads occur
+/// only downstream of the write within its own arm) stores a value no
+/// execution can ever observe differing from the constant — so it moves to
+/// `reg_init` and out of the per-tick dispatch loop. Top-level constants
+/// re-store unconditionally every tick, so they hoist even when externally
+/// observed; conditional ones hoist only when the register is invisible to
+/// the signal-probe surface (on ticks where the arm never ran, the
+/// original register still holds its initial zero, and an observer could
+/// tell the difference). Returns the hoisted constants in program order;
+/// one walk of the body classifies every candidate.
+fn hoistable_consts(body: &[Instr], observed: &std::collections::HashSet<Reg>) -> Vec<(Reg, f64)> {
     let mut writes = std::collections::HashMap::new();
     count_writes(body, &mut writes);
     let mut consts = Vec::new();
     collect_consts(body, &mut consts);
-    let mut hoisted = std::collections::HashSet::new();
-    for (dst, value) in consts {
-        if writes.get(&dst) != Some(&1) {
-            continue;
-        }
-        let ok = match scan_dominance(body, dst) {
-            Dom::Dominated => true,
-            Dom::CondDominated => !observed.contains(&dst),
-            _ => false,
-        };
-        if ok {
-            hoisted.insert(dst);
-            p.reg_init.push((r(dst)?, value));
-        }
-    }
-    flatten_into(body, &mut p, &hoisted)?;
-    p.lean_ops = without_mcdc_events(&p.ops);
-    Ok(p)
+    consts.retain(|(dst, _)| writes.get(dst) == Some(&1));
+    let candidates = consts.iter().map(|&(dst, _)| dst).collect();
+    let dominance = classify_dominance(body, &candidates);
+    consts.retain(|(dst, _)| match dominance.get(dst) {
+        Some(Dom::Dominated) => true,
+        Some(Dom::CondDominated) => !observed.contains(dst),
+        _ => false,
+    });
+    consts
 }
 
 /// Drops the ops whose only effect is a condition or decision event and
@@ -355,63 +364,70 @@ enum Dom {
     Broken,
 }
 
-/// Walks `body` in execution order classifying whether every read of `dst`
-/// is dominated by its single `Const` write (see [`Dom`]).
-fn scan_dominance(body: &[Instr], dst: Reg) -> Dom {
-    fn bump_read(state: Dom) -> Dom {
-        match state {
-            Dom::Clean => Dom::ReadsOnly,
-            Dom::ReadsOnly => Dom::ReadsOnly,
-            Dom::Dominated => Dom::Dominated,
-            // A read downstream of a conditional write sees stale values
-            // on ticks where the write's arm did not run.
-            Dom::CondDominated | Dom::Broken => Dom::Broken,
-        }
+/// A read of a candidate register in state `state`.
+fn bump_read(state: Dom) -> Dom {
+    match state {
+        Dom::Clean | Dom::ReadsOnly => Dom::ReadsOnly,
+        Dom::Dominated => Dom::Dominated,
+        // A read downstream of a conditional write sees stale values on
+        // ticks where the write's arm did not run.
+        Dom::CondDominated | Dom::Broken => Dom::Broken,
     }
-    let mut state = Dom::Clean;
-    for instr in body {
-        match instr {
-            Instr::Const { dst: d, .. } if *d == dst => {
-                // The single global write: every later read (any depth,
-                // any later instruction) executes after it this tick.
-                return if state == Dom::Clean { Dom::Dominated } else { Dom::Broken };
-            }
-            Instr::If { cond, then_body, else_body } => {
-                if *cond == dst {
-                    state = bump_read(state);
-                }
-                for sub in [scan_dominance(then_body, dst), scan_dominance(else_body, dst)] {
-                    state = match (state, sub) {
-                        (Dom::Broken, _) | (_, Dom::Broken) => Dom::Broken,
-                        (s, Dom::Clean) => s,
-                        (Dom::Clean, Dom::ReadsOnly) | (Dom::ReadsOnly, Dom::ReadsOnly) => {
-                            Dom::ReadsOnly
-                        }
-                        (Dom::Clean, Dom::Dominated | Dom::CondDominated) => Dom::CondDominated,
-                        // Reads strictly before a conditional write, or in
-                        // its sibling arm, are not dominated.
-                        (Dom::ReadsOnly, Dom::Dominated | Dom::CondDominated) => Dom::Broken,
-                        (Dom::CondDominated, _) => Dom::Broken,
-                        (Dom::Dominated, _) => unreachable!("write returns early"),
-                    };
-                }
-            }
-            other => {
-                if instr_reads(other, dst) {
-                    state = bump_read(state);
-                }
-            }
-        }
-    }
-    state
 }
 
-/// Whether `instr` reads register `dst` (source operands only; nested
-/// bodies are handled by [`scan_dominance`]).
-fn instr_reads(instr: &Instr, dst: Reg) -> bool {
-    let mut reads = false;
-    instr.for_each_read(|r| reads |= r == dst);
-    reads
+/// Folds the state an `If` arm left (`arm`) into the enclosing body's
+/// `state`.
+fn merge_arm(state: Dom, arm: Dom) -> Dom {
+    match (state, arm) {
+        (Dom::Broken, _) | (_, Dom::Broken) => Dom::Broken,
+        // Every later read of a dominating write's register is dominated.
+        (Dom::Dominated, _) => Dom::Dominated,
+        (s, Dom::Clean) => s,
+        (Dom::Clean | Dom::ReadsOnly, Dom::ReadsOnly) => Dom::ReadsOnly,
+        (Dom::Clean, Dom::Dominated | Dom::CondDominated) => Dom::CondDominated,
+        // Reads strictly before a conditional write, or in its sibling arm,
+        // are not dominated.
+        (Dom::ReadsOnly, Dom::Dominated | Dom::CondDominated) => Dom::Broken,
+        (Dom::CondDominated, _) => Dom::Broken,
+    }
+}
+
+/// Walks `body` once in execution order, classifying for every candidate
+/// register whether each read is dominated by its single `Const` write
+/// (see [`Dom`]). Candidates absent from the result are [`Dom::Clean`] in
+/// `body`.
+fn classify_dominance(
+    body: &[Instr],
+    candidates: &std::collections::HashSet<Reg>,
+) -> std::collections::HashMap<Reg, Dom> {
+    let mut states = std::collections::HashMap::new();
+    let read = |states: &mut std::collections::HashMap<Reg, Dom>, reg: Reg| {
+        if candidates.contains(&reg) {
+            let state = states.entry(reg).or_insert(Dom::Clean);
+            *state = bump_read(*state);
+        }
+    };
+    for instr in body {
+        match instr {
+            Instr::Const { dst, .. } if candidates.contains(dst) => {
+                // The single global write: every later read (any depth, any
+                // later instruction) executes after it this tick.
+                let state = states.entry(*dst).or_insert(Dom::Clean);
+                *state = if *state == Dom::Clean { Dom::Dominated } else { Dom::Broken };
+            }
+            Instr::If { cond, then_body, else_body } => {
+                read(&mut states, *cond);
+                for arm in [then_body, else_body] {
+                    for (reg, arm_state) in classify_dominance(arm, candidates) {
+                        let state = states.entry(reg).or_insert(Dom::Clean);
+                        *state = merge_arm(*state, arm_state);
+                    }
+                }
+            }
+            other => other.for_each_read(|reg| read(&mut states, reg)),
+        }
+    }
+    states
 }
 
 /// Counts static register writes across the whole tree.
@@ -632,6 +648,132 @@ fn patch(p: &mut FlatProgram, pos: usize) -> Result<(), CompileError> {
 mod tests {
     use super::*;
     use cftcg_coverage::{BranchId, ConditionId, DecisionId};
+
+    mod recipes {
+        include!("../tests/common/recipes.rs");
+    }
+
+    /// The hoisting oracle: each candidate classified by its own walk of
+    /// the whole body (the one-walk [`hoistable_consts`] must agree).
+    fn hoistable_consts_oracle(
+        body: &[Instr],
+        observed: &std::collections::HashSet<Reg>,
+    ) -> Vec<(Reg, f64)> {
+        let mut writes = std::collections::HashMap::new();
+        count_writes(body, &mut writes);
+        let mut consts = Vec::new();
+        collect_consts(body, &mut consts);
+        consts
+            .into_iter()
+            .filter(|&(dst, _)| {
+                writes.get(&dst) == Some(&1)
+                    && match scan_dominance(body, dst) {
+                        Dom::Dominated => true,
+                        Dom::CondDominated => !observed.contains(&dst),
+                        _ => false,
+                    }
+            })
+            .collect()
+    }
+
+    /// Walks `body` in execution order classifying whether every read of `dst`
+    /// is dominated by its single `Const` write (see [`Dom`]).
+    fn scan_dominance(body: &[Instr], dst: Reg) -> Dom {
+        fn bump_read(state: Dom) -> Dom {
+            match state {
+                Dom::Clean => Dom::ReadsOnly,
+                Dom::ReadsOnly => Dom::ReadsOnly,
+                Dom::Dominated => Dom::Dominated,
+                // A read downstream of a conditional write sees stale values
+                // on ticks where the write's arm did not run.
+                Dom::CondDominated | Dom::Broken => Dom::Broken,
+            }
+        }
+        let mut state = Dom::Clean;
+        for instr in body {
+            match instr {
+                Instr::Const { dst: d, .. } if *d == dst => {
+                    // The single global write: every later read (any depth,
+                    // any later instruction) executes after it this tick.
+                    return if state == Dom::Clean { Dom::Dominated } else { Dom::Broken };
+                }
+                Instr::If { cond, then_body, else_body } => {
+                    if *cond == dst {
+                        state = bump_read(state);
+                    }
+                    for sub in [scan_dominance(then_body, dst), scan_dominance(else_body, dst)] {
+                        state = match (state, sub) {
+                            (Dom::Broken, _) | (_, Dom::Broken) => Dom::Broken,
+                            (s, Dom::Clean) => s,
+                            (Dom::Clean, Dom::ReadsOnly) | (Dom::ReadsOnly, Dom::ReadsOnly) => {
+                                Dom::ReadsOnly
+                            }
+                            (Dom::Clean, Dom::Dominated | Dom::CondDominated) => Dom::CondDominated,
+                            // Reads strictly before a conditional write, or in
+                            // its sibling arm, are not dominated.
+                            (Dom::ReadsOnly, Dom::Dominated | Dom::CondDominated) => Dom::Broken,
+                            (Dom::CondDominated, _) => Dom::Broken,
+                            (Dom::Dominated, _) => unreachable!("write returns early"),
+                        };
+                    }
+                }
+                other => {
+                    if instr_reads(other, dst) {
+                        state = bump_read(state);
+                    }
+                }
+            }
+        }
+        state
+    }
+
+    /// Whether `instr` reads register `dst` (source operands only; nested
+    /// bodies are handled by [`scan_dominance`]).
+    fn instr_reads(instr: &Instr, dst: Reg) -> bool {
+        let mut reads = false;
+        instr.for_each_read(|r| reads |= r == dst);
+        reads
+    }
+
+    /// The one-walk classification hoists the same constants as the
+    /// oracle, and the flat program lowered from them is the same.
+    fn assert_hoisting_matches_oracle(model: &cftcg_model::Model) {
+        let compiled = crate::compile(model).expect("model compiles");
+        let body = compiled.program();
+        let observed = compiled.signals().iter().map(|s| s.reg).collect();
+        let hoisted = hoistable_consts(body, &observed);
+        assert_eq!(hoisted, hoistable_consts_oracle(body, &observed), "{}", model.name());
+        let oracle = flatten_hoisting(body, hoistable_consts_oracle(body, &observed)).unwrap();
+        let flat = flatten(body, &observed).unwrap();
+        assert_eq!(format!("{flat:?}"), format!("{oracle:?}"), "{}", model.name());
+        assert_eq!(format!("{:?}", compiled.flat), format!("{oracle:?}"), "{}", model.name());
+    }
+
+    #[test]
+    fn one_walk_hoisting_matches_the_oracle_on_the_benchmarks() {
+        for model in cftcg_benchmarks::all() {
+            assert_hoisting_matches_oracle(&model);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn one_walk_hoisting_matches_the_oracle_on_random_models(
+            recipes in proptest::collection::vec(recipes::arb_recipe(), 1..14),
+            wiring in proptest::collection::vec(0usize..1000, 8..40),
+        ) {
+            let model = recipes::build_model(
+                &recipes,
+                &wiring,
+                &[cftcg_model::DataType::F64, cftcg_model::DataType::I16],
+            );
+            if model.validate().is_ok() {
+                assert_hoisting_matches_oracle(&model);
+            }
+        }
+    }
 
     #[test]
     fn flat_ops_stay_small() {

@@ -78,4 +78,4 @@ pub use layout::{
 };
 pub use opt::OptStats;
 pub use replay::{replay_case, replay_suite};
-pub use vm::{resolve_engine, Engine, Executor, JitStats};
+pub use vm::{Engine, Executor, JitStats};

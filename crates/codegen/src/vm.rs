@@ -56,19 +56,6 @@ impl Engine {
         }
     }
 
-    /// Reads the `CFTCG_ENGINE` environment override: `ref`/`reference`,
-    /// `flat`, or `jit` (case-insensitive). Returns `None` when unset or
-    /// unrecognized.
-    pub fn from_env() -> Option<Engine> {
-        let v = std::env::var("CFTCG_ENGINE").ok()?;
-        match v.to_ascii_lowercase().as_str() {
-            "ref" | "reference" => Some(Engine::Reference),
-            "flat" => Some(Engine::Flat),
-            "jit" => Some(Engine::Jit),
-            _ => None,
-        }
-    }
-
     /// The engine's short name (`ref`/`flat`/`jit`) as logged into bench
     /// and campaign metadata.
     pub const fn name(self) -> &'static str {
@@ -80,11 +67,20 @@ impl Engine {
     }
 }
 
-/// Resolves the effective engine from the three-level preference chain
-/// every CLI entry point shares: the `CFTCG_ENGINE` environment override
-/// wins, then the caller's configured preference, then `default`.
-pub fn resolve_engine(preference: Option<Engine>, default: Engine) -> Engine {
-    Engine::from_env().or(preference).unwrap_or(default)
+/// Parses an engine name as the `--engine` flag and `cftcg ab`'s `engine=`
+/// key spell it: `ref`/`reference`, `flat` or `jit` (case-insensitive).
+/// The error names the offending value and the accepted list.
+impl std::str::FromStr for Engine {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Engine, String> {
+        match name.trim().to_ascii_lowercase().as_str() {
+            "ref" | "reference" => Ok(Engine::Reference),
+            "flat" => Ok(Engine::Flat),
+            "jit" => Ok(Engine::Jit),
+            _ => Err(format!("unknown engine `{name}` (accepted: ref|reference|flat|jit)")),
+        }
+    }
 }
 
 impl std::fmt::Display for Engine {

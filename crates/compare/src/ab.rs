@@ -1,8 +1,10 @@
 //! The paired A/B harness: run two fuzzing-loop configurations against the
 //! same model as interleaved trials (A₁ B₁ A₂ B₂ …) with per-trial seeds,
-//! summarize each variant's goals-at-budget and time-to-goal distribution
-//! (median / interquartile range), and pick a representative artifact pair
-//! for the standard diff renderer.
+//! summarize each variant's goals-at-budget, time-to-goal and
+//! executions-to-goal distributions (median / interquartile range), and
+//! pick a representative artifact pair for the standard diff renderer.
+//! [`ab_json`] writes every trial, so a verdict can be re-derived from the
+//! output alone.
 //!
 //! Interleaving matters for wall-clock budgets: thermal drift, page-cache
 //! warm-up, and background load then bias both variants equally instead of
@@ -14,6 +16,8 @@ use cftcg_core::{CampaignArtifact, Cftcg};
 use cftcg_coverage::InstrumentationMap;
 use cftcg_fuzz::FuzzConfig;
 use cftcg_model::Model;
+use cftcg_telemetry::json::push_json_str;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One side of an A/B experiment: a named fuzzing-loop configuration.
@@ -21,8 +25,8 @@ use std::time::Duration;
 pub struct VariantSpec {
     /// Display name (`A` / `B` by default, or the raw spec string).
     pub name: String,
-    /// Execution engine override; `None` resolves like the `fuzz`
-    /// subcommand (environment, then the build's best tier).
+    /// Execution engine; `None` runs the build's best tier, like the
+    /// `fuzz` subcommand without `--engine`.
     pub engine: Option<Engine>,
     /// Worker shard count.
     pub workers: usize,
@@ -61,14 +65,7 @@ impl VariantSpec {
                 .split_once('=')
                 .ok_or_else(|| format!("variant clause `{clause}` is not key=value"))?;
             match key.trim() {
-                "engine" => {
-                    out.engine = Some(match value.trim().to_ascii_lowercase().as_str() {
-                        "ref" | "reference" => Engine::Reference,
-                        "flat" => Engine::Flat,
-                        "jit" => Engine::Jit,
-                        other => return Err(format!("unknown engine `{other}`")),
-                    });
-                }
+                "engine" => out.engine = Some(value.parse()?),
                 "workers" => {
                     out.workers = value
                         .trim()
@@ -139,8 +136,17 @@ pub struct TrialResult {
     pub goals: usize,
     /// Branches covered.
     pub covered: usize,
+    /// Decision coverage of the emitted suite, percent.
+    pub decision_pct: f64,
+    /// Condition coverage, percent.
+    pub condition_pct: f64,
+    /// MC/DC coverage, percent.
+    pub mcdc_pct: f64,
     /// Inputs executed.
     pub executions: u64,
+    /// Executions completed when the last goal was first hit (0 when no
+    /// goal was hit). Deterministic under an execution budget.
+    pub executions_to_last_goal: u64,
     /// Wall-clock offset of the last goal hit, seconds (0 when no goal was
     /// hit).
     pub time_to_last_goal_s: f64,
@@ -201,6 +207,8 @@ pub struct VariantOutcome {
     pub covered: Spread,
     /// Time-to-last-goal distribution, seconds.
     pub time_to_goal_s: Spread,
+    /// Executions-to-last-goal distribution.
+    pub executions_to_goal: Spread,
     /// The artifact of the median-by-goals trial (ties: earliest trial),
     /// used as the variant's representative in the diff renderer.
     pub representative: CampaignArtifact,
@@ -258,11 +266,16 @@ fn run_trial(
     let mut artifact =
         CampaignArtifact::from_generation(model.name(), seed, spec.workers, &generation, map);
     artifact.engine = Some(tool.engine().name().to_string());
+    let report = tool.score(&generation);
     let result = TrialResult {
         seed,
         goals: artifact.hits.len(),
         covered: artifact.covered_branches,
+        decision_pct: report.decision.percent(),
+        condition_pct: report.condition.percent(),
+        mcdc_pct: report.mcdc.percent(),
         executions: artifact.executions,
+        executions_to_last_goal: artifact.hits.iter().map(|h| h.executions).max().unwrap_or(0),
         time_to_last_goal_s: artifact.hits.iter().map(|h| h.elapsed_s).fold(0.0f64, f64::max),
     };
     Ok((result, artifact))
@@ -292,33 +305,40 @@ fn summarize(spec: &VariantSpec, runs: Vec<(TrialResult, CampaignArtifact)>) -> 
         goals,
         covered: metric(|t| t.covered as f64),
         time_to_goal_s: metric(|t| t.time_to_last_goal_s),
+        executions_to_goal: metric(|t| t.executions_to_last_goal as f64),
         trials: runs.into_iter().map(|(t, _)| t).collect(),
         representative,
         representative_trial,
     }
 }
 
+/// `median [IQR]` of a spread, to `decimals` places.
+fn median_iqr(spread: &Spread, decimals: usize) -> String {
+    format!("{:.decimals$} [{:.decimals$}]", spread.median, spread.iqr())
+}
+
 /// Renders the experiment summary as an aligned terminal table.
 pub fn ab_report(outcome: &AbOutcome, trials: usize) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "paired A/B: {trials} interleaved trial pairs, shared per-trial seeds");
     let _ = writeln!(
         out,
-        "  {:8}  {:>24}  {:>24}  {:>22}",
-        "variant", "goals (median [IQR])", "branches (median [IQR])", "t-to-goal s (median)"
+        "  {:8}  {:>20}  {:>20}  {:>22}  {:>22}",
+        "variant", "goals", "branches", "t-to-goal s", "execs-to-goal"
     );
     for (name, v) in [("A", &outcome.a), ("B", &outcome.b)] {
         let _ = writeln!(
             out,
-            "  {:8}  {:>24}  {:>24}  {:>22}",
+            "  {:8}  {:>20}  {:>20}  {:>22}  {:>22}",
             name,
-            format!("{:.1} [{:.1}]", v.goals.median, v.goals.iqr()),
-            format!("{:.1} [{:.1}]", v.covered.median, v.covered.iqr()),
-            format!("{:.3}", v.time_to_goal_s.median),
+            median_iqr(&v.goals, 1),
+            median_iqr(&v.covered, 1),
+            median_iqr(&v.time_to_goal_s, 3),
+            median_iqr(&v.executions_to_goal, 0),
         );
         let _ = writeln!(out, "           config: {}", v.spec.describe());
     }
+    let _ = writeln!(out, "  (every column: median [interquartile range] over the trials)");
     let _ = writeln!(
         out,
         "  representative trials: A#{} (seed {}), B#{} (seed {}) — diffed below",
@@ -327,6 +347,45 @@ pub fn ab_report(outcome: &AbOutcome, trials: usize) -> String {
         outcome.b.representative_trial,
         outcome.b.representative.seed
     );
+    out
+}
+
+/// The experiment as one JSON document: each variant's config and every
+/// trial (seed, goals, branches, DC/CC/MC-DC, executions, executions and
+/// seconds to the last goal), plus `diff`, the representative pair's
+/// machine diff (a [`crate::diff_json`] document).
+pub fn ab_json(outcome: &AbOutcome, diff: &str) -> String {
+    let mut out = String::from("{\n\"variants\":[");
+    for (i, (name, v)) in [("A", &outcome.a), ("B", &outcome.b)].into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("\n{\"name\":");
+        push_json_str(&mut out, name);
+        out.push_str(",\"config\":");
+        push_json_str(&mut out, &v.spec.describe());
+        out.push_str(",\"trials\":[");
+        for (j, t) in v.trials.iter().enumerate() {
+            let _ = write!(
+                out,
+                "{}\n  {{\"seed\":{},\"goals\":{},\"branches\":{},\"dc_pct\":{},\
+                 \"cc_pct\":{},\"mcdc_pct\":{},\"executions\":{},\
+                 \"executions_to_last_goal\":{},\"time_to_last_goal_s\":{}}}",
+                if j > 0 { "," } else { "" },
+                t.seed,
+                t.goals,
+                t.covered,
+                t.decision_pct,
+                t.condition_pct,
+                t.mcdc_pct,
+                t.executions,
+                t.executions_to_last_goal,
+                t.time_to_last_goal_s,
+            );
+        }
+        out.push_str("]}");
+    }
+    let _ = write!(out, "],\n\"diff\":{}\n}}\n", diff.trim_end());
     out
 }
 
@@ -387,5 +446,16 @@ mod tests {
         let report = ab_report(&outcome, 2);
         assert!(report.contains("variant"));
         assert!(report.contains("field-aware=off"));
+        assert!(report.contains("execs-to-goal"));
+
+        let json = cftcg_telemetry::json::Json::parse(&ab_json(&outcome, "{}")).unwrap();
+        let b = &json.get("variants").and_then(|v| v.as_array()).unwrap()[1];
+        let row = &b.get("trials").and_then(|t| t.as_array()).unwrap()[1];
+        let field = |key: &str| row.get(key).and_then(|v| v.as_f64()).unwrap();
+        let trial = &outcome.b.trials[1];
+        assert_eq!(field("seed") as u64, trial.seed);
+        assert_eq!(field("mcdc_pct"), trial.mcdc_pct);
+        assert_eq!(field("executions_to_last_goal") as u64, trial.executions_to_last_goal);
+        assert_eq!(field("time_to_last_goal_s"), trial.time_to_last_goal_s);
     }
 }

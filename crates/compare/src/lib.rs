@@ -22,8 +22,9 @@
 //!   self-contained side-by-side HTML report with a coverage-vs-time curve
 //!   overlay in the explorer's visual language.
 //! * [`run_ab`] — the paired A/B harness: interleaved trials with shared
-//!   per-trial seeds, median/IQR summaries of goals-at-budget and
-//!   time-to-goal, and a representative artifact pair feeding the same
+//!   per-trial seeds, median/IQR summaries of goals-at-budget,
+//!   time-to-goal and executions-to-goal, every trial as JSON
+//!   ([`ab_json`]), and a representative artifact pair feeding the same
 //!   diff renderers.
 //! * [`append_history`] / [`check_regress`] — the bench-history gate:
 //!   benchmarks append timestamped JSONL records under `results/history/`
@@ -42,7 +43,8 @@ mod html;
 mod render;
 
 pub use ab::{
-    ab_report, run_ab, AbBudget, AbOutcome, Spread, TrialResult, VariantOutcome, VariantSpec,
+    ab_json, ab_report, run_ab, AbBudget, AbOutcome, Spread, TrialResult, VariantOutcome,
+    VariantSpec,
 };
 pub use diff::{ArtifactDiff, GoalShift, GoalSide, RunIdentity, SpanDelta, YieldDelta};
 pub use frontier::{replay_tracker, FrontierMigration, MigratedGoal, OpenBoth};

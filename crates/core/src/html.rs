@@ -14,7 +14,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-use cftcg_codegen::{replay_case, CompiledModel, TestCase};
+use cftcg_codegen::{replay_case, CompiledModel, Engine, TestCase};
 use cftcg_coverage::{
     format_case_id, frontier, CoverageReport, FullTracker, Goal, InstrumentationMap, Ratio,
 };
@@ -385,8 +385,8 @@ fn render_waveforms(out: &mut String, compiled: &CompiledModel, artifact: &Campa
             format_case_id(case.id),
             esc(&labels.join(", ")),
         );
-        let trace =
-            trace_vm_case(compiled, &TestCase::new(case.bytes.clone()), &mask, WAVEFORM_CAPACITY);
+        let input = TestCase::new(case.bytes.clone());
+        let trace = trace_vm_case(compiled, Engine::Flat, &input, &mask, WAVEFORM_CAPACITY);
         if trace.dropped() > 0 {
             let _ =
                 writeln!(out, "<p>Long case: showing the most recent {} samples.</p>", trace.len());

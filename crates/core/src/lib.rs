@@ -73,53 +73,11 @@ impl Cftcg {
         Ok(Cftcg { compiled: compile(model)?, config: FuzzConfig::default() })
     }
 
-    /// Overrides the fuzzing-loop configuration (mutation/corpus/feedback
-    /// knobs; the seed is supplied per run).
+    /// Overrides the fuzzing-loop configuration: mutation, corpus and
+    /// feedback knobs, the engine, input ranges and the observers
+    /// (telemetry, trace hook). The seed is supplied per run.
     pub fn with_config(mut self, config: FuzzConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Installs per-inport value-range constraints for input mutation — the
-    /// paper's §5 extension for taming oversized integer domains. One range
-    /// per inport, in port order.
-    pub fn with_input_ranges(mut self, ranges: Vec<cftcg_fuzz::FieldRange>) -> Self {
-        self.config.input_ranges = Some(ranges);
-        self
-    }
-
-    /// Attaches a telemetry registry: the fuzzing loop (sequential or
-    /// parallel) records counters/histograms into it and emits events to
-    /// its sinks. Pure observation — the fuzzing trajectory is unchanged.
-    pub fn with_telemetry(mut self, telemetry: std::sync::Arc<cftcg_telemetry::Telemetry>) -> Self {
-        self.config.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Attaches a span-trace buffer: the fuzzing loop records sampled
-    /// per-phase trace events (mutation, execution, sync, ...) into it for
-    /// Chrome-trace export. Pure observation, like telemetry — the fuzzing
-    /// trajectory is unchanged.
-    pub fn with_span_trace(mut self, trace: cftcg_telemetry::SpanTrace) -> Self {
-        self.config.span_trace = Some(trace);
-        self
-    }
-
-    /// Arms the plateau watcher: with a telemetry registry attached, a
-    /// `plateau` JSONL event fires — with a frontier diff naming the
-    /// still-open goals — every time `window` executions pass without a
-    /// coverage gain. Pure observation; the fuzzing trajectory is unchanged.
-    pub fn with_plateau_window(mut self, window: u64) -> Self {
-        self.config.plateau_window = Some(window);
-        self
-    }
-
-    /// Installs a trace hook observing every coverage-earning case the
-    /// fuzzing loop emits (`hook(case_bytes, case_id)`). Pure observation —
-    /// the hook consumes no fuzzer RNG and fires after emission, so
-    /// outcomes are byte-identical with or without it (enforced by test).
-    pub fn with_trace_hook(mut self, hook: cftcg_fuzz::TraceHook) -> Self {
-        self.config.trace_hook = Some(hook);
         self
     }
 
@@ -139,8 +97,7 @@ impl Cftcg {
         emit_c(&self.compiled)
     }
 
-    /// The execution engine the fuzzing loops will run on, after applying
-    /// the `CFTCG_ENGINE` override and unsupported-tier fallback — see
+    /// The execution engine the fuzzing loops will run on — see
     /// [`FuzzConfig::resolved_engine`].
     pub fn engine(&self) -> cftcg_codegen::Engine {
         self.config.resolved_engine()

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use cftcg_codegen::{CompiledModel, Executor, TestCase, TupleLayout};
 use cftcg_coverage::{BranchBitmap, FirstHit, FullTracker, ProvenanceTracker, Recorder};
 use cftcg_telemetry::{
-    CorpusSeedReport, Event, PlateauGoal, ShardStats, SpanKind, SpanTrace, Telemetry, YieldMatrix,
+    CorpusSeedReport, Event, PlateauGoal, ShardStats, SpanKind, Telemetry, YieldMatrix,
     PLATEAU_FRONTIER_CAP,
 };
 
@@ -188,12 +188,11 @@ pub(crate) struct Campaign<'c> {
     /// First witness of each assertion, campaign-wide.
     violations: Vec<(usize, TestCase)>,
     /// Watches the *global* covered count (a shard-local watcher would
-    /// mistake another shard's discoveries for stalls). Armed only with a
-    /// telemetry registry and a configured window.
+    /// mistake another shard's discoveries for stalls). Armed when the
+    /// telemetry registry carries a plateau window.
     plateau: Option<PlateauDetector>,
     trace_hook: Option<TraceHook>,
     telemetry: Option<Arc<Telemetry>>,
-    span_trace: Option<SpanTrace>,
     /// Merged operator attribution (the outcome's yield matrix).
     yields: YieldMatrix,
     /// Per-shard executions summed over the folded reports — the base for
@@ -207,7 +206,7 @@ pub(crate) struct Campaign<'c> {
 
 impl<'c> Campaign<'c> {
     /// A campaign over `shards` shards, with `config`'s feedback, engine,
-    /// telemetry, trace hook and plateau window.
+    /// telemetry (and the plateau window it carries) and trace hook.
     pub(crate) fn new(
         compiled: &'c CompiledModel,
         config: &FuzzConfig,
@@ -229,13 +228,9 @@ impl<'c> Campaign<'c> {
             lineage: Lineage::new(),
             provenance: ProvenanceTracker::new(compiled.map()),
             violations: Vec::new(),
-            plateau: config
-                .plateau_window
-                .filter(|_| telemetry.is_some())
-                .map(PlateauDetector::new),
+            plateau: telemetry.as_ref().and_then(|t| t.plateau_window()).map(PlateauDetector::new),
             trace_hook: config.trace_hook.clone(),
             telemetry,
-            span_trace: config.span_trace.clone(),
             yields: YieldMatrix::new(MutationKind::ALL.len()),
             executions: vec![0; shards],
             iterations: 0,
@@ -281,7 +276,7 @@ impl<'c> Campaign<'c> {
     pub(crate) fn fold(&mut self, mut reports: Vec<WorkerReport>) -> Range<usize> {
         let timed = matches!(self.folding, Folding::InThread)
             && reports.iter().any(|r| !r.cases.is_empty())
-            && (self.telemetry.is_some() || self.span_trace.is_some());
+            && self.telemetry.is_some();
         let fold_started = timed.then(Instant::now);
         let base = self.executions();
 
@@ -343,7 +338,7 @@ impl<'c> Campaign<'c> {
             let ns = end.saturating_duration_since(start).as_nanos() as u64;
             for report in &mut reports {
                 report.stats.spans.record(SpanKind::CoverageUpdate, ns);
-                if let Some(trace) = &self.span_trace {
+                if let Some(trace) = self.telemetry.as_ref().and_then(|t| t.span_trace()) {
                     trace.record_span(SpanKind::CoverageUpdate, report.worker as u32, start, end);
                 }
             }

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use cftcg_codegen::{CompiledModel, Engine, Executor, TestCase};
 use cftcg_coverage::{BranchBitmap, CompareTable, ProvenanceTracker};
-use cftcg_telemetry::{ShardStats, SpanKind, SpanSampler, SpanTrace, Telemetry, YieldOutcome};
+use cftcg_telemetry::{ShardStats, SpanKind, SpanSampler, Telemetry, YieldOutcome};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -190,36 +190,22 @@ pub struct FuzzConfig {
     /// capture). Called by the campaign fold only and never fed RNG, so it
     /// cannot change what the fuzzer produces.
     pub trace_hook: Option<TraceHook>,
-    /// Optional shared span-event buffer for Chrome trace-event export
-    /// (`--trace-events`). Attaching one enables span timing even without a
-    /// telemetry registry; like telemetry it only observes, so runs stay
-    /// byte-identical with or without it.
-    pub span_trace: Option<SpanTrace>,
     /// Explicit execution engine. `None` (the default) resolves to the
     /// fastest engine available on this build ([`Engine::best`]). Every
     /// engine produces identical outcomes and artifacts
     /// (`tests/optimizer_byte_identity.rs` cross-checks the reference tree
-    /// walker against the optimized tiers). The `CFTCG_ENGINE` environment
-    /// variable (`ref` | `flat` | `jit`) overrides it — see
-    /// [`FuzzConfig::resolved_engine`].
+    /// walker against the optimized tiers).
     pub engine: Option<Engine>,
-    /// Plateau-watch window, in executions. When set (and a telemetry
-    /// registry is attached), a [`PlateauDetector`](crate::PlateauDetector) watches the covered-goal
-    /// count and emits a `plateau` JSONL event — with a frontier diff naming
-    /// the still-open goals — every time a full window passes without a
-    /// coverage gain. Pure integer bookkeeping in the campaign fold; the
-    /// fuzzing trajectory is untouched.
-    pub plateau_window: Option<u64>,
 }
 
 impl FuzzConfig {
-    /// The engine a campaign with this config actually runs on. Precedence:
-    /// the `CFTCG_ENGINE` env var, then [`FuzzConfig::engine`], then the
-    /// best available tier. A resolved `Jit` on a build without the JIT
-    /// still falls back to the flat VM inside [`Executor::with_engine`];
-    /// campaign artifacts are byte-identical either way.
+    /// The engine a campaign with this config runs on: [`FuzzConfig::engine`]
+    /// when set, otherwise the best available tier. A `Jit` on a build
+    /// without the JIT still falls back to the flat VM inside
+    /// [`Executor::with_engine`]; campaign artifacts are byte-identical
+    /// either way.
     pub fn resolved_engine(&self) -> Engine {
-        cftcg_codegen::resolve_engine(self.engine, Engine::best())
+        self.engine.unwrap_or(Engine::best())
     }
 }
 
@@ -236,9 +222,7 @@ impl Default for FuzzConfig {
             input_ranges: None,
             telemetry: None,
             trace_hook: None,
-            span_trace: None,
             engine: None,
-            plateau_window: None,
         }
     }
 }
@@ -417,8 +401,8 @@ pub struct Fuzzer<'c> {
     /// out by [`Fuzzer::take_report`].
     stats: ShardStats,
     /// Span-phase timing (mutation/execution/corpus attribution), on when a
-    /// telemetry registry or a span-trace buffer is attached — otherwise
-    /// the hot loop never reads the clock for spans.
+    /// telemetry registry is attached — otherwise the hot loop never reads
+    /// the clock for spans.
     time_spans: bool,
     /// Sampling front end for the shared trace-event buffer, when attached.
     span_sampler: Option<SpanSampler>,
@@ -453,9 +437,9 @@ impl<'c> Fuzzer<'c> {
             FeedbackMode::CodeLevelOnly => Some(compiled.map().code_level_mask()),
         };
         let shard = worker.unwrap_or(0);
-        let span_sampler =
-            config.span_trace.clone().map(|trace| SpanSampler::new(trace, shard as u32));
-        let time_spans = config.telemetry.is_some() || span_sampler.is_some();
+        let span_trace = config.telemetry.as_ref().and_then(|t| t.span_trace().cloned());
+        let span_sampler = span_trace.map(|trace| SpanSampler::new(trace, shard as u32));
+        let time_spans = config.telemetry.is_some();
         let campaign = match worker {
             None => Some(Campaign::new(compiled, &config, 1, Folding::InThread)),
             Some(_) => None,

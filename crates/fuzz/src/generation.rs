@@ -91,24 +91,19 @@ pub fn coverage_series(
     compiled: &CompiledModel,
     generation: &Generation,
 ) -> Vec<(Duration, usize)> {
+    // Branch flags are sticky, so each case records straight into the
+    // running total.
     let mut exec = Executor::new(compiled);
     let mut total = BranchBitmap::new(compiled.map().branch_count());
-    let mut curr = BranchBitmap::new(compiled.map().branch_count());
     let mut series = Vec::new();
-    let mut covered = 0;
     for (case, &at) in generation.suite.iter().zip(&generation.case_times) {
-        exec.reset();
-        let layout = compiled.layout().clone();
-        for tuple in layout.split(&case.bytes) {
-            curr.clear();
-            exec.step_tuple(tuple, &mut curr);
-            covered += curr.merge_into(&mut total);
-        }
+        exec.run_case(case, &mut total);
+        let covered = total.count();
         if series.last().map(|&(_, c)| c) != Some(covered) {
             series.push((at, covered));
         }
     }
-    series.push((generation.elapsed, covered));
+    series.push((generation.elapsed, total.count()));
     series
 }
 

@@ -12,15 +12,8 @@ use cftcg_coverage::BranchBitmap;
 
 /// Executes a case and returns its cumulative branch coverage.
 fn coverage_of(compiled: &CompiledModel, case: &TestCase) -> BranchBitmap {
-    let mut exec = Executor::new(compiled);
     let mut total = BranchBitmap::new(compiled.map().branch_count());
-    let mut curr = BranchBitmap::new(compiled.map().branch_count());
-    exec.reset();
-    for tuple in compiled.layout().split(&case.bytes) {
-        curr.clear();
-        exec.step_tuple(tuple, &mut curr);
-        curr.merge_into(&mut total);
-    }
+    Executor::new(compiled).run_case(case, &mut total);
     total
 }
 

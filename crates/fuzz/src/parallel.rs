@@ -163,7 +163,6 @@ impl<'c> ParallelFuzzer<'c> {
         let mut campaign =
             Campaign::new(compiled, &self.config.fuzz, workers, Folding::Rounds { by_time });
         let telemetry = self.config.fuzz.telemetry.clone();
-        let span_trace = self.config.fuzz.span_trace.clone();
 
         let (report_tx, report_rx) = mpsc::channel::<WorkerReport>();
         std::thread::scope(|scope| {
@@ -229,7 +228,7 @@ impl<'c> ParallelFuzzer<'c> {
                 // the trace buffer (when attached, under the coordinator's
                 // synthetic tid) and the registry (via the event).
                 let merge_ended = Instant::now();
-                if let Some(trace) = &span_trace {
+                if let Some(trace) = telemetry.as_ref().and_then(|t| t.span_trace()) {
                     trace.record_span(
                         SpanKind::SyncRound,
                         COORDINATOR_TID,

@@ -39,18 +39,13 @@ fn plateau_events(log: &str) -> Vec<Json> {
 fn stalled_campaign_fires_one_event_per_quiet_window() {
     let compiled = trivial_model();
     let jsonl = SharedBuf::new();
-    let telemetry = Arc::new(Telemetry::new().with_jsonl(jsonl.clone()));
-
     const WINDOW: u64 = 500;
     const EXECUTIONS: u64 = 3_000;
+    let telemetry =
+        Arc::new(Telemetry::new().with_jsonl(jsonl.clone()).with_plateau_window(WINDOW));
     let mut fuzzer = Fuzzer::new(
         &compiled,
-        FuzzConfig {
-            seed: 7,
-            telemetry: Some(telemetry.clone()),
-            plateau_window: Some(WINDOW),
-            ..FuzzConfig::default()
-        },
+        FuzzConfig { seed: 7, telemetry: Some(telemetry.clone()), ..FuzzConfig::default() },
     );
     let outcome = fuzzer.run_executions(EXECUTIONS);
     assert_eq!(outcome.branch_coverage().percent(), 100.0, "trivial model saturates");
@@ -86,16 +81,11 @@ fn frontier_diff_partitions_against_coverage_frontier() {
     let model = cftcg_benchmarks::solar_pv::model();
     let compiled = compile(&model).expect("benchmark compiles");
     let jsonl = SharedBuf::new();
-    let telemetry = Arc::new(Telemetry::new().with_jsonl(jsonl.clone()));
+    let telemetry = Arc::new(Telemetry::new().with_jsonl(jsonl.clone()).with_plateau_window(400));
 
     let mut fuzzer = Fuzzer::new(
         &compiled,
-        FuzzConfig {
-            seed: 42,
-            telemetry: Some(telemetry.clone()),
-            plateau_window: Some(400),
-            ..FuzzConfig::default()
-        },
+        FuzzConfig { seed: 42, telemetry: Some(telemetry.clone()), ..FuzzConfig::default() },
     );
     let outcome = fuzzer.run_executions(4_000);
 
@@ -144,33 +134,25 @@ fn plateau_detector_does_not_perturb_the_run() {
     let mut bare = Fuzzer::new(&compiled, FuzzConfig { seed: 42, ..FuzzConfig::default() });
     let expected = bare.run_executions(3_000);
 
-    let telemetry = Arc::new(Telemetry::new().with_jsonl(SharedBuf::new()));
+    let telemetry =
+        Arc::new(Telemetry::new().with_jsonl(SharedBuf::new()).with_plateau_window(250));
     let mut watched = Fuzzer::new(
         &compiled,
-        FuzzConfig {
-            seed: 42,
-            telemetry: Some(telemetry.clone()),
-            plateau_window: Some(250),
-            ..FuzzConfig::default()
-        },
+        FuzzConfig { seed: 42, telemetry: Some(telemetry.clone()), ..FuzzConfig::default() },
     );
     let observed = watched.run_executions(3_000);
     assert_eq!(observed.suite, expected.suite);
     assert_eq!(observed.lineage, expected.lineage);
     assert_eq!(observed.covered_branches, expected.covered_branches);
 
-    let par_telemetry = Arc::new(Telemetry::new().with_jsonl(SharedBuf::new()));
+    let par_telemetry =
+        Arc::new(Telemetry::new().with_jsonl(SharedBuf::new()).with_plateau_window(250));
     let parallel = ParallelFuzzer::new(
         &compiled,
         ParallelFuzzConfig {
             workers: 1,
             sync_interval: 512,
-            fuzz: FuzzConfig {
-                seed: 42,
-                telemetry: Some(par_telemetry),
-                plateau_window: Some(250),
-                ..FuzzConfig::default()
-            },
+            fuzz: FuzzConfig { seed: 42, telemetry: Some(par_telemetry), ..FuzzConfig::default() },
             ..ParallelFuzzConfig::default()
         },
     );
@@ -189,16 +171,13 @@ fn plateau_detector_does_not_perturb_the_run() {
 fn plateau_events_agree_across_worker_counts() {
     let model = cftcg_benchmarks::solar_pv::model();
     let compiled = compile(&model).expect("benchmark compiles");
-    let config = |telemetry| FuzzConfig {
-        seed: 42,
-        telemetry: Some(telemetry),
-        plateau_window: Some(250),
-        ..FuzzConfig::default()
-    };
+    let config =
+        |telemetry| FuzzConfig { seed: 42, telemetry: Some(telemetry), ..FuzzConfig::default() };
     // The plateau stamps and per-kind event counts of one run.
     let run = |workers: Option<usize>| {
         let jsonl = SharedBuf::new();
-        let telemetry = Arc::new(Telemetry::new().with_jsonl(jsonl.clone()));
+        let telemetry =
+            Arc::new(Telemetry::new().with_jsonl(jsonl.clone()).with_plateau_window(250));
         match workers {
             None => {
                 Fuzzer::new(&compiled, config(telemetry)).run_executions(3_000);

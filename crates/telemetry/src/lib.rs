@@ -499,6 +499,10 @@ pub struct BlockCost {
 pub struct Telemetry {
     started: Instant,
     has_jsonl: AtomicBool,
+    /// Settings of the observers that report through this registry, fixed
+    /// at construction.
+    span_trace: Option<SpanTrace>,
+    plateau_window: Option<u64>,
     inner: Mutex<Inner>,
 }
 
@@ -522,6 +526,8 @@ impl Telemetry {
         Telemetry {
             started: Instant::now(),
             has_jsonl: AtomicBool::new(false),
+            span_trace: None,
+            plateau_window: None,
             inner: Mutex::new(Inner {
                 totals: ShardStats::default(),
                 shards: Vec::new(),
@@ -573,6 +579,34 @@ impl Telemetry {
     pub fn with_prom_file(self, path: impl Into<PathBuf>, every: Duration) -> Self {
         self.lock().prom = Some(PromSink { path: path.into(), every, last: None });
         self
+    }
+
+    /// Attaches a span-trace buffer: the fuzzing loop also records sampled
+    /// per-phase trace events (mutation, execution, sync, ...) into it for
+    /// Chrome-trace export. Like every observer it leaves the fuzzing
+    /// trajectory unchanged.
+    pub fn with_span_trace(mut self, trace: SpanTrace) -> Self {
+        self.span_trace = Some(trace);
+        self
+    }
+
+    /// The attached span-trace buffer, if any.
+    pub fn span_trace(&self) -> Option<&SpanTrace> {
+        self.span_trace.as_ref()
+    }
+
+    /// Arms the plateau watcher: a `plateau` event fires — with a frontier
+    /// diff naming the still-open goals — every time `window` executions
+    /// pass without a coverage gain. Pure integer bookkeeping in the
+    /// campaign fold; the fuzzing trajectory is unchanged.
+    pub fn with_plateau_window(mut self, window: u64) -> Self {
+        self.plateau_window = Some(window);
+        self
+    }
+
+    /// The plateau-watch window, in executions, if one is armed.
+    pub fn plateau_window(&self) -> Option<u64> {
+        self.plateau_window
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -1092,29 +1126,13 @@ pub fn format_ns(ns: u64) -> String {
     }
 }
 
-/// Host metadata as a JSON object string — core count, target architecture,
-/// the `CFTCG_WORKERS` and `CFTCG_ENGINE` overrides (if set), and an
-/// optional budget — so benchmark artifacts are self-describing.
+/// Host metadata as a JSON object string — core count, target architecture
+/// and an optional budget — so benchmark artifacts are self-describing.
 pub fn host_metadata_json(budget_ms: Option<u64>) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let arch = std::env::consts::ARCH;
-    let mut out = format!("{{\"cores\": {cores}, \"arch\": \"{arch}\", \"cftcg_workers\": ");
-    match std::env::var("CFTCG_WORKERS").ok().and_then(|s| s.parse::<usize>().ok()) {
-        Some(w) => out.push_str(&w.to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str(", \"cftcg_engine\": ");
-    match std::env::var("CFTCG_ENGINE") {
-        Ok(e) if !e.is_empty() => out.push_str(&format!("\"{}\"", e.escape_default())),
-        _ => out.push_str("null"),
-    }
-    out.push_str(", \"budget_ms\": ");
-    match budget_ms {
-        Some(ms) => out.push_str(&ms.to_string()),
-        None => out.push_str("null"),
-    }
-    out.push('}');
-    out
+    let budget = budget_ms.map_or_else(|| "null".to_string(), |ms| ms.to_string());
+    format!("{{\"cores\": {cores}, \"arch\": \"{arch}\", \"budget_ms\": {budget}}}")
 }
 
 /// A thread-safe shared byte buffer usable as a sink in tests and in-memory

@@ -4,7 +4,8 @@
 //! Spans answer *where does campaign time go* — mutation vs execution vs
 //! coverage bookkeeping vs corpus maintenance vs coordinator sync vs JIT
 //! compilation — which is exactly the question behind the multi-core
-//! scaling numbers in `results/BENCH_parallel.json`.
+//! scaling numbers: the loop benchmark's traced `parallel.scaling` and
+//! `parallel.sync_pct` (`loopbench/`) are read off these spans.
 //!
 //! Two complementary representations:
 //!
@@ -19,7 +20,8 @@
 //!   [`SpanSampler`]) so the buffer bounds both memory and lock traffic.
 //!
 //! Recording is gated by the caller: the fuzzer only reads the clock when a
-//! telemetry registry or a trace buffer is attached, so an uninstrumented
+//! telemetry registry is attached (a trace buffer is a setting of the
+//! registry, [`crate::Telemetry::with_span_trace`]), so an uninstrumented
 //! run pays nothing.
 
 use std::path::Path;

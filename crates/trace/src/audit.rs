@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use cftcg_codegen::{CompileError, CompiledModel};
+use cftcg_codegen::{CompileError, CompiledModel, Engine};
 use cftcg_coverage::NullRecorder;
 use cftcg_model::{Model, Value};
 use cftcg_sim::{SimError, Simulator};
@@ -150,6 +150,9 @@ fn first_divergent(sim: &[f64], vm: &[f64]) -> usize {
 pub struct Auditor<'a> {
     model: &'a Model,
     compiled: &'a CompiledModel,
+    /// The tier under audit (`Jit` cross-checks native code against the
+    /// interpreter, `Reference` the tree walker).
+    engine: Engine,
     names: Vec<String>,
     inputs: Vec<Value>,
     sim_buf: Vec<f64>,
@@ -157,14 +160,19 @@ pub struct Auditor<'a> {
 }
 
 impl<'a> Auditor<'a> {
-    /// Builds an auditor, checking the signal-table contract up front.
+    /// Builds an auditor of `compiled` running on `engine`, checking the
+    /// signal-table contract up front.
     ///
     /// # Errors
     ///
     /// [`AuditError::SignalTable`] if the engines' tables differ in length,
     /// order, or naming; [`AuditError::Sim`] if the interpreter rejects the
     /// model.
-    pub fn new(model: &'a Model, compiled: &'a CompiledModel) -> Result<Self, AuditError> {
+    pub fn new(
+        model: &'a Model,
+        compiled: &'a CompiledModel,
+        engine: Engine,
+    ) -> Result<Self, AuditError> {
         let sim = Simulator::new(model).map_err(CompileError::from)?;
         let sim_table = sim.signals();
         let vm_table = compiled.signals();
@@ -184,6 +192,7 @@ impl<'a> Auditor<'a> {
         Ok(Auditor {
             model,
             compiled,
+            engine,
             names,
             inputs: Vec::new(),
             sim_buf: Vec::new(),
@@ -208,12 +217,10 @@ impl<'a> Auditor<'a> {
         bytes: &[u8],
     ) -> Result<(u64, Option<Divergence>), AuditError> {
         let mut sim = Simulator::new(self.model).map_err(CompileError::from)?;
-        // `CFTCG_ENGINE` picks the tier under audit (`jit` cross-checks
-        // native code against the interpreter).
-        let mut exec = cftcg_codegen::Executor::with_engine(self.compiled, crate::replay_engine());
+        let mut exec = cftcg_codegen::Executor::with_engine(self.compiled, self.engine);
         // The reference walker keeps the pre-compaction register file, so
         // its signal metas live in a different register space.
-        let metas = if exec.engine() == cftcg_codegen::Engine::Reference {
+        let metas = if exec.engine() == Engine::Reference {
             self.compiled.reference_signals()
         } else {
             self.compiled.signals()
@@ -341,7 +348,7 @@ mod tests {
         b.wire(sat, y);
         let model = b.finish().unwrap();
         let compiled = compile(&model).unwrap();
-        let mut auditor = Auditor::new(&model, &compiled).unwrap();
+        let mut auditor = Auditor::new(&model, &compiled, Engine::Flat).unwrap();
         let report = auditor.audit_random(8, 16, 7).unwrap();
         assert!(report.passed(), "unexpected divergence: {:?}", report.divergence);
         assert_eq!(report.cases, 8);

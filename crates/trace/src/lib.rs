@@ -36,13 +36,6 @@ mod vcd;
 
 pub use audit::{AuditError, AuditReport, Auditor, Divergence};
 
-/// The VM engine the replay paths (tracing, auditing) execute on: the
-/// `CFTCG_ENGINE` override when set and supported on this build, otherwise
-/// the flat VM. Replay favors the deterministic portable tier by default;
-/// `CFTCG_ENGINE=jit` cross-checks native code, `=ref` the tree walker.
-pub fn replay_engine() -> cftcg_codegen::Engine {
-    cftcg_codegen::resolve_engine(None, cftcg_codegen::Engine::Flat)
-}
 pub use probe::{decode_tuple, trace_vm_case, ProbeMask, Trace, TraceRecord, TraceSignal};
 pub use profile::{profile_case, BlockProfile};
 pub use vcd::{to_csv, to_vcd};
@@ -50,7 +43,7 @@ pub use vcd::{to_csv, to_vcd};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cftcg_codegen::{compile, TestCase};
+    use cftcg_codegen::{compile, Engine, TestCase};
 
     /// The whole benchmark suite must audit clean: the interpreter and the
     /// VM agree on every signal of every tick over random fuzz-like inputs.
@@ -58,8 +51,8 @@ mod tests {
     fn bundled_benchmarks_audit_clean() {
         for model in cftcg_benchmarks::all() {
             let compiled = compile(&model).unwrap();
-            let mut auditor =
-                Auditor::new(&model, &compiled).unwrap_or_else(|e| panic!("{}: {e}", model.name()));
+            let mut auditor = Auditor::new(&model, &compiled, Engine::Flat)
+                .unwrap_or_else(|e| panic!("{}: {e}", model.name()));
             let report = auditor.audit_random(4, 24, 0xC0FFEE).unwrap();
             assert!(report.passed(), "{} diverged: {}", model.name(), report.divergence.unwrap());
         }
@@ -73,7 +66,7 @@ mod tests {
         let compiled = compile(&model).unwrap();
         let mask = ProbeMask::all(compiled.signals().len());
         let case = TestCase::new(vec![0x5A; compiled.layout().tuple_size() * 6]);
-        let trace = trace_vm_case(&compiled, &case, &mask, 1 << 16);
+        let trace = trace_vm_case(&compiled, Engine::Flat, &case, &mask, 1 << 16);
         assert_eq!(trace.ticks(), 6);
         assert_eq!(trace.dropped(), 0);
         let vcd = to_vcd(&trace, compiled.name());

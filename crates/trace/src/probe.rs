@@ -1,6 +1,6 @@
 //! Signal probes: the probe mask, the bounded trace ring, and VM capture.
 
-use cftcg_codegen::{CompiledModel, Executor, Instr, TestCase};
+use cftcg_codegen::{CompiledModel, Engine, Executor, Instr, TestCase};
 use cftcg_coverage::NullRecorder;
 use cftcg_model::{DataType, Value};
 
@@ -171,23 +171,24 @@ pub fn decode_tuple(compiled: &CompiledModel, tuple: &[u8], out: &mut Vec<Value>
     }
 }
 
-/// Replays `case` on the compiled VM with probes attached, sampling every
-/// masked signal after each tick. A fresh executor is used so held signals
-/// start from initial conditions, matching a fresh interpreter.
+/// Replays `case` on the compiled model's `engine` with probes attached,
+/// sampling every masked signal after each tick. A fresh executor is used
+/// so held signals start from initial conditions, matching a fresh
+/// interpreter.
 ///
 /// The replay loop is allocation-free per tick: `step_tuple` decodes in
 /// place and each probe is a single register read.
 pub fn trace_vm_case(
     compiled: &CompiledModel,
+    engine: Engine,
     case: &TestCase,
     mask: &ProbeMask,
     capacity: usize,
 ) -> Trace {
-    // `CFTCG_ENGINE` selects the execution tier (the JIT shares the flat
-    // register file, so probing is unchanged; the reference walker needs
-    // its pre-compaction signal table).
-    let mut exec = Executor::with_engine(compiled, crate::replay_engine());
-    let metas = if exec.engine() == cftcg_codegen::Engine::Reference {
+    // The JIT shares the flat register file, so probing is unchanged; the
+    // reference walker needs its pre-compaction signal table.
+    let mut exec = Executor::with_engine(compiled, engine);
+    let metas = if exec.engine() == Engine::Reference {
         compiled.reference_signals()
     } else {
         compiled.signals()
@@ -251,7 +252,7 @@ mod tests {
         let mask = ProbeMask::outputs(&compiled);
         assert_eq!(mask.len(), 1);
         let case = TestCase::new(3.0f64.to_le_bytes().to_vec());
-        let trace = trace_vm_case(&compiled, &case, &mask, 64);
+        let trace = trace_vm_case(&compiled, Engine::Flat, &case, &mask, 64);
         assert_eq!(trace.signals()[0].name, "m/g:0");
         let recs: Vec<&TraceRecord> = trace.records().collect();
         assert_eq!(recs.len(), 1);

@@ -7,7 +7,7 @@
 //! reaching an outport (e.g. inside a held subsystem signal) still fails
 //! here.
 
-use cftcg_codegen::compile;
+use cftcg_codegen::{compile, Engine};
 use cftcg_model::expr::parse_expr;
 use cftcg_model::{BlockKind, DataType, EdgeKind, ModelBuilder, RelOp, Value};
 use cftcg_trace::Auditor;
@@ -92,7 +92,7 @@ proptest! {
         let model = b.finish().unwrap();
         let compiled = compile(&model).unwrap();
 
-        let mut auditor = Auditor::new(&model, &compiled).unwrap();
+        let mut auditor = Auditor::new(&model, &compiled, Engine::Flat).unwrap();
         prop_assert_eq!(auditor.signal_count(), picks.len() + 1);
         let bytes = encode_f64s(&xs);
         let (ticks, divergence) = auditor.audit_case("prop", &bytes).unwrap();
@@ -141,7 +141,7 @@ proptest! {
         let model = b.finish().unwrap();
         let compiled = compile(&model).unwrap();
 
-        let mut auditor = Auditor::new(&model, &compiled).unwrap();
+        let mut auditor = Auditor::new(&model, &compiled, Engine::Flat).unwrap();
         let bytes = encode_f64s(&xs);
         let (_, divergence) = auditor.audit_case("prop", &bytes).unwrap();
         prop_assert!(divergence.is_none(), "divergence: {}", divergence.unwrap());

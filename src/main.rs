@@ -4,6 +4,7 @@
 //! cftcg stats  <model.mdlx>                         instrumentation statistics
 //! cftcg codegen <model.mdlx> [--driver]             emit instrumented C / fuzz driver
 //! cftcg fuzz   <model.mdlx> [--budget-ms N] [--seed N] [--out DIR] [--workers N]
+//!              [--engine ref|flat|jit]
 //!              [--stats-jsonl FILE] [--status-every SECS] [--prom FILE]
 //!              [--serve ADDR] [--trace-events FILE]
 //!              [--trace-dir DIR] [--trace-every N] [--plateau-window N]
@@ -22,8 +23,10 @@
 //! cftcg trace  <model.mdlx> <campaign.json> <CASE>  replay one case with signal probes,
 //!              [--probe PAT]... [--all] [--out F]   export a VCD (and --csv F) waveform;
 //!              [--csv F] [--profile]                --profile adds per-block timing
+//!              [--engine ref|flat|jit]
 //! cftcg audit  <model.mdlx> [--campaign FILE]       lockstep interpreter<->VM divergence
 //!              [--cases N] [--ticks N] [--seed N]   audit; non-zero exit on divergence
+//!              [--engine ref|flat|jit]
 //! cftcg report <stats.jsonl>                        summarize a campaign event log
 //! cftcg report --html OUT --model M --campaign C    render the HTML campaign explorer
 //! cftcg score  <model.mdlx> <case.csv>...           replay CSV test cases, print coverage
@@ -42,11 +45,11 @@ use cftcg::codegen::{
     test_case_to_csv, CompiledModel, Engine, TestCase,
 };
 use cftcg::compare::{
-    ab_report, diff_html, diff_json, run_ab, terminal_report, AbBudget, ArtifactDiff,
-    FrontierMigration, VariantSpec,
+    ab_json, ab_report, diff_html, diff_json, replay_tracker, run_ab, terminal_report, AbBudget,
+    ArtifactDiff, FrontierMigration, VariantSpec,
 };
 use cftcg::coverage::{detailed_report, frontier, CoverageReport, FullTracker};
-use cftcg::fuzz::format_chain;
+use cftcg::fuzz::{format_chain, FuzzConfig};
 use cftcg::model::{load_model, save_model, Model};
 use cftcg::pipeline::{campaign_explorer_html, parse_case_id, CampaignArtifact, HostMeta};
 use cftcg::telemetry::{json::Json, BlockCost, Event, Telemetry};
@@ -69,14 +72,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         print_usage();
         return Ok(());
     };
-    // The engine override is read deep inside every command; an unknown
-    // value would otherwise fall back to the default engine unnoticed.
-    if let Some(value) = std::env::var_os("CFTCG_ENGINE") {
-        if Engine::from_env().is_none() {
-            let accepted = "accepted: ref|reference|flat|jit";
-            return Err(format!("unknown CFTCG_ENGINE value {value:?} ({accepted})").into());
-        }
-    }
     if let Some((values, switches)) = accepted_flags(command) {
         check_flags(command, &args[1..], values, switches)?;
     }
@@ -109,14 +104,14 @@ fn accepted_flags(command: &str) -> Option<(&'static str, &'static str)> {
         "stats" | "explain" | "export-benchmarks" => ("", ""),
         "codegen" => ("", "--driver"),
         "fuzz" => (
-            "--budget-ms --seed --out --workers --stats-jsonl --status-every --prom --serve \
-             --trace-events --trace-dir --trace-every --plateau-window",
+            "--budget-ms --seed --out --workers --engine --stats-jsonl --status-every --prom \
+             --serve --trace-events --trace-dir --trace-every --plateau-window",
             "--minimize",
         ),
         "diff" => ("--json --html", "--allow-mismatch --no-frontier"),
         "ab" => ("--a --b --trials --seed --executions --budget-ms --json --html", ""),
-        "trace" => ("--probe --out --csv", "--all --profile"),
-        "audit" => ("--campaign --cases --ticks --seed", ""),
+        "trace" => ("--probe --out --csv --engine", "--all --profile"),
+        "audit" => ("--campaign --cases --ticks --seed --engine", ""),
         "report" => ("--html --model --campaign", ""),
         "score" => ("", "--detailed"),
         _ => return None,
@@ -154,6 +149,7 @@ fn print_usage() {
          \x20 cftcg stats  <model.mdlx>\n\
          \x20 cftcg codegen <model.mdlx> [--driver]\n\
          \x20 cftcg fuzz   <model.mdlx> [--budget-ms N] [--seed N] [--out DIR] [--workers N]\n\
+         \x20              [--engine ref|flat|jit]\n\
          \x20              [--stats-jsonl FILE] [--status-every SECS] [--prom FILE]\n\
          \x20              [--serve ADDR] [--trace-events FILE]\n\
          \x20              [--trace-dir DIR] [--trace-every N] [--plateau-window N]\n\
@@ -166,9 +162,9 @@ fn print_usage() {
          \x20              field-aware=off,metric-corpus=off)\n\
          \x20 cftcg explain <model.mdlx> <campaign.json> [CASE]\n\
          \x20 cftcg trace  <model.mdlx> <campaign.json> <CASE> [--probe PAT]... [--all]\n\
-         \x20              [--out FILE.vcd] [--csv FILE.csv] [--profile]\n\
+         \x20              [--out FILE.vcd] [--csv FILE.csv] [--profile] [--engine ref|flat|jit]\n\
          \x20 cftcg audit  <model.mdlx> [--campaign <campaign.json>] [--cases N] [--ticks N]\n\
-         \x20              [--seed N]\n\
+         \x20              [--seed N] [--engine ref|flat|jit]\n\
          \x20 cftcg report <stats.jsonl>\n\
          \x20 cftcg report --html OUT.html --model <model.mdlx> --campaign <campaign.json>\n\
          \x20 cftcg score  <model.mdlx> <case.csv>...\n\
@@ -195,19 +191,13 @@ fn load_campaign(path: &str, compiled: &CompiledModel) -> Result<CampaignArtifac
     Ok(artifact)
 }
 
-/// Rebuilds the replay-time observations of a persisted campaign by running
-/// its embedded suite bytes through the compiled model — the evidence the
-/// frontier analysis and the HTML explorer are derived from.
-fn replay_tracker(compiled: &CompiledModel, artifact: &CampaignArtifact) -> FullTracker {
-    let mut tracker = FullTracker::new(compiled.map());
-    for case in &artifact.cases {
-        replay_case(compiled, &TestCase::new(case.bytes.clone()), &mut tracker);
-    }
-    tracker
-}
-
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+}
+
+/// The engine named by `--engine`, or `default` when the flag is absent.
+fn engine_flag(args: &[String], default: Engine) -> Result<Engine, String> {
+    flag_value(args, "--engine").map_or(Ok(default), str::parse)
 }
 
 /// Every value of a repeatable flag (`--probe a --probe b` → `["a", "b"]`).
@@ -269,36 +259,48 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let plateau_window: Option<u64> =
         flag_value(rest, "--plateau-window").map(str::parse).transpose()?;
 
-    // Build the telemetry registry only when a sink was requested; without
-    // one the loop skips per-execution timing entirely. The observatory is
-    // a sink too: it reads the registry live.
-    let telemetry =
-        if stats_jsonl.is_some() || status_every.is_some() || prom.is_some() || serve.is_some() {
-            let mut t = Telemetry::new();
-            if let Some(path) = stats_jsonl {
-                t = t.with_jsonl(std::io::BufWriter::new(fs::File::create(path)?));
-            }
-            if let Some(secs) = status_every {
-                t = t.with_status(Duration::from_secs_f64(secs.max(0.0)));
-            }
-            if let Some(path) = prom {
-                // Rewritten on the status cadence while the campaign runs, so
-                // a file-based scrape sees live numbers, not just the final.
-                let every = Duration::from_secs_f64(status_every.unwrap_or(1.0).max(0.0));
-                t = t.with_prom_file(path, every);
-            }
-            Some(Arc::new(t))
-        } else {
-            None
-        };
-    // The span-trace buffer samples individual phase occurrences for
-    // Chrome-trace export (the histograms in the registry are unsampled).
-    let span_trace = trace_events.map(|_| cftcg::telemetry::SpanTrace::new());
+    let engine = engine_flag(rest, Engine::best())?;
 
-    let mut tool = Cftcg::new(model)?;
-    println!("engine: {} ({} workers)", tool.engine(), workers);
+    // Build the telemetry registry only when an observer was requested;
+    // without one the loop skips per-execution timing entirely. The
+    // observatory reads the registry live, and the span-trace buffer and
+    // the plateau window report through it.
+    let span_trace = trace_events.map(|_| cftcg::telemetry::SpanTrace::new());
+    let observed = [stats_jsonl, prom, serve, trace_events].iter().any(Option::is_some)
+        || status_every.is_some()
+        || plateau_window.is_some();
+    let telemetry = if observed {
+        let mut t = Telemetry::new();
+        if let Some(path) = stats_jsonl {
+            t = t.with_jsonl(std::io::BufWriter::new(fs::File::create(path)?));
+        }
+        if let Some(secs) = status_every {
+            t = t.with_status(Duration::from_secs_f64(secs.max(0.0)));
+        }
+        if let Some(path) = prom {
+            // Rewritten on the status cadence while the campaign runs, so
+            // a file-based scrape sees live numbers, not just the final.
+            let every = Duration::from_secs_f64(status_every.unwrap_or(1.0).max(0.0));
+            t = t.with_prom_file(path, every);
+        }
+        // The span-trace buffer samples individual phase occurrences for
+        // Chrome-trace export (the histograms in the registry are unsampled).
+        if let Some(trace) = &span_trace {
+            t = t.with_span_trace(trace.clone());
+        }
+        if let Some(window) = plateau_window {
+            t = t.with_plateau_window(window);
+        }
+        Some(Arc::new(t))
+    } else {
+        None
+    };
+
+    let tool = Cftcg::new(model)?;
+    let mut config =
+        FuzzConfig { engine: Some(engine), telemetry: telemetry.clone(), ..FuzzConfig::default() };
+    println!("engine: {engine} ({workers} workers)");
     if let Some(t) = &telemetry {
-        tool = tool.with_telemetry(t.clone());
         t.emit(&Event::CampaignStart {
             model: model.name().to_string(),
             seed,
@@ -306,14 +308,6 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
             budget_ms: Some(budget_ms),
             branch_count: tool.compiled().map().branch_count(),
         });
-    }
-    if let Some(trace) = &span_trace {
-        tool = tool.with_span_trace(trace.clone());
-    }
-    if let Some(window) = plateau_window {
-        // Only observable through a telemetry sink; the fuzzing loop arms
-        // the watcher only when a registry is attached.
-        tool = tool.with_plateau_window(window);
     }
     let server = match (serve, &telemetry) {
         (Some(addr), Some(t)) => {
@@ -336,13 +330,14 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         let compiled = tool.compiled().clone();
         let dir = dir.clone();
         let fired = fired.clone();
-        tool = tool.with_trace_hook(cftcg::fuzz::TraceHook::new(move |bytes, case_id| {
+        config.trace_hook = Some(cftcg::fuzz::TraceHook::new(move |bytes, case_id| {
             let n = fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             if !n.is_multiple_of(trace_every) {
                 return;
             }
             let mask = ProbeMask::outputs(&compiled);
-            let trace = trace_vm_case(&compiled, &TestCase::new(bytes.to_vec()), &mask, 1 << 16);
+            let case = TestCase::new(bytes.to_vec());
+            let trace = trace_vm_case(&compiled, Engine::Flat, &case, &mask, 1 << 16);
             let name =
                 format!("{}.vcd", cftcg::coverage::format_case_id(case_id).replace(':', "_"));
             if let Err(e) = fs::write(Path::new(&dir).join(&name), to_vcd(&trace, compiled.name()))
@@ -351,6 +346,7 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
             }
         }));
     }
+    let tool = tool.with_config(config);
 
     let mut generation = if workers > 1 {
         tool.generate_parallel(Duration::from_millis(budget_ms), seed, workers)
@@ -384,12 +380,10 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     // JIT-tier gauges and the compile span: the cache is already warm (the
     // campaign ran on it), so reading the stats is free. Recorded before
     // the final flush so the last Prometheus rewrite carries them.
-    if tool.engine() == Engine::Jit && (telemetry.is_some() || span_trace.is_some()) {
+    if let (Engine::Jit, Some(t)) = (engine, &telemetry) {
         if let Some(stats) = tool.compiled().jit_stats() {
-            if let Some(t) = &telemetry {
-                t.set_jit_stats(stats.code_bytes as u64, stats.compile_ns);
-            }
-            if let Some(trace) = &span_trace {
+            t.set_jit_stats(stats.code_bytes as u64, stats.compile_ns);
+            if let Some(trace) = t.span_trace() {
                 // The lazy compile ran inside the engine at first
                 // execution; book it at the trace epoch.
                 trace.record_raw(
@@ -541,19 +535,21 @@ fn diff_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let migration = if rest.contains(&"--no-frontier".to_string()) {
         None
     } else {
-        let tracker_a = cftcg::compare::replay_tracker(&compiled, &a);
-        let tracker_b = cftcg::compare::replay_tracker(&compiled, &b);
+        let tracker_a = replay_tracker(&compiled, &a);
+        let tracker_b = replay_tracker(&compiled, &b);
         Some(FrontierMigration::compute(compiled.map(), &tracker_a, &tracker_b))
     };
     print!("{}", terminal_report(&diff, migration.as_ref(), compiled.map()));
-    write_diff_outputs(rest, &diff, &a, &b, migration.as_ref(), &compiled)
+    let json = diff_json(&diff, migration.as_ref(), compiled.map());
+    write_diff_outputs(rest, &json, &diff, &a, &b, migration.as_ref(), &compiled)
 }
 
 /// `cftcg ab <model.mdlx> --a SPEC --b SPEC`: the paired A/B harness.
 /// Runs interleaved trials (A₁ B₁ A₂ B₂ …) with shared per-trial seeds,
-/// prints median/IQR of goals-at-budget and time-to-goal, then feeds each
-/// variant's representative (median-by-goals) artifact through the same
-/// diff pipeline as `cftcg diff`.
+/// prints median/IQR of goals-at-budget, time-to-goal and
+/// executions-to-goal, then feeds each variant's representative
+/// (median-by-goals) artifact through the same diff pipeline as
+/// `cftcg diff`. `--json` writes every trial beside that diff.
 fn ab_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let spec_a = VariantSpec::parse("A", flag_value(rest, "--a").unwrap_or(""))?;
     let spec_b = VariantSpec::parse("B", flag_value(rest, "--b").unwrap_or(""))?;
@@ -571,18 +567,20 @@ fn ab_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let compiled = compile(model)?;
     let (a, b) = (&outcome.a.representative, &outcome.b.representative);
     let diff = ArtifactDiff::compute(a, b);
-    let tracker_a = cftcg::compare::replay_tracker(&compiled, a);
-    let tracker_b = cftcg::compare::replay_tracker(&compiled, b);
+    let tracker_a = replay_tracker(&compiled, a);
+    let tracker_b = replay_tracker(&compiled, b);
     let migration = FrontierMigration::compute(compiled.map(), &tracker_a, &tracker_b);
     print!("{}", terminal_report(&diff, Some(&migration), compiled.map()));
-    write_diff_outputs(rest, &diff, a, b, Some(&migration), &compiled)
+    let json = ab_json(&outcome, &diff_json(&diff, Some(&migration), compiled.map()));
+    write_diff_outputs(rest, &json, &diff, a, b, Some(&migration), &compiled)
 }
 
-/// Shared tail of `diff` and `ab`: optional machine-JSON and HTML outputs,
-/// plus the `results/diff_latest.html` mirror the live observatory's
-/// `/diff` route serves.
+/// Shared tail of `diff` and `ab`: optional machine-JSON (`json`) and HTML
+/// outputs, plus the `results/diff_latest.html` mirror the live
+/// observatory's `/diff` route serves.
 fn write_diff_outputs(
     rest: &[String],
+    json: &str,
     diff: &ArtifactDiff,
     a: &CampaignArtifact,
     b: &CampaignArtifact,
@@ -590,8 +588,8 @@ fn write_diff_outputs(
     compiled: &CompiledModel,
 ) -> Result<(), Box<dyn Error>> {
     if let Some(path) = flag_value(rest, "--json") {
-        fs::write(path, diff_json(diff, migration, compiled.map()))?;
-        println!("wrote machine diff to {path}");
+        fs::write(path, json)?;
+        println!("wrote machine JSON to {path}");
     }
     let html = diff_html(diff, a, b, migration, compiled.map());
     if let Some(path) = flag_value(rest, "--html") {
@@ -701,6 +699,7 @@ fn trace_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         .get(1)
         .filter(|a| !a.starts_with("--"))
         .ok_or("missing <CASE> reference (s<shard>:<n>)")?;
+    let engine = engine_flag(rest, Engine::Flat)?;
     let compiled = compile(model)?;
     let artifact = load_campaign(campaign_path, &compiled)?;
     let id = parse_case_id(case_ref)
@@ -722,10 +721,10 @@ fn trace_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         ProbeMask::from_patterns(&names, &patterns)?
     };
 
-    let trace = trace_vm_case(&compiled, &TestCase::new(case.bytes.clone()), &mask, 1 << 20);
+    let trace =
+        trace_vm_case(&compiled, engine, &TestCase::new(case.bytes.clone()), &mask, 1 << 20);
     println!(
-        "case {case_ref} ({} engine): {} ticks, {} probed signals, {} samples retained{}",
-        cftcg::trace::replay_engine(),
+        "case {case_ref} ({engine} engine): {} ticks, {} probed signals, {} samples retained{}",
         trace.ticks(),
         mask.len(),
         trace.len(),
@@ -763,12 +762,12 @@ fn audit_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let cases: usize = flag_value(rest, "--cases").map(str::parse).transpose()?.unwrap_or(32);
     let ticks: usize = flag_value(rest, "--ticks").map(str::parse).transpose()?.unwrap_or(64);
     let seed: u64 = flag_value(rest, "--seed").map(str::parse).transpose()?.unwrap_or(0);
+    let engine = engine_flag(rest, Engine::Flat)?;
     let compiled = compile(model)?;
-    let mut auditor = Auditor::new(model, &compiled)?;
+    let mut auditor = Auditor::new(model, &compiled, engine)?;
     println!(
-        "auditing {} on the {} engine: {} signals compared per tick",
+        "auditing {} on the {engine} engine: {} signals compared per tick",
         model.name(),
-        cftcg::trace::replay_engine(),
         auditor.signal_count()
     );
 

@@ -10,6 +10,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use cftcg::fuzz::FuzzConfig;
 use cftcg::observe::{Observatory, ObserveServer};
 use cftcg::pipeline::CampaignArtifact;
 use cftcg::telemetry::{SpanKind, SpanTrace, Telemetry};
@@ -53,8 +54,9 @@ fn observatory_leaves_workers1_campaign_byte_identical() {
 
     // Fully-observed workers=1 run: registry + span trace attached, HTTP
     // observatory live and scraped concurrently while the campaign runs.
-    let telemetry = Arc::new(Telemetry::new());
     let trace = SpanTrace::new();
+    let telemetry =
+        Arc::new(Telemetry::new().with_span_trace(trace.clone()).with_plateau_window(500));
     let server =
         ObserveServer::bind("127.0.0.1:0", Observatory::new(Arc::clone(&telemetry), model.name()))
             .expect("observatory binds");
@@ -80,11 +82,10 @@ fn observatory_leaves_workers1_campaign_byte_identical() {
         // Every introspection layer armed: registry, span trace, and the
         // plateau detector (yield stats and corpus accounting are always
         // on once a registry is attached).
-        let tool = Cftcg::new(&model)
-            .expect("benchmark compiles")
-            .with_telemetry(Arc::clone(&telemetry))
-            .with_span_trace(trace.clone())
-            .with_plateau_window(500);
+        let tool = Cftcg::new(&model).expect("benchmark compiles").with_config(FuzzConfig {
+            telemetry: Some(Arc::clone(&telemetry)),
+            ..FuzzConfig::default()
+        });
         let generation = tool.generate_parallel_executions(EXECUTIONS, SEED, 1);
         CampaignArtifact::from_generation(model.name(), SEED, 1, &generation, tool.compiled().map())
             .to_json()

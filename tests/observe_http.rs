@@ -9,6 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cftcg::fuzz::FuzzConfig;
 use cftcg::observe::{Observatory, ObserveServer};
 use cftcg::telemetry::json::Json;
 use cftcg::telemetry::{SpanKind, SpanTrace, Telemetry};
@@ -36,8 +37,9 @@ fn executions_total(metrics: &str) -> u64 {
 #[test]
 fn live_solar_pv_campaign_serves_all_endpoints() {
     let model = cftcg::benchmarks::by_name("SolarPV").expect("bundled benchmark");
-    let telemetry = Arc::new(Telemetry::new());
     let trace = SpanTrace::new();
+    let telemetry =
+        Arc::new(Telemetry::new().with_span_trace(trace.clone()).with_plateau_window(2_000));
     let server =
         ObserveServer::bind("127.0.0.1:0", Observatory::new(Arc::clone(&telemetry), model.name()))
             .expect("observatory binds an ephemeral port");
@@ -46,14 +48,11 @@ fn live_solar_pv_campaign_serves_all_endpoints() {
     // Run the campaign in the background while this thread scrapes.
     let campaign = {
         let telemetry = Arc::clone(&telemetry);
-        let trace = trace.clone();
         std::thread::spawn(move || {
             let model = cftcg::benchmarks::by_name("SolarPV").unwrap();
             let tool = Cftcg::new(&model)
                 .expect("benchmark compiles")
-                .with_telemetry(telemetry)
-                .with_span_trace(trace)
-                .with_plateau_window(2_000);
+                .with_config(FuzzConfig { telemetry: Some(telemetry), ..FuzzConfig::default() });
             tool.generate(Duration::from_millis(1_200), 0)
         })
     };

@@ -16,7 +16,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use cftcg::codegen::TestCase;
+use cftcg::codegen::{Engine, TestCase};
 use cftcg::trace::{to_vcd, trace_vm_case, ProbeMask};
 use cftcg::Cftcg;
 
@@ -38,7 +38,8 @@ fn vcd_export_matches_golden() {
         .max_by_key(|c| c.bytes.len())
         .expect("fixed-seed campaign emits cases");
     let mask = ProbeMask::outputs(tool.compiled());
-    let trace = trace_vm_case(tool.compiled(), &TestCase::new(case.bytes.clone()), &mask, 1 << 16);
+    let input = TestCase::new(case.bytes.clone());
+    let trace = trace_vm_case(tool.compiled(), Engine::Flat, &input, &mask, 1 << 16);
     assert!(trace.ticks() > 1, "golden case should span several ticks, got {}", trace.ticks());
     assert_eq!(trace.dropped(), 0, "ring must not overflow for the golden case");
     let vcd = to_vcd(&trace, model.name());

@@ -71,7 +71,8 @@ fn every_view_reports_the_same_campaign_numbers() {
         let telemetry = Arc::new(
             Telemetry::new()
                 .with_jsonl(events.clone())
-                .with_status_to(Duration::from_secs(3600), status_out.clone()),
+                .with_status_to(Duration::from_secs(3600), status_out.clone())
+                .with_plateau_window(250),
         );
         let outcome = ParallelFuzzer::new(
             &compiled,
@@ -81,7 +82,6 @@ fn every_view_reports_the_same_campaign_numbers() {
                 fuzz: FuzzConfig {
                     seed,
                     telemetry: Some(Arc::clone(&telemetry)),
-                    plateau_window: Some(250),
                     ..FuzzConfig::default()
                 },
                 ..ParallelFuzzConfig::default()
