@@ -23,7 +23,7 @@ use cftcg_telemetry::{
     PLATEAU_FRONTIER_CAP,
 };
 
-use crate::fuzzer::{CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, TraceHook};
+use crate::fuzzer::{CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome};
 use crate::lineage::{Lineage, LineageRecord};
 use crate::mutate::MutationKind;
 use crate::plateau::PlateauDetector;
@@ -191,7 +191,6 @@ pub(crate) struct Campaign<'c> {
     /// mistake another shard's discoveries for stalls). Armed when the
     /// telemetry registry carries a plateau window.
     plateau: Option<PlateauDetector>,
-    trace_hook: Option<TraceHook>,
     telemetry: Option<Arc<Telemetry>>,
     /// Merged operator attribution (the outcome's yield matrix).
     yields: YieldMatrix,
@@ -205,8 +204,8 @@ pub(crate) struct Campaign<'c> {
 }
 
 impl<'c> Campaign<'c> {
-    /// A campaign over `shards` shards, with `config`'s feedback, engine,
-    /// telemetry (and the plateau window it carries) and trace hook.
+    /// A campaign over `shards` shards, with `config`'s feedback, engine and
+    /// telemetry (and the plateau window it carries).
     pub(crate) fn new(
         compiled: &'c CompiledModel,
         config: &FuzzConfig,
@@ -229,7 +228,6 @@ impl<'c> Campaign<'c> {
             provenance: ProvenanceTracker::new(compiled.map()),
             violations: Vec::new(),
             plateau: telemetry.as_ref().and_then(|t| t.plateau_window()).map(PlateauDetector::new),
-            trace_hook: config.trace_hook.clone(),
             telemetry,
             yields: YieldMatrix::new(MutationKind::ALL.len()),
             executions: vec![0; shards],
@@ -377,8 +375,7 @@ impl<'c> Campaign<'c> {
     }
 
     /// Books a globally-new case: suite entry, coverage event, metadata,
-    /// trace hook, provenance, and the `new-coverage` / `case-lineage`
-    /// events.
+    /// provenance, and the `new-coverage` / `case-lineage` events.
     fn emit(&mut self, worker: usize, case: &ReportedCase, executions: u64, tracker: &FullTracker) {
         let covered = self.covered();
         self.suite.push(TestCase::new(case.bytes.clone()));
@@ -393,9 +390,6 @@ impl<'c> Campaign<'c> {
             executions,
             covered_branches: covered,
         });
-        if let Some(hook) = &self.trace_hook {
-            hook.call(&case.bytes, case.case);
-        }
         let record = self.lineage.get(case.case);
         let hit = FirstHit {
             executions,

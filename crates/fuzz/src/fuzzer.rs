@@ -117,37 +117,6 @@ impl cftcg_coverage::Recorder for LoopRecorder<'_> {
     }
 }
 
-/// A callback fired for every coverage-earning test case the fuzzer emits,
-/// carrying the case's input bytes and stable case id.
-///
-/// This is the seam the `trace` layer uses to capture sampled waveforms of
-/// interesting inputs *without* perturbing the run: the hook fires from the
-/// campaign fold after the case is already booked (suite, coverage event,
-/// metadata), consumes no fuzzer RNG, and never runs on a fuzzing shard's
-/// loop — so fuzzing outcomes are byte-identical with or without a hook
-/// installed (enforced by test).
-#[derive(Clone)]
-pub struct TraceHook(TraceHookFn);
-
-type TraceHookFn = Arc<dyn Fn(&[u8], u64) + Send + Sync>;
-
-impl TraceHook {
-    /// Wraps a callback `f(case_bytes, case_id)`.
-    pub fn new(f: impl Fn(&[u8], u64) + Send + Sync + 'static) -> Self {
-        TraceHook(Arc::new(f))
-    }
-
-    pub(crate) fn call(&self, data: &[u8], case_id: u64) {
-        (self.0)(data, case_id);
-    }
-}
-
-impl std::fmt::Debug for TraceHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TraceHook(..)")
-    }
-}
-
 /// What the fuzzer treats as coverage feedback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FeedbackMode {
@@ -186,10 +155,6 @@ pub struct FuzzConfig {
     /// latency timing and event emission; it never influences the fuzzing
     /// trajectory, so runs stay byte-identical with or without it.
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Optional observer of coverage-earning cases (sampled waveform
-    /// capture). Called by the campaign fold only and never fed RNG, so it
-    /// cannot change what the fuzzer produces.
-    pub trace_hook: Option<TraceHook>,
     /// Explicit execution engine. `None` (the default) resolves to the
     /// fastest engine available on this build ([`Engine::best`]). Every
     /// engine produces identical outcomes and artifacts
@@ -221,7 +186,6 @@ impl Default for FuzzConfig {
             feedback: FeedbackMode::ModelLevel,
             input_ranges: None,
             telemetry: None,
-            trace_hook: None,
             engine: None,
         }
     }

@@ -60,7 +60,7 @@ mod resume;
 
 pub use corpus::{Corpus, CorpusEntry, CorpusInsertion};
 pub use fuzzer::{
-    CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer, RunProbe, TraceHook,
+    CaseMeta, CoverageEvent, FeedbackMode, FuzzConfig, FuzzOutcome, Fuzzer, RunProbe,
 };
 pub use generation::{coverage_series, Generation};
 pub use lineage::{format_chain, Lineage, LineageOrigin, LineageRecord, SHARD_ID_STRIDE};

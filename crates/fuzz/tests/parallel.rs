@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use cftcg_codegen::compile;
 use cftcg_coverage::{Goal, ProvenanceTracker};
-use cftcg_fuzz::{FuzzConfig, FuzzOutcome, Fuzzer, ParallelFuzzConfig, ParallelFuzzer, TraceHook};
+use cftcg_fuzz::{FuzzConfig, FuzzOutcome, Fuzzer, ParallelFuzzConfig, ParallelFuzzer};
 use cftcg_telemetry::{json::Json, SharedBuf, SpanKind, Telemetry};
 
 fn config(seed: u64) -> FuzzConfig {
@@ -150,76 +150,6 @@ fn one_worker_with_telemetry_stays_byte_identical() {
     for row in &rows {
         assert!(row.new_coverage <= row.executed, "{}", row.name);
     }
-}
-
-/// The tracing layer's byte-identity invariant: installing a trace hook —
-/// or leaving tracing disabled — must not change anything the fuzzer
-/// produces. The hook fires strictly after a case is booked and consumes
-/// no fuzzer RNG, so a hooked run (sequential or `workers == 1`) is
-/// byte-identical to the bare run, while the hook still observes every
-/// emitted case with its stable id.
-#[test]
-fn trace_hook_does_not_perturb_fuzzing_outcomes() {
-    let model = cftcg_benchmarks::solar_pv::model();
-    let compiled = compile(&model).expect("benchmark compiles");
-
-    let mut bare = Fuzzer::new(&compiled, config(42));
-    let expected = bare.run_executions(4_000);
-
-    type SeenCases = std::sync::Mutex<Vec<(u64, Vec<u8>)>>;
-    let seen: Arc<SeenCases> = Arc::default();
-    let sink = seen.clone();
-    let hook = TraceHook::new(move |bytes, case| {
-        sink.lock().unwrap().push((case, bytes.to_vec()));
-    });
-    let mut hooked =
-        Fuzzer::new(&compiled, FuzzConfig { trace_hook: Some(hook.clone()), ..config(42) });
-    let observed = hooked.run_executions(4_000);
-
-    assert_eq!(observed.suite, expected.suite, "suites must be byte-identical");
-    assert_eq!(observed.executions, expected.executions);
-    assert_eq!(observed.iterations, expected.iterations);
-    assert_eq!(observed.covered_branches, expected.covered_branches);
-    assert_eq!(observed.events.len(), expected.events.len());
-    for (o, e) in observed.events.iter().zip(&expected.events) {
-        assert_eq!(o.executions, e.executions);
-        assert_eq!(o.covered_branches, e.covered_branches);
-    }
-    assert_eq!(
-        observed.violations.iter().map(|(a, c)| (*a, &c.bytes)).collect::<Vec<_>>(),
-        expected.violations.iter().map(|(a, c)| (*a, &c.bytes)).collect::<Vec<_>>(),
-    );
-    assert_forensics_match(&observed, &expected, compiled.map());
-
-    // The hook saw exactly the emitted suite, in order, with stable ids.
-    {
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), expected.suite.len(), "hook fires once per emitted case");
-        for ((case_id, bytes), (meta, case)) in
-            seen.iter().zip(expected.suite_meta.iter().zip(&expected.suite))
-        {
-            assert_eq!(*case_id, meta.case);
-            assert_eq!(bytes, &case.bytes);
-        }
-    }
-
-    // Same contract through the parallel engine: a hooked `workers == 1`
-    // run still reconstructs the sequential trajectory exactly.
-    seen.lock().unwrap().clear();
-    let parallel = ParallelFuzzer::new(
-        &compiled,
-        ParallelFuzzConfig {
-            workers: 1,
-            sync_interval: 512,
-            fuzz: FuzzConfig { trace_hook: Some(hook), ..config(42) },
-            ..ParallelFuzzConfig::default()
-        },
-    );
-    let merged = parallel.run_executions(4_000);
-    assert_eq!(merged.suite, expected.suite, "hooked parallel run must match");
-    assert_forensics_match(&merged, &expected, compiled.map());
-    let seen = seen.lock().unwrap();
-    assert_eq!(seen.len(), expected.suite.len(), "hook fires on the coordinator merge");
 }
 
 /// Execution-budget runs are deterministic for a fixed worker count: worker

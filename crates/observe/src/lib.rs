@@ -46,6 +46,8 @@
 
 mod render;
 
+pub use render::snapshot_json;
+
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};

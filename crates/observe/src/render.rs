@@ -9,122 +9,66 @@ use std::fmt::Write;
 use cftcg_telemetry::html::{page_close, page_open, tiles, Chart, Line};
 use cftcg_telemetry::json::{push_json_f64, push_json_str};
 use cftcg_telemetry::{
-    escape_html, format_ns, CorpusSeedReport, SeriesPoint, SpanKind, TelemetrySnapshot,
+    escape_html, format_ns, CorpusSeedReport, SeriesPoint, SpanKind, TelemetrySnapshot, SCALARS,
 };
 
-/// The `/snapshot` body: campaign totals, coverage, span attribution,
-/// operator attribution, and the retained time series, as one JSON object.
-pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
-    let t = &snap.totals;
-    let covered = snap.covered;
-    let branch_count = snap.branch_count;
-    let frontier_open = branch_count.saturating_sub(covered);
-
+/// The `/snapshot` body: every [`SCALARS`] entry under its key, plus the
+/// per-shard rates, span attribution, operator attribution, corpus
+/// forensics, the latest plateau and the retained time series, as one JSON
+/// object.
+pub fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
     let mut out = String::with_capacity(2048);
     out.push_str("{\"model\":");
     push_json_str(&mut out, model);
-    out.push_str(",\"elapsed_s\":");
-    push_json_f64(&mut out, snap.elapsed.as_secs_f64());
-    let _ = write!(
-        out,
-        ",\"executions\":{},\"iterations\":{},\"resumed_ticks\":{},\"discoveries\":{},\"violations\":{}",
-        t.executions, t.iterations, t.resumed_ticks, t.discoveries, snap.violations
-    );
-    let _ = write!(
-        out,
-        ",\"corpus_size\":{},\"corpus_inserts\":{},\"corpus_evictions\":{}",
-        snap.corpus_size, t.corpus_inserts, t.corpus_evictions
-    );
-    let _ = write!(out, ",\"covered\":{covered},\"branch_count\":{branch_count}");
-    out.push_str(",\"coverage_pct\":");
-    push_json_f64(&mut out, snap.coverage_pct());
-    let _ = write!(out, ",\"frontier_open\":{frontier_open}");
-    out.push_str(",\"execs_per_sec\":");
-    push_json_f64(&mut out, snap.execs_per_sec());
-    out.push_str(",\"last_sync_ms\":");
-    push_json_f64(&mut out, snap.last_sync_ms);
-
-    out.push_str(",\"shard_rates\":[");
-    for (i, rate) in snap.shard_rates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    for scalar in SCALARS {
+        let _ = write!(out, ",\"{}\":", scalar.key);
+        match (scalar.value)(snap) {
+            Some(value) => push_json_f64(&mut out, value),
+            None => out.push_str("null"),
         }
-        push_json_f64(&mut out, *rate);
-    }
-    out.push(']');
-
-    match snap.jit_code_bytes {
-        Some(bytes) => {
-            let _ = write!(out, ",\"jit_code_bytes\":{bytes}");
+        match scalar.key {
+            "series_points" => {
+                push_array(&mut out, "shard_rates", &snap.shard_rates, |out, rate| {
+                    push_json_f64(out, *rate)
+                });
+            }
+            "jit_compile_ns" => {
+                let spans = snap.totals.spans.reports();
+                let span_ns: u64 = spans.iter().map(|row| row.total_ns).sum();
+                push_array(&mut out, "spans", &spans, |out, row| {
+                    row.push_json(out);
+                    // Reopen the row to add the phase's share of attributed time.
+                    out.pop();
+                    out.push_str(",\"pct\":");
+                    push_json_f64(out, 100.0 * row.total_ns as f64 / span_ns.max(1) as f64);
+                    out.push('}');
+                });
+                push_array(&mut out, "yields", &snap.yield_reports(), |out, row| {
+                    row.push_json(out)
+                });
+            }
+            "goals_per_mutation_ns" => {
+                push_array(&mut out, "corpus_seeds", &snap.corpus_seeds, |out, seed| {
+                    let _ = write!(
+                        out,
+                        "{{\"id\":{},\"size_bytes\":{},\"metric\":{},\"new_branches\":{},\
+                         \"energy\":{},\"selections\":{},\"children\":{},\
+                         \"descendant_goals\":{},\"age_executions\":{}}}",
+                        seed.id,
+                        seed.size_bytes,
+                        seed.metric,
+                        seed.new_branches,
+                        seed.energy,
+                        seed.selections,
+                        seed.children,
+                        seed.descendant_goals,
+                        seed.age_executions,
+                    );
+                });
+            }
+            _ => {}
         }
-        None => out.push_str(",\"jit_code_bytes\":null"),
     }
-    match snap.jit_compile_ns {
-        Some(ns) => {
-            let _ = write!(out, ",\"jit_compile_ns\":{ns}");
-        }
-        None => out.push_str(",\"jit_compile_ns\":null"),
-    }
-
-    out.push_str(",\"spans\":[");
-    let spans = t.spans.reports();
-    let span_ns: u64 = spans.iter().map(|row| row.total_ns).sum();
-    for (i, row) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        row.push_json(&mut out);
-        // Reopen the row to add the phase's share of attributed time.
-        out.pop();
-        out.push_str(",\"pct\":");
-        let pct = if span_ns == 0 { 0.0 } else { 100.0 * row.total_ns as f64 / span_ns as f64 };
-        push_json_f64(&mut out, pct);
-        out.push('}');
-    }
-    out.push(']');
-
-    out.push_str(",\"yields\":[");
-    for (i, row) in snap.yield_reports().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        row.push_json(&mut out);
-    }
-    out.push(']');
-
-    out.push_str(",\"goals_per_second\":");
-    push_json_f64(&mut out, snap.goals_per_second());
-    match snap.goals_per_mutation_ns() {
-        Some(rate) => {
-            out.push_str(",\"goals_per_mutation_ns\":");
-            push_json_f64(&mut out, rate);
-        }
-        None => out.push_str(",\"goals_per_mutation_ns\":null"),
-    }
-
-    out.push_str(",\"corpus_seeds\":[");
-    for (i, seed) in snap.corpus_seeds.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"size_bytes\":{},\"metric\":{},\"new_branches\":{},\"energy\":{},\
-             \"selections\":{},\"children\":{},\"descendant_goals\":{},\"age_executions\":{}}}",
-            seed.id,
-            seed.size_bytes,
-            seed.metric,
-            seed.new_branches,
-            seed.energy,
-            seed.selections,
-            seed.children,
-            seed.descendant_goals,
-            seed.age_executions,
-        );
-    }
-    out.push(']');
-
-    let _ = write!(out, ",\"plateaus\":{}", snap.plateaus);
     match &snap.last_plateau {
         Some(plateau) => {
             out.push_str(",\"plateau\":{\"t_s\":");
@@ -134,16 +78,26 @@ pub(crate) fn snapshot_json(model: &str, snap: &TelemetrySnapshot) -> String {
         }
         None => out.push_str(",\"plateau\":null"),
     }
+    push_array(&mut out, "series", &snap.series, |out, point| point.push_json(out));
+    out.push('}');
+    out
+}
 
-    out.push_str(",\"series\":[");
-    for (i, point) in snap.series.iter().enumerate() {
+/// Appends `,"key":[...]`, writing each item with `push`.
+fn push_array<'a, T>(
+    out: &mut String,
+    key: &str,
+    items: &'a [T],
+    mut push: impl FnMut(&mut String, &'a T),
+) {
+    let _ = write!(out, ",\"{key}\":[");
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        point.push_json(&mut out);
+        push(out, item);
     }
-    out.push_str("]}");
-    out
+    out.push(']');
 }
 
 /// The dashboard's head markup: the 2 s self-refresh and page chrome

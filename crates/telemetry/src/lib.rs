@@ -61,6 +61,7 @@ mod series;
 mod span;
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -294,9 +295,6 @@ pub struct TelemetrySnapshot {
     pub elapsed: Duration,
     /// Most recent per-shard execution rates (executions per second).
     pub shard_rates: Vec<f64>,
-    /// Per-shard share of span-attributed wall-clock spent blocked on sync
-    /// rounds, percent (0 for shards that never synced).
-    pub shard_sync_pct: Vec<f64>,
     /// Operator labels (parallel to the rows of `totals.yields`).
     pub operator_labels: Vec<String>,
     /// Distinct assertions first witnessed campaign-wide: one per
@@ -366,18 +364,244 @@ impl TelemetrySnapshot {
         }
         Some(self.covered as f64 / mutation_ns as f64)
     }
+
+    /// Renders every metric in the Prometheus text exposition format: the
+    /// [`SCALARS`], the labeled per-shard rates, yield matrix and block
+    /// costs, and the histograms with cumulative `le` buckets.
+    pub fn prometheus_text(&self) -> String {
+        let mut out = String::with_capacity(2048);
+        for scalar in SCALARS {
+            if let Some(value) = (scalar.value)(self) {
+                push_family(&mut out, scalar.prom, scalar.help, scalar.kind);
+                let _ = writeln!(out, "{} {}", scalar.prom, scalar.format.render(value));
+            }
+            match scalar.prom {
+                "cftcg_corpus_size" => {
+                    let name = "cftcg_shard_execs_per_second";
+                    push_family(&mut out, name, "Latest per-shard execution rate", "gauge");
+                    for (shard, rate) in self.shard_rates.iter().enumerate() {
+                        let _ = writeln!(out, "{name}{{shard=\"{shard}\"}} {rate:.1}");
+                    }
+                }
+                "cftcg_jit_compile_ns" => {
+                    // One labeled series per operator × outcome cell, in
+                    // stable (operator, outcome) order.
+                    let name = "cftcg_mutation_yield";
+                    let help = "Candidate executions per mutation operator and outcome";
+                    push_family(&mut out, name, help, "counter");
+                    for (i, kind) in self.operator_labels.iter().enumerate() {
+                        for outcome in YieldOutcome::ALL {
+                            let _ = writeln!(
+                                out,
+                                "{name}{{kind=\"{kind}\",outcome=\"{}\"}} {}",
+                                outcome.name(),
+                                self.totals.yields.get(i, outcome)
+                            );
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        if !self.block_costs.is_empty() {
+            let name = "cftcg_block_executions_total";
+            push_family(&mut out, name, "Profiled block executions by kind", "counter");
+            for row in &self.block_costs {
+                let _ = writeln!(out, "{name}{{kind=\"{}\"}} {}", row.kind, row.executions);
+            }
+            let name = "cftcg_block_exec_ns_total";
+            let help = "Profiled wall-clock ns attributed by block kind";
+            push_family(&mut out, name, help, "counter");
+            for row in &self.block_costs {
+                let _ = writeln!(out, "{name}{{kind=\"{}\"}} {}", row.kind, row.total_ns);
+            }
+        }
+
+        let spans = &self.totals.spans;
+        for (name, help, histogram) in [
+            (
+                "cftcg_exec_latency_ns",
+                "Per-input execution latency (ns)",
+                spans.histogram(SpanKind::Execution),
+            ),
+            (
+                "cftcg_mutation_depth",
+                "Stacked mutations per candidate",
+                &self.totals.mutation_depth,
+            ),
+            (
+                "cftcg_sync_duration_ns",
+                "Coordinator sync-round cost (ns)",
+                spans.histogram(SpanKind::SyncRound),
+            ),
+            ("cftcg_block_exec_ns", "Profiled per-block execution latency (ns)", &self.block_ns),
+        ] {
+            push_family(&mut out, name, help, "histogram");
+            push_histogram(&mut out, name, "", histogram);
+        }
+
+        // Span self-profiling: one labeled histogram family, one series per
+        // non-empty span kind.
+        let name = "cftcg_span_ns";
+        push_family(&mut out, name, "Wall-clock attribution per engine phase (ns)", "histogram");
+        for kind in SpanKind::ALL {
+            let histogram = spans.histogram(kind);
+            if !histogram.is_empty() {
+                push_histogram(&mut out, name, &format!("kind=\"{}\"", kind.name()), histogram);
+            }
+        }
+        out
+    }
 }
 
+/// How the Prometheus exposition prints a scalar. `/snapshot` prints every
+/// scalar as a JSON number at full precision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// A whole number (`{}`).
+    Count,
+    /// Fixed point with this many decimals (`{:.1}`, `{:.4}`).
+    Fixed(usize),
+    /// Scientific notation with this many mantissa decimals (`{:.6e}`).
+    Sci(usize),
+}
+
+impl Format {
+    /// `value` as the exposition prints it.
+    pub fn render(self, value: f64) -> String {
+        match self {
+            Format::Count => format!("{value}"),
+            Format::Fixed(decimals) => format!("{value:.decimals$}"),
+            Format::Sci(decimals) => format!("{value:.decimals$e}"),
+        }
+    }
+}
+
+/// One exported scalar metric: the single declaration that the Prometheus
+/// exposition and the observatory's `/snapshot` both render from.
+#[derive(Debug, Clone, Copy)]
+pub struct Scalar {
+    /// The Prometheus sample name.
+    pub prom: &'static str,
+    /// The `/snapshot` key.
+    pub key: &'static str,
+    /// The Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// `counter` or `gauge`, the exposition's `# TYPE`.
+    pub kind: &'static str,
+    /// How the exposition prints the value.
+    pub format: Format,
+    /// Reads the value off a snapshot. Counts are read as `f64`, exact
+    /// below 2^53. `None` while the number does not exist (the JIT gauges
+    /// before the tier ran, the mutation-time goal rate before any mutation
+    /// span): Prometheus then omits the sample and `/snapshot` writes
+    /// `null`.
+    pub value: fn(&TelemetrySnapshot) -> Option<f64>,
+}
+
+/// A [`Format::Count`] counter entry.
+const fn counter(
+    prom: &'static str,
+    key: &'static str,
+    help: &'static str,
+    value: fn(&TelemetrySnapshot) -> Option<f64>,
+) -> Scalar {
+    Scalar { prom, key, help, kind: "counter", format: Format::Count, value }
+}
+
+/// A gauge entry.
+const fn gauge(
+    prom: &'static str,
+    key: &'static str,
+    format: Format,
+    help: &'static str,
+    value: fn(&TelemetrySnapshot) -> Option<f64>,
+) -> Scalar {
+    Scalar { prom, key, help, kind: "gauge", format, value }
+}
+
+/// Every scalar the live views export, in exposition order. The labeled
+/// families (per-shard rates, the yield matrix, block costs, histograms)
+/// and `/snapshot`'s arrays are rendered beside these, after the entry
+/// they follow.
+// One entry per row, read as a table; rustfmt would spread each entry over
+// up to seven lines.
+#[rustfmt::skip]
+pub const SCALARS: &[Scalar] = {
+    use Format::{Count, Fixed, Sci};
+    &[
+        gauge("cftcg_elapsed_seconds", "elapsed_s", Fixed(3),
+            "Wall-clock seconds since the registry was created", |s| Some(s.elapsed.as_secs_f64())),
+        counter("cftcg_executions_total", "executions",
+            "Inputs executed", |s| Some(s.totals.executions as f64)),
+        counter("cftcg_iterations_total", "iterations",
+            "Model iterations executed", |s| Some(s.totals.iterations as f64)),
+        counter("cftcg_resumed_ticks_total", "resumed_ticks",
+            "Input ticks resumed from a corpus parent's checkpoint instead of re-run",
+            |s| Some(s.totals.resumed_ticks as f64)),
+        counter("cftcg_discoveries_total", "discoveries",
+            "Inputs that found new coverage", |s| Some(s.totals.discoveries as f64)),
+        counter("cftcg_violations_total", "violations",
+            "Distinct assertions first witnessed campaign-wide", |s| Some(s.violations as f64)),
+        counter("cftcg_corpus_inserts_total", "corpus_inserts",
+            "Corpus insertions", |s| Some(s.totals.corpus_inserts as f64)),
+        counter("cftcg_corpus_evictions_total", "corpus_evictions",
+            "Corpus replacements", |s| Some(s.totals.corpus_evictions as f64)),
+        gauge("cftcg_covered_branches", "covered", Count,
+            "Branches covered so far", |s| Some(s.covered as f64)),
+        gauge("cftcg_branch_count", "branch_count", Count,
+            "Total branch probes", |s| Some(s.branch_count as f64)),
+        gauge("cftcg_coverage_percent", "coverage_pct", Fixed(2),
+            "Covered branches as a percentage of all probes", |s| Some(s.coverage_pct())),
+        gauge("cftcg_corpus_size", "corpus_size", Count,
+            "Retained corpus entries across shards", |s| Some(s.corpus_size as f64)),
+        gauge("cftcg_frontier_open_branches", "frontier_open", Count,
+            "Open branch goals (uncovered probes)",
+            |s| Some(s.branch_count.saturating_sub(s.covered) as f64)),
+        gauge("cftcg_execs_per_second", "execs_per_sec", Fixed(1),
+            "Execution rate over the latest series window", |s| Some(s.execs_per_sec())),
+        gauge("cftcg_last_sync_ms", "last_sync_ms", Fixed(3),
+            "Most recent coordinator sync-round cost (ms)", |s| Some(s.last_sync_ms)),
+        gauge("cftcg_series_points", "series_points", Count,
+            "Retained coverage time-series samples", |s| Some(s.series.len() as f64)),
+        gauge("cftcg_jit_code_bytes", "jit_code_bytes", Count,
+            "Native code bytes resident in the JIT cache", |s| s.jit_code_bytes.map(|b| b as f64)),
+        gauge("cftcg_jit_compile_ns", "jit_compile_ns", Count,
+            "JIT compilation wall-clock cost (ns)", |s| s.jit_compile_ns.map(|ns| ns as f64)),
+        gauge("cftcg_goals_per_second", "goals_per_second", Fixed(4),
+            "Branch goals attained per wall-clock second", |s| Some(s.goals_per_second())),
+        gauge("cftcg_goals_per_mutation_ns", "goals_per_mutation_ns", Sci(6),
+            "Branch goals attained per ns spent mutating",
+            TelemetrySnapshot::goals_per_mutation_ns),
+        counter("cftcg_plateaus_total", "plateaus",
+            "Plateau events witnessed", |s| Some(s.plateaus as f64)),
+    ]
+};
+
+/// Appends a metric family's `# HELP` and `# TYPE` lines.
+fn push_family(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// Appends one histogram's cumulative `_bucket`, `_sum` and `_count`
+/// samples, each carrying `label` (`kind="execution"`) when it is not empty.
+fn push_histogram(out: &mut String, name: &str, label: &str, histogram: &Histogram) {
+    let sep = if label.is_empty() { "" } else { "," };
+    for (le, cumulative) in histogram.cumulative_buckets() {
+        let _ = writeln!(out, "{name}_bucket{{{label}{sep}le=\"{le}\"}} {cumulative}");
+    }
+    let count = histogram.count();
+    let _ = writeln!(out, "{name}_bucket{{{label}{sep}le=\"+Inf\"}} {count}");
+    let labels = if label.is_empty() { String::new() } else { format!("{{{label}}}") };
+    let _ = writeln!(out, "{name}_sum{labels} {}\n{name}_count{labels} {count}", histogram.sum());
+}
+
+#[derive(Default)]
 struct ShardCell {
-    executions: u64,
     corpus_len: usize,
     last_merge: Option<Duration>,
     rate: f64,
-    /// Cumulative nanoseconds this shard spent blocked on sync rounds, and
-    /// its total span-attributed nanoseconds — together the per-worker
-    /// sync-wait share the parallel-scaling benchmarks report.
-    sync_wait_ns: u64,
-    span_ns: u64,
 }
 
 /// The JSONL sink is flushed whenever an event lands and this much time
@@ -676,20 +900,10 @@ impl Telemetry {
         let mut inner = self.lock();
         inner.totals.merge_from(delta);
         if inner.shards.len() <= shard {
-            inner.shards.resize_with(shard + 1, || ShardCell {
-                executions: 0,
-                corpus_len: 0,
-                last_merge: None,
-                rate: 0.0,
-                sync_wait_ns: 0,
-                span_ns: 0,
-            });
+            inner.shards.resize_with(shard + 1, ShardCell::default);
         }
         let cell = &mut inner.shards[shard];
-        cell.executions += delta.executions;
         cell.corpus_len = corpus_len;
-        cell.sync_wait_ns += delta.spans.total_ns(SpanKind::SyncWait);
-        cell.span_ns += SpanKind::ALL.iter().map(|&k| delta.spans.total_ns(k)).sum::<u64>();
         if let Some(last) = cell.last_merge {
             let window = (now - last).as_secs_f64();
             if window > 1e-6 {
@@ -778,11 +992,6 @@ impl Telemetry {
         inner.totals.spans.record(SpanKind::JitCompile, compile_ns);
     }
 
-    /// The retained coverage/throughput time series, oldest first.
-    pub fn series_points(&self) -> Vec<SeriesPoint> {
-        self.lock().series.points().to_vec()
-    }
-
     /// Publishes one shard's per-corpus-entry scheduling forensics,
     /// replacing that shard's previous publication (gauges, not counters).
     pub fn set_corpus_seeds(&self, shard: usize, seeds: Vec<CorpusSeedReport>) {
@@ -824,177 +1033,9 @@ impl Telemetry {
     }
 
     /// Renders every metric in the Prometheus text exposition format
-    /// (counters, gauges, the labeled per-operator yield matrix, and the three
-    /// histograms with cumulative `le` buckets).
+    /// ([`TelemetrySnapshot::prometheus_text`] of a fresh snapshot).
     pub fn prometheus_text(&self) -> String {
-        let snapshot = self.snapshot();
-        let t = &snapshot.totals;
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-        };
-        counter("cftcg_executions_total", "Inputs executed", t.executions);
-        counter("cftcg_iterations_total", "Model iterations executed", t.iterations);
-        counter(
-            "cftcg_resumed_ticks_total",
-            "Input ticks resumed from a corpus parent's checkpoint instead of re-run",
-            t.resumed_ticks,
-        );
-        counter("cftcg_discoveries_total", "Inputs that found new coverage", t.discoveries);
-        counter(
-            "cftcg_violations_total",
-            "Distinct assertions first witnessed campaign-wide",
-            snapshot.violations,
-        );
-        counter("cftcg_corpus_inserts_total", "Corpus insertions", t.corpus_inserts);
-        counter("cftcg_corpus_evictions_total", "Corpus replacements", t.corpus_evictions);
-
-        out.push_str("# HELP cftcg_covered_branches Branches covered so far\n");
-        out.push_str("# TYPE cftcg_covered_branches gauge\n");
-        out.push_str(&format!("cftcg_covered_branches {}\n", snapshot.covered));
-        out.push_str("# HELP cftcg_branch_count Total branch probes\n");
-        out.push_str("# TYPE cftcg_branch_count gauge\n");
-        out.push_str(&format!("cftcg_branch_count {}\n", snapshot.branch_count));
-        out.push_str("# HELP cftcg_corpus_size Retained corpus entries across shards\n");
-        out.push_str("# TYPE cftcg_corpus_size gauge\n");
-        out.push_str(&format!("cftcg_corpus_size {}\n", snapshot.corpus_size));
-        out.push_str("# HELP cftcg_shard_execs_per_second Latest per-shard execution rate\n");
-        out.push_str("# TYPE cftcg_shard_execs_per_second gauge\n");
-        for (shard, rate) in snapshot.shard_rates.iter().enumerate() {
-            out.push_str(&format!("cftcg_shard_execs_per_second{{shard=\"{shard}\"}} {rate:.1}\n"));
-        }
-        out.push_str("# HELP cftcg_frontier_open_branches Open branch goals (uncovered probes)\n");
-        out.push_str("# TYPE cftcg_frontier_open_branches gauge\n");
-        out.push_str(&format!(
-            "cftcg_frontier_open_branches {}\n",
-            snapshot.branch_count.saturating_sub(snapshot.covered)
-        ));
-        out.push_str(
-            "# HELP cftcg_execs_per_second Execution rate over the latest series window\n",
-        );
-        out.push_str("# TYPE cftcg_execs_per_second gauge\n");
-        out.push_str(&format!("cftcg_execs_per_second {:.1}\n", snapshot.execs_per_sec()));
-        out.push_str("# HELP cftcg_series_points Retained coverage time-series samples\n");
-        out.push_str("# TYPE cftcg_series_points gauge\n");
-        out.push_str(&format!("cftcg_series_points {}\n", snapshot.series.len()));
-        if let Some(bytes) = snapshot.jit_code_bytes {
-            out.push_str(
-                "# HELP cftcg_jit_code_bytes Native code bytes resident in the JIT cache\n",
-            );
-            out.push_str("# TYPE cftcg_jit_code_bytes gauge\n");
-            out.push_str(&format!("cftcg_jit_code_bytes {bytes}\n"));
-        }
-        if let Some(ns) = snapshot.jit_compile_ns {
-            out.push_str("# HELP cftcg_jit_compile_ns JIT compilation wall-clock cost (ns)\n");
-            out.push_str("# TYPE cftcg_jit_compile_ns gauge\n");
-            out.push_str(&format!("cftcg_jit_compile_ns {ns}\n"));
-        }
-
-        // The mutation-yield matrix: one labeled counter series per
-        // operator × outcome cell, in stable (operator, outcome) order.
-        out.push_str(
-            "# HELP cftcg_mutation_yield Candidate executions per mutation operator and outcome\n",
-        );
-        out.push_str("# TYPE cftcg_mutation_yield counter\n");
-        for (i, name) in snapshot.operator_labels.iter().enumerate() {
-            for outcome in YieldOutcome::ALL {
-                out.push_str(&format!(
-                    "cftcg_mutation_yield{{kind=\"{name}\",outcome=\"{}\"}} {}\n",
-                    outcome.name(),
-                    snapshot.totals.yields.get(i, outcome)
-                ));
-            }
-        }
-        out.push_str("# HELP cftcg_goals_per_second Branch goals attained per wall-clock second\n");
-        out.push_str("# TYPE cftcg_goals_per_second gauge\n");
-        out.push_str(&format!("cftcg_goals_per_second {:.4}\n", snapshot.goals_per_second()));
-        if let Some(rate) = snapshot.goals_per_mutation_ns() {
-            out.push_str(
-                "# HELP cftcg_goals_per_mutation_ns Branch goals attained per ns spent mutating\n",
-            );
-            out.push_str("# TYPE cftcg_goals_per_mutation_ns gauge\n");
-            out.push_str(&format!("cftcg_goals_per_mutation_ns {rate:.6e}\n"));
-        }
-        out.push_str("# HELP cftcg_plateaus_total Plateau events witnessed\n");
-        out.push_str("# TYPE cftcg_plateaus_total counter\n");
-        out.push_str(&format!("cftcg_plateaus_total {}\n", snapshot.plateaus));
-
-        let blocks = &snapshot.block_costs;
-        if !blocks.is_empty() {
-            out.push_str("# HELP cftcg_block_executions_total Profiled block executions by kind\n");
-            out.push_str("# TYPE cftcg_block_executions_total counter\n");
-            for row in blocks {
-                out.push_str(&format!(
-                    "cftcg_block_executions_total{{kind=\"{}\"}} {}\n",
-                    row.kind, row.executions
-                ));
-            }
-            out.push_str(
-                "# HELP cftcg_block_exec_ns_total Profiled wall-clock ns attributed by block kind\n",
-            );
-            out.push_str("# TYPE cftcg_block_exec_ns_total counter\n");
-            for row in blocks {
-                out.push_str(&format!(
-                    "cftcg_block_exec_ns_total{{kind=\"{}\"}} {}\n",
-                    row.kind, row.total_ns
-                ));
-            }
-        }
-
-        for (name, help, histogram) in [
-            (
-                "cftcg_exec_latency_ns",
-                "Per-input execution latency (ns)",
-                t.spans.histogram(SpanKind::Execution),
-            ),
-            ("cftcg_mutation_depth", "Stacked mutations per candidate", &t.mutation_depth),
-            (
-                "cftcg_sync_duration_ns",
-                "Coordinator sync-round cost (ns)",
-                t.spans.histogram(SpanKind::SyncRound),
-            ),
-            (
-                "cftcg_block_exec_ns",
-                "Profiled per-block execution latency (ns)",
-                &snapshot.block_ns,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-            for (le, cumulative) in histogram.cumulative_buckets() {
-                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", histogram.count()));
-            out.push_str(&format!("{name}_sum {}\n", histogram.sum()));
-            out.push_str(&format!("{name}_count {}\n", histogram.count()));
-        }
-
-        // Span self-profiling: one labeled histogram family, one series per
-        // non-empty span kind.
-        out.push_str(
-            "# HELP cftcg_span_ns Wall-clock attribution per engine phase (ns)\n# TYPE cftcg_span_ns histogram\n",
-        );
-        for kind in SpanKind::ALL {
-            let histogram = t.spans.histogram(kind);
-            if histogram.is_empty() {
-                continue;
-            }
-            let label = kind.name();
-            for (le, cumulative) in histogram.cumulative_buckets() {
-                out.push_str(&format!(
-                    "cftcg_span_ns_bucket{{kind=\"{label}\",le=\"{le}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "cftcg_span_ns_bucket{{kind=\"{label}\",le=\"+Inf\"}} {}\n",
-                histogram.count()
-            ));
-            out.push_str(&format!("cftcg_span_ns_sum{{kind=\"{label}\"}} {}\n", histogram.sum()));
-            out.push_str(&format!(
-                "cftcg_span_ns_count{{kind=\"{label}\"}} {}\n",
-                histogram.count()
-            ));
-        }
-        out
+        self.snapshot().prometheus_text()
     }
 }
 
@@ -1013,17 +1054,6 @@ fn snapshot_of(inner: &Inner, elapsed: Duration) -> TelemetrySnapshot {
         corpus_size: inner.shards.iter().map(|s| s.corpus_len as u64).sum(),
         elapsed,
         shard_rates: inner.shards.iter().map(|s| s.rate).collect(),
-        shard_sync_pct: inner
-            .shards
-            .iter()
-            .map(|s| {
-                if s.span_ns == 0 {
-                    0.0
-                } else {
-                    100.0 * s.sync_wait_ns as f64 / s.span_ns as f64
-                }
-            })
-            .collect(),
         operator_labels: inner.operator_labels.clone(),
         violations: inner.violations,
         last_sync_ms: inner.last_sync_ms,
@@ -1361,7 +1391,7 @@ mod tests {
         let mut stats = ShardStats::new(0);
         stats.executions = 100;
         t.merge_shard(0, &stats, 7);
-        let points = t.series_points();
+        let points = t.snapshot().series;
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].executions, 100);
         assert_eq!(points[0].covered, 8);

@@ -35,6 +35,7 @@
 
 use std::error::Error;
 use std::fs;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -56,6 +57,31 @@ use cftcg::telemetry::{json::Json, BlockCost, Event, Telemetry};
 use cftcg::trace::{profile_case, to_csv, to_vcd, trace_vm_case, Auditor, BlockProfile, ProbeMask};
 use cftcg::Cftcg;
 
+/// `print!` for command output, except that a closed stdout (`cftcg fuzz
+/// … | head -1`) ends printing quietly, so the command still writes its
+/// files and exits 0. Any other write error returns from the enclosing
+/// function.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        stdout_result(write!(std::io::stdout(), $($arg)*))?
+    };
+}
+
+/// [`out!`] with a trailing newline.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        stdout_result(writeln!(std::io::stdout(), $($arg)*))?
+    };
+}
+
+/// A stdout write's result, with a closed pipe read as success.
+fn stdout_result(result: io::Result<()>) -> io::Result<()> {
+    match result {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -69,8 +95,7 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let Some(command) = args.first() else {
-        print_usage();
-        return Ok(());
+        return print_usage();
     };
     if let Some((values, switches)) = accepted_flags(command) {
         check_flags(command, &args[1..], values, switches)?;
@@ -89,10 +114,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         "export-benchmarks" => {
             export_benchmarks(args.get(1).map(String::as_str).unwrap_or("models"))
         }
-        "--help" | "-h" | "help" => {
-            print_usage();
-            Ok(())
-        }
+        "--help" | "-h" | "help" => print_usage(),
         other => Err(format!("unknown command `{other}` (try `cftcg help`)").into()),
     }
 }
@@ -142,8 +164,8 @@ fn check_flags(command: &str, rest: &[String], values: &str, switches: &str) -> 
     Ok(())
 }
 
-fn print_usage() {
-    println!(
+fn print_usage() -> Result<(), Box<dyn Error>> {
+    outln!(
         "cftcg — test case generation for Simulink-style models through code-based fuzzing\n\n\
          USAGE:\n\
          \x20 cftcg stats  <model.mdlx>\n\
@@ -170,6 +192,7 @@ fn print_usage() {
          \x20 cftcg score  <model.mdlx> <case.csv>...\n\
          \x20 cftcg export-benchmarks [DIR]"
     );
+    Ok(())
 }
 
 fn load(path: Option<&String>) -> Result<Model, Box<dyn Error>> {
@@ -217,15 +240,15 @@ fn flag_values(args: &[String], name: &str) -> Vec<String> {
 
 fn stats(model: &Model) -> Result<(), Box<dyn Error>> {
     let compiled = compile(model)?;
-    println!("model     : {}", model.name());
-    println!("blocks    : {} (including subsystems)", model.total_block_count());
-    println!("branches  : {}", compiled.map().branch_count());
-    println!("decisions : {}", compiled.map().decision_count());
-    println!("conditions: {}", compiled.map().condition_count());
-    println!("state     : {} slots", compiled.state_len());
-    println!("driver    : {} bytes per iteration", compiled.layout().tuple_size());
+    outln!("model     : {}", model.name());
+    outln!("blocks    : {} (including subsystems)", model.total_block_count());
+    outln!("branches  : {}", compiled.map().branch_count());
+    outln!("decisions : {}", compiled.map().decision_count());
+    outln!("conditions: {}", compiled.map().condition_count());
+    outln!("state     : {} slots", compiled.state_len());
+    outln!("driver    : {} bytes per iteration", compiled.layout().tuple_size());
     for field in compiled.layout().fields() {
-        println!("  {:>12}  {:>8}  offset {}", field.name, field.dtype, field.offset);
+        outln!("  {:>12}  {:>8}  offset {}", field.name, field.dtype, field.offset);
     }
     Ok(())
 }
@@ -233,9 +256,9 @@ fn stats(model: &Model) -> Result<(), Box<dyn Error>> {
 fn codegen(model: &Model, driver: bool) -> Result<(), Box<dyn Error>> {
     let compiled = compile(model)?;
     if driver {
-        print!("{}", emit_driver_c(&compiled));
+        out!("{}", emit_driver_c(&compiled));
     } else {
-        print!("{}", emit_c(&compiled));
+        out!("{}", emit_c(&compiled));
     }
     Ok(())
 }
@@ -254,7 +277,7 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let serve = flag_value(rest, "--serve");
     let trace_events = flag_value(rest, "--trace-events");
     let trace_dir = flag_value(rest, "--trace-dir").map(str::to_string);
-    let trace_every: u64 =
+    let trace_every: usize =
         flag_value(rest, "--trace-every").map(str::parse).transpose()?.unwrap_or(1).max(1);
     let plateau_window: Option<u64> =
         flag_value(rest, "--plateau-window").map(str::parse).transpose()?;
@@ -297,9 +320,9 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     };
 
     let tool = Cftcg::new(model)?;
-    let mut config =
+    let config =
         FuzzConfig { engine: Some(engine), telemetry: telemetry.clone(), ..FuzzConfig::default() };
-    println!("engine: {engine} ({workers} workers)");
+    outln!("engine: {engine} ({workers} workers)");
     if let Some(t) = &telemetry {
         t.emit(&Event::CampaignStart {
             model: model.name().to_string(),
@@ -314,37 +337,14 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
             let observatory = cftcg::observe::Observatory::new(t.clone(), model.name());
             let server = cftcg::observe::ObserveServer::bind(addr, observatory)
                 .map_err(|e| format!("--serve {addr}: {e}"))?;
-            println!("observatory: http://{}/ (also /metrics, /snapshot)", server.local_addr());
+            outln!("observatory: http://{}/ (also /metrics, /snapshot)", server.local_addr());
             Some(server)
         }
         _ => None,
     };
 
-    // Sampled waveform capture of coverage-earning inputs: the hook fires
-    // after each case is emitted (coordinator only), replays it on a private
-    // executor, and writes the output waveform as a VCD file — pure
-    // observation, so fuzzing outcomes stay byte-identical.
-    let fired = Arc::new(std::sync::atomic::AtomicU64::new(0));
     if let Some(dir) = &trace_dir {
         fs::create_dir_all(dir)?;
-        let compiled = tool.compiled().clone();
-        let dir = dir.clone();
-        let fired = fired.clone();
-        config.trace_hook = Some(cftcg::fuzz::TraceHook::new(move |bytes, case_id| {
-            let n = fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if !n.is_multiple_of(trace_every) {
-                return;
-            }
-            let mask = ProbeMask::outputs(&compiled);
-            let case = TestCase::new(bytes.to_vec());
-            let trace = trace_vm_case(&compiled, Engine::Flat, &case, &mask, 1 << 16);
-            let name =
-                format!("{}.vcd", cftcg::coverage::format_case_id(case_id).replace(':', "_"));
-            if let Err(e) = fs::write(Path::new(&dir).join(&name), to_vcd(&trace, compiled.name()))
-            {
-                eprintln!("warning: failed to write trace {name}: {e}");
-            }
-        }));
     }
     let tool = tool.with_config(config);
 
@@ -414,10 +414,11 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     // explorer can render sampled campaign progress. Attached only when
     // telemetry ran: from_generation stays deterministic on its own.
     if let (Some(artifact), Some(t)) = (&mut artifact, &telemetry) {
-        artifact.series = t.series_points();
+        let snapshot = t.snapshot();
+        artifact.series = snapshot.series;
         // Span-profile summary: wall-clock attribution per engine phase,
         // available only when telemetry profiled the run.
-        artifact.spans = t.snapshot().totals.spans.reports();
+        artifact.spans = snapshot.totals.spans.reports();
     }
     // Run-identity metadata for `cftcg diff`: which engine actually executed
     // the campaign and on what host. CLI-attached, like the series — the
@@ -429,52 +430,70 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
             arch: std::env::consts::ARCH.to_string(),
         });
     }
+    // Waveforms of every `trace_every`-th emitted case, replayed on the flat
+    // VM from the suite as the campaign emitted it (minimization rewrites
+    // the suite).
+    if let Some(dir) = &trace_dir {
+        let compiled = tool.compiled();
+        let mask = ProbeMask::outputs(compiled);
+        let traced = generation.suite.iter().zip(&generation.suite_meta).step_by(trace_every);
+        for (case, meta) in traced {
+            let trace = trace_vm_case(compiled, Engine::Flat, case, &mask, 1 << 16);
+            let name =
+                format!("{}.vcd", cftcg::coverage::format_case_id(meta.case).replace(':', "_"));
+            if let Err(e) = fs::write(Path::new(dir).join(&name), to_vcd(&trace, compiled.name())) {
+                eprintln!("warning: failed to write trace {name}: {e}");
+            }
+        }
+    }
     if minimize {
         let before = generation.suite.len();
         generation.suite = tool.minimize(&generation.suite);
-        println!("minimized suite: {before} -> {} cases", generation.suite.len());
+        outln!("minimized suite: {before} -> {} cases", generation.suite.len());
     }
     let report = tool.score(&generation);
-    println!(
+    outln!(
         "executed {} inputs / {} model iterations in {:?} ({:.0} iterations/s)",
         generation.executions,
         generation.iterations,
         generation.elapsed,
         generation.iterations_per_second()
     );
-    println!("emitted {} test cases", generation.suite.len());
-    println!("coverage: {report}");
+    outln!("emitted {} test cases", generation.suite.len());
+    outln!("coverage: {report}");
     let yields = generation.yield_reports();
     if yields.iter().any(|y| y.executed > 0) {
-        println!("mutation-yield matrix (per-operator outcomes):");
-        print!("{}", yield_table(&yields));
+        outln!("mutation-yield matrix (per-operator outcomes):");
+        out!("{}", yield_table(&yields));
     }
     if let Some(t) = &telemetry {
         let snapshot = t.snapshot();
         if !snapshot.block_costs.is_empty() {
-            println!("hottest blocks (interpreter replay of the emitted suite):");
-            print!("{}", block_table(&snapshot.block_costs));
+            outln!("hottest blocks (interpreter replay of the emitted suite):");
+            out!("{}", block_table(&snapshot.block_costs));
         }
         let spans = snapshot.totals.spans;
         if !spans.is_empty() {
-            println!("phase attribution (wall-clock share of profiled spans):");
+            outln!("phase attribution (wall-clock share of profiled spans):");
             for row in spans.reports() {
-                println!(
+                outln!(
                     "  {:>16}  {:>10} spans  {:>12} ns total  p99 {:>10} ns",
-                    row.name, row.count, row.total_ns, row.p99_ns
+                    row.name,
+                    row.count,
+                    row.total_ns,
+                    row.p99_ns
                 );
             }
         }
     }
     if let Some(dir) = &trace_dir {
-        let fired = fired.load(std::sync::atomic::Ordering::Relaxed);
-        let written = fired.div_ceil(trace_every);
-        println!("wrote {written} VCD waveforms of coverage-earning cases to {dir}/");
+        let written = generation.suite_meta.len().div_ceil(trace_every);
+        outln!("wrote {written} VCD waveforms of coverage-earning cases to {dir}/");
     }
     if !generation.violations.is_empty() {
-        println!("assertion violations found:");
+        outln!("assertion violations found:");
         for (idx, case) in &generation.violations {
-            println!(
+            outln!(
                 "  {} (witness: {} iterations)",
                 tool.compiled().map().assertions()[*idx],
                 case.iterations(tool.compiled().layout())
@@ -490,12 +509,12 @@ fn fuzz(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         if let Some(artifact) = &artifact {
             fs::write(Path::new(dir).join("campaign.json"), artifact.to_json())?;
         }
-        println!("wrote {} CSV test cases and campaign.json to {dir}/", generation.suite.len());
+        outln!("wrote {} CSV test cases and campaign.json to {dir}/", generation.suite.len());
     }
     if let (Some(path), Some(trace)) = (trace_events, &span_trace) {
         trace.write_chrome_json(Path::new(path))?;
         let dropped = trace.dropped();
-        println!(
+        outln!(
             "wrote {} span trace events to {path} (Perfetto/chrome://tracing loadable){}",
             trace.len(),
             if dropped > 0 { format!("; {dropped} dropped at capacity") } else { String::new() }
@@ -539,7 +558,7 @@ fn diff_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         let tracker_b = replay_tracker(&compiled, &b);
         Some(FrontierMigration::compute(compiled.map(), &tracker_a, &tracker_b))
     };
-    print!("{}", terminal_report(&diff, migration.as_ref(), compiled.map()));
+    out!("{}", terminal_report(&diff, migration.as_ref(), compiled.map()));
     let json = diff_json(&diff, migration.as_ref(), compiled.map());
     write_diff_outputs(rest, &json, &diff, &a, &b, migration.as_ref(), &compiled)
 }
@@ -563,14 +582,14 @@ fn ab_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         ),
     };
     let outcome = run_ab(model, &spec_a, &spec_b, trials, seed, budget)?;
-    print!("{}", ab_report(&outcome, trials));
+    out!("{}", ab_report(&outcome, trials));
     let compiled = compile(model)?;
     let (a, b) = (&outcome.a.representative, &outcome.b.representative);
     let diff = ArtifactDiff::compute(a, b);
     let tracker_a = replay_tracker(&compiled, a);
     let tracker_b = replay_tracker(&compiled, b);
     let migration = FrontierMigration::compute(compiled.map(), &tracker_a, &tracker_b);
-    print!("{}", terminal_report(&diff, Some(&migration), compiled.map()));
+    out!("{}", terminal_report(&diff, Some(&migration), compiled.map()));
     let json = ab_json(&outcome, &diff_json(&diff, Some(&migration), compiled.map()));
     write_diff_outputs(rest, &json, &diff, a, b, Some(&migration), &compiled)
 }
@@ -589,16 +608,16 @@ fn write_diff_outputs(
 ) -> Result<(), Box<dyn Error>> {
     if let Some(path) = flag_value(rest, "--json") {
         fs::write(path, json)?;
-        println!("wrote machine JSON to {path}");
+        outln!("wrote machine JSON to {path}");
     }
     let html = diff_html(diff, a, b, migration, compiled.map());
     if let Some(path) = flag_value(rest, "--html") {
         fs::write(path, &html)?;
-        println!("wrote HTML diff report to {path}");
+        outln!("wrote HTML diff report to {path}");
     }
     fs::create_dir_all("results")?;
     fs::write("results/diff_latest.html", &html)?;
-    println!("mirrored HTML diff report to results/diff_latest.html (served at /diff)");
+    outln!("mirrored HTML diff report to results/diff_latest.html (served at /diff)");
     Ok(())
 }
 
@@ -628,7 +647,7 @@ fn explain(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
             .into());
         }
         let record = chain[0];
-        println!(
+        outln!(
             "case    : {} ({}, shard {}, minted at execution {})",
             cftcg::coverage::format_case_id(id),
             record.origin.tag(),
@@ -636,23 +655,23 @@ fn explain(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
             record.executions
         );
         if let Some(case) = artifact.case(id) {
-            println!(
+            outln!(
                 "emitted : {} driver bytes at t={:.2}s, {} branches covered after",
                 case.bytes.len(),
                 case.t_s,
                 case.covered_branches
             );
         } else {
-            println!("emitted : no (corpus-retained only)");
+            outln!("emitted : no (corpus-retained only)");
         }
-        println!("lineage : {}", format_chain(&chain));
+        outln!("lineage : {}", format_chain(&chain));
         let firsts: Vec<_> = artifact.hits.iter().filter(|h| h.case == id).collect();
         if firsts.is_empty() {
-            println!("goals   : none first-demonstrated by this case");
+            outln!("goals   : none first-demonstrated by this case");
         } else {
-            println!("goals first demonstrated by this case:");
+            outln!("goals first demonstrated by this case:");
             for hit in firsts {
-                println!(
+                outln!(
                     "  [{}] {} at execution {}",
                     hit.goal.metric(),
                     hit.goal.label(map),
@@ -665,7 +684,7 @@ fn explain(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
 
     let report = CoverageReport::score(map, &tracker);
     let open = frontier(map, &tracker);
-    println!(
+    outln!(
         "campaign : model {} | seed {} | {} worker(s) | {} executions | {} cases",
         artifact.model,
         artifact.seed,
@@ -673,14 +692,14 @@ fn explain(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         artifact.executions,
         artifact.cases.len()
     );
-    println!("coverage : D {} | C {} | MCDC {}", report.decision, report.condition, report.mcdc);
-    println!("goals    : {} covered with provenance, {} open", artifact.hits.len(), open.len());
+    outln!("coverage : D {} | C {} | MCDC {}", report.decision, report.condition, report.mcdc);
+    outln!("goals    : {} covered with provenance, {} open", artifact.hits.len(), open.len());
     if open.is_empty() {
-        println!("frontier : empty — every goal of the model is covered");
+        outln!("frontier : empty — every goal of the model is covered");
     } else {
-        println!("frontier :");
+        outln!("frontier :");
         for entry in &open {
-            println!("  {entry}");
+            outln!("  {entry}");
         }
     }
     Ok(())
@@ -723,7 +742,7 @@ fn trace_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
 
     let trace =
         trace_vm_case(&compiled, engine, &TestCase::new(case.bytes.clone()), &mask, 1 << 20);
-    println!(
+    outln!(
         "case {case_ref} ({engine} engine): {} ticks, {} probed signals, {} samples retained{}",
         trace.ticks(),
         mask.len(),
@@ -735,20 +754,20 @@ fn trace_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         }
     );
     for signal in trace.signals() {
-        println!("  {} ({})", signal.name, signal.dtype);
+        outln!("  {} ({})", signal.name, signal.dtype);
     }
     let out = flag_value(rest, "--out").unwrap_or("trace.vcd");
     fs::write(out, to_vcd(&trace, model.name()))?;
-    println!("wrote VCD waveform to {out}");
+    outln!("wrote VCD waveform to {out}");
     if let Some(csv_path) = flag_value(rest, "--csv") {
         fs::write(csv_path, to_csv(&trace))?;
-        println!("wrote CSV waveform to {csv_path}");
+        outln!("wrote CSV waveform to {csv_path}");
     }
     if rest.contains(&"--profile".to_string()) {
         let mut profile = BlockProfile::new();
         let ticks = profile_case(model, &compiled, &case.bytes, &mut profile)?;
-        println!("per-block cost over {ticks} interpreter ticks:");
-        print!("{}", block_table(&profile.hottest()));
+        outln!("per-block cost over {ticks} interpreter ticks:");
+        out!("{}", block_table(&profile.hottest()));
     }
     Ok(())
 }
@@ -765,7 +784,7 @@ fn audit_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     let engine = engine_flag(rest, Engine::Flat)?;
     let compiled = compile(model)?;
     let mut auditor = Auditor::new(model, &compiled, engine)?;
-    println!(
+    outln!(
         "auditing {} on the {engine} engine: {} signals compared per tick",
         model.name(),
         auditor.signal_count()
@@ -784,7 +803,7 @@ fn audit_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         if let Some(divergence) = report.divergence {
             return Err(format!("DIVERGENCE: {divergence}").into());
         }
-        println!("corpus : {} cases, {} ticks — clean", report.cases, report.ticks);
+        outln!("corpus : {} cases, {} ticks — clean", report.cases, report.ticks);
         total_cases += report.cases;
         total_ticks += report.ticks;
     }
@@ -792,10 +811,10 @@ fn audit_cmd(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
     if let Some(divergence) = report.divergence {
         return Err(format!("DIVERGENCE: {divergence}").into());
     }
-    println!("random : {} cases x {ticks} ticks (seed {seed}) — clean", report.cases);
+    outln!("random : {} cases x {ticks} ticks (seed {seed}) — clean", report.cases);
     total_cases += report.cases;
     total_ticks += report.ticks;
-    println!(
+    outln!(
         "audit passed: {total_cases} cases, {total_ticks} ticks, {} signals each",
         auditor.signal_count()
     );
@@ -819,10 +838,10 @@ fn score(model: &Model, rest: &[String]) -> Result<(), Box<dyn Error>> {
         for case in &suite {
             replay_case(&compiled, case, &mut tracker);
         }
-        print!("{}", detailed_report(compiled.map(), &tracker));
+        out!("{}", detailed_report(compiled.map(), &tracker));
     } else {
         let report = replay_suite(&compiled, &suite);
-        println!("{} test cases: {report}", suite.len());
+        outln!("{} test cases: {report}", suite.len());
     }
     Ok(())
 }
@@ -880,7 +899,7 @@ fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
         let tracker = replay_tracker(&compiled, &artifact);
         let html = campaign_explorer_html(&compiled, &artifact, &tracker);
         fs::write(out, &html)?;
-        println!("wrote campaign explorer to {out}");
+        outln!("wrote campaign explorer to {out}");
         return Ok(());
     }
     let path = rest
@@ -935,7 +954,7 @@ fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
     }
 
     if let Some(start) = &campaign {
-        println!(
+        outln!(
             "campaign : model {} | seed {} | {} worker(s) | budget {} ms | {} branch probes",
             start.get("model").and_then(Json::as_str).unwrap_or("?"),
             start.get("seed").and_then(Json::as_u64).unwrap_or(0),
@@ -948,7 +967,7 @@ fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
         );
     }
     if let Some(end) = &end {
-        println!(
+        outln!(
             "result   : {} executions / {} iterations in {:.2}s ({:.0} iterations/s)",
             end.get("executions").and_then(Json::as_u64).unwrap_or(0),
             end.get("iterations").and_then(Json::as_u64).unwrap_or(0),
@@ -956,47 +975,47 @@ fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
             end.get("iterations_per_second").and_then(Json::as_f64).unwrap_or(0.0),
         );
         if let Some(resumed) = end.get("resumed_ticks").and_then(Json::as_u64) {
-            println!("resume   : {resumed} iterations resumed from a corpus parent's checkpoint");
+            outln!("resume   : {resumed} iterations resumed from a corpus parent's checkpoint");
         }
-        println!(
+        outln!(
             "coverage : {}/{} branches",
             end.get("covered").and_then(Json::as_u64).unwrap_or(0),
             end.get("total").and_then(Json::as_u64).unwrap_or(0),
         );
     } else if let Some((covered, total)) = last_coverage {
-        println!("coverage : {covered}/{total} branches (campaign still running)");
+        outln!("coverage : {covered}/{total} branches (campaign still running)");
     }
-    println!("progress : {coverage_events} new-coverage events, {seeds} seeds, {evictions} corpus evictions");
+    outln!("progress : {coverage_events} new-coverage events, {seeds} seeds, {evictions} corpus evictions");
     if sync_rounds > 0 {
-        println!(
+        outln!(
             "sync     : {sync_rounds} rounds, {:.2} ms average merge cost",
             sync_ms_total / sync_rounds as f64
         );
     }
     if violations.is_empty() {
-        println!("violations: none");
+        outln!("violations: none");
     } else {
-        println!("violations:");
+        outln!("violations:");
         for label in &violations {
-            println!("  {label}");
+            outln!("  {label}");
         }
     }
     if let Some(last) = &last_plateau {
-        println!(
+        outln!(
             "plateaus : {plateaus} quiet window(s); last at {} executions with {} goal(s) open",
             last.get("executions").and_then(Json::as_u64).unwrap_or(0),
             last.get("open").and_then(Json::as_u64).unwrap_or(0),
         );
         if let Some(diff) = last.get("frontier").and_then(Json::as_array) {
             for row in diff.iter().take(8) {
-                println!(
+                outln!(
                     "  open: {} ({})",
                     row.get("label").and_then(Json::as_str).unwrap_or("?"),
                     row.get("cause").and_then(Json::as_str).unwrap_or("?"),
                 );
             }
             if diff.len() > 8 {
-                println!("  ... and {} more (see the event log)", diff.len() - 8);
+                outln!("  ... and {} more (see the event log)", diff.len() - 8);
             }
         }
     }
@@ -1006,8 +1025,8 @@ fn report(rest: &[String]) -> Result<(), Box<dyn Error>> {
             .map(cftcg::telemetry::YieldReport::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         if rows.iter().any(|r| r.executed > 0) {
-            println!("mutation-yield matrix (per-operator outcomes):");
-            print!("{}", yield_table(&rows));
+            outln!("mutation-yield matrix (per-operator outcomes):");
+            out!("{}", yield_table(&rows));
         }
     }
     Ok(())
@@ -1018,7 +1037,7 @@ fn export_benchmarks(dir: &str) -> Result<(), Box<dyn Error>> {
     for model in cftcg::benchmarks::all() {
         let path = Path::new(dir).join(format!("{}.mdlx", model.name().to_lowercase()));
         fs::write(&path, save_model(&model))?;
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
     Ok(())
 }

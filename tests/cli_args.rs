@@ -2,10 +2,12 @@
 //! plain failure exit, never a silent default or a panic: unknown flags,
 //! value flags without a value, a campaign recorded against another model,
 //! a model calling a function that is not a builtin, and input nested deeper
-//! than a parser's depth limit.
+//! than a parser's depth limit. A reader that closes stdout early ends the
+//! printing, not the command.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn model(name: &str) -> String {
     format!("{}/models/{name}.mdlx", env!("CARGO_MANIFEST_DIR"))
@@ -132,4 +134,29 @@ fn deeply_nested_inputs_are_refused_not_overflowed() {
         let path = write(&format!("deep_guard{i}.mdlx"), bad);
         assert_refused(&cftcg(&["stats", &path]), &["deeper than 256"]);
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_printing_but_not_the_command() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_args_closed_stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cftcg"))
+        .args(["fuzz", &model("afc"), "--budget-ms", "500", "--out", dir.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cftcg runs");
+    let mut first = String::new();
+    // Reading one line and dropping the reader closes the pipe's read end
+    // while the campaign still runs, like `cftcg fuzz ... | head -1`.
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("a first line");
+    assert!(first.starts_with("engine:"), "{first}");
+    let out = child.wait_with_output().expect("cftcg exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "a panic's exit code: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{stderr}");
+    assert!(dir.join("campaign.json").exists(), "--out is still written");
 }

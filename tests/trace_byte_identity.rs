@@ -1,61 +1,66 @@
-//! Artifact-level byte-identity of the tracing layer: a fuzz run with a
-//! trace hook installed must serialize to the same `campaign.json` as a
-//! bare run. Wall-clock fields (`t_s`, `elapsed_s`) legitimately differ
-//! between any two runs and are normalized out before comparison;
-//! everything else — cases, ids, lineage, hits, counters — is compared
-//! byte for byte.
+//! `cftcg fuzz --trace-dir D --trace-every N` writes, when the campaign
+//! ends, the waveform of every `N`-th emitted case, each byte-identical to
+//! what `cftcg trace` exports for that case from the saved campaign.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use cftcg::codegen::compile;
-use cftcg::fuzz::{FuzzConfig, Fuzzer, Generation, TraceHook};
+use cftcg::coverage::format_case_id;
 use cftcg::pipeline::CampaignArtifact;
 
-/// Zeroes every `"t_s"` / `"elapsed_s"` value in a campaign JSON document.
-fn strip_wallclock(mut s: String) -> String {
-    for key in ["\"t_s\":", "\"elapsed_s\":"] {
-        let mut from = 0;
-        while let Some(rel) = s[from..].find(key) {
-            let start = from + rel + key.len();
-            let end = s[start..].find([',', '}', '\n']).map_or(s.len(), |e| start + e);
-            s.replace_range(start..end, "0");
-            from = start + 1;
-        }
+fn cftcg(args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_cftcg")).args(args).output().expect("cftcg runs");
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+fn path(p: &Path) -> &str {
+    p.to_str().expect("UTF-8 path")
+}
+
+#[test]
+fn trace_dir_holds_every_nth_case_as_cftcg_trace_exports_it() {
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace_dir_every_2");
+    let _ = std::fs::remove_dir_all(&root);
+    let (waves, out, replay) = (root.join("waves"), root.join("out"), root.join("replay.vcd"));
+    let model = format!("{}/models/afc.mdlx", env!("CARGO_MANIFEST_DIR"));
+    cftcg(&[
+        "fuzz",
+        &model,
+        "--budget-ms",
+        "300",
+        "--seed",
+        "3",
+        "--trace-dir",
+        path(&waves),
+        "--trace-every",
+        "2",
+        "--out",
+        path(&out),
+    ]);
+
+    let campaign = out.join("campaign.json");
+    let artifact = CampaignArtifact::from_json(&std::fs::read_to_string(&campaign).unwrap())
+        .expect("campaign.json parses");
+    assert!(artifact.cases.len() >= 2, "the campaign emitted cases: {}", artifact.cases.len());
+    let expected: Vec<String> =
+        artifact.cases.iter().step_by(2).map(|case| format_case_id(case.id)).collect();
+    let mut written: Vec<String> = std::fs::read_dir(&waves)
+        .expect("the trace dir exists")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    let mut named: Vec<String> =
+        expected.iter().map(|id| format!("{}.vcd", id.replace(':', "_"))).collect();
+    named.sort();
+    assert_eq!(written.len(), artifact.cases.len().div_ceil(2));
+    assert_eq!(written, named, "one file per second case, named by its id");
+
+    for id in &expected {
+        cftcg(&["trace", &model, path(&campaign), id, "--engine", "flat", "--out", path(&replay)]);
+        let file = waves.join(format!("{}.vcd", id.replace(':', "_")));
+        assert!(
+            std::fs::read(&file).unwrap() == std::fs::read(&replay).unwrap(),
+            "{id}: the --trace-dir waveform differs from `cftcg trace`"
+        );
     }
-    s
-}
-
-#[test]
-fn trace_hook_leaves_campaign_artifact_byte_identical() {
-    let model = cftcg::benchmarks::by_name("TCP").expect("bundled benchmark");
-    let compiled = compile(&model).expect("benchmark compiles");
-
-    let run = |hook: Option<TraceHook>| {
-        let config = FuzzConfig { seed: 42, trace_hook: hook, ..FuzzConfig::default() };
-        let mut fuzzer = Fuzzer::new(&compiled, config);
-        let generation: Generation = fuzzer.run_executions(3_000).into();
-        CampaignArtifact::from_generation(model.name(), 42, 1, &generation, compiled.map())
-            .to_json()
-    };
-
-    let bare = run(None);
-    let fired = Arc::new(AtomicUsize::new(0));
-    let counter = fired.clone();
-    let hooked = run(Some(TraceHook::new(move |_, _| {
-        counter.fetch_add(1, Ordering::Relaxed);
-    })));
-
-    assert!(fired.load(Ordering::Relaxed) > 0, "the hook observed cases");
-    assert_eq!(
-        strip_wallclock(bare),
-        strip_wallclock(hooked),
-        "campaign artifacts must be byte-identical modulo wall-clock"
-    );
-}
-
-#[test]
-fn strip_wallclock_normalizes_only_time_fields() {
-    let doc = "{\"t_s\":1.25,\"seed\":7,\n\"elapsed_s\":0.5}\n".to_string();
-    assert_eq!(strip_wallclock(doc), "{\"t_s\":0,\"seed\":7,\n\"elapsed_s\":0}\n");
 }
